@@ -41,7 +41,7 @@ raw_err = float(np.mean(ev.psvm_predict(w, g, test.signals) != test.labels))
 print(f"raw-sample PSVM baseline: test error {raw_err:.3f}")
 
 # The same machinery handles all three classes with one-against-one duels.
-rep3 = ev.one_against_one(train3, test3, cfg, top_t=15)
+rep3 = ev.one_against_one(train3, test3, cfg, top_t=[15])[15]
 print(f"three classes, one-against-one with top 15 voters: "
       f"error {rep3.overall_error:.3f} over {test3.n_examples} signals")
 for pair, err in sorted(rep3.pair_errors.items()):

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error (bad flags or parameters),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
@@ -29,38 +28,13 @@ from .core import (
     TransformConfig,
 )
 from . import datasets, evaluation, transform as tf
+from .io import write_csv, write_json
 
 GENERATORS = ("waveform", "shape-cbf")
 
 
-def _fmt(value) -> str:
-    """Cell formatting for CSV output: shortest float round-trip via repr."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_rows(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _np_plain(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, default=_np_plain) + "\n")
-
-
 def _write_manifest(path: Path, command, config, seeds, inputs, outputs, t0) -> None:
-    _write_json(
+    write_json(
         path,
         {
             "command": command,
@@ -143,7 +117,7 @@ def cmd_fit(args) -> int:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fitted, table = tf.fit(train, config, threads=args.threads, progress=progress)
+        fitted, table = tf.fit(train, config, progress=progress)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
@@ -171,7 +145,6 @@ def cmd_fit(args) -> int:
             "effective_levels": fitted.effective_levels,
             "variant": config.variant,
             "constraint_degree": config.constraint_degree,
-            "threads": args.threads,
             "constraint_residual": residual,
         },
         {},
@@ -243,13 +216,13 @@ def _eval_binary(args, fitted, train, test, out_dir, top_t):
             c.support[0], c.support[-1], len(c.support),
         ]
 
-    _write_rows(out_dir / "coefficients.csv", columns, [row(c) for c in ranked])
+    write_csv(out_dir / "coefficients.csv", columns, [row(c) for c in ranked])
 
     selected = evaluation.select_significant(
         classifiers, min_accuracy=args.min_accuracy, alpha=args.alpha
     )
     selected = evaluation.rank_classifiers(selected)
-    _write_rows(out_dir / "selected.csv", columns, [row(c) for c in selected])
+    write_csv(out_dir / "selected.csv", columns, [row(c) for c in selected])
 
     hist = evaluation.support_histogram(selected, fitted.signal_length)
     levels_present = sorted(hist)
@@ -258,7 +231,7 @@ def _eval_binary(args, fitted, train, test, out_dir, top_t):
     for i in range(fitted.signal_length):
         per = [int(hist[m][i]) for m in levels_present]
         rows.append([i + 1] + per + [sum(per)])
-    _write_rows(out_dir / "support_histogram.csv", header, rows)
+    write_csv(out_dir / "support_histogram.csv", header, rows)
 
     ensembles = {}
     outputs = {
@@ -274,7 +247,7 @@ def _eval_binary(args, fitted, train, test, out_dir, top_t):
         prof_rows = []
         for i, (value, group) in enumerate(profile):
             prof_rows.append([i + 1, value, group, int(report.outcome[i])])
-        _write_rows(prof_path, ["example", "mean_vote", "group", "outcome"], prof_rows)
+        write_csv(prof_path, ["example", "mean_vote", "group", "outcome"], prof_rows)
         ens_path = out_dir / f"ensemble_t{t}.json"
         payload = {
             "t": t,
@@ -283,7 +256,7 @@ def _eval_binary(args, fitted, train, test, out_dir, top_t):
             "misclassification": report.misclassification,
             "n_unclassified": report.n_unclassified,
         }
-        _write_json(ens_path, payload)
+        write_json(ens_path, payload)
         ensembles[str(t)] = payload
         outputs[f"ensemble_t{t}"] = str(ens_path)
         outputs[f"profile_t{t}"] = str(prof_path)
@@ -306,7 +279,7 @@ def _eval_binary(args, fitted, train, test, out_dir, top_t):
         "n_selected": len(selected),
         "ensembles": ensembles,
     }
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     outputs["summary"] = str(out_dir / "summary.json")
     if test is None:
         print("no test set supplied; ensembles scored on training data")
@@ -321,22 +294,20 @@ def _eval_multiclass(args, fitted, train, test, out_dir, top_t):
         evaluated_on = "train"
     summary_ovo = {}
     outputs = {}
-    for t in top_t:
-        report = evaluation.one_against_one(
-            train, test, fitted.config, t, mode=args.mode, threads=args.threads
-        )
+    reports = evaluation.one_against_one(train, test, fitted.config, top_t, mode=args.mode)
+    for t, report in reports.items():
         pair_rows = [
             [lo, hi, "" if err is None else err]
             for (lo, hi), err in sorted(report.pair_errors.items())
         ]
         pairs_path = out_dir / f"pairs_t{t}.csv"
-        _write_rows(pairs_path, ["class_lo", "class_hi", "test_error"], pair_rows)
+        write_csv(pairs_path, ["class_lo", "class_hi", "test_error"], pair_rows)
         pred_path = out_dir / f"predictions_t{t}.csv"
         pred_rows = []
         for i in range(test.n_examples):
             label = int(report.predictions[i]) if report.classified[i] else "unclassified"
             pred_rows.append([i + 1, int(test.class_ids[i]), label])
-        _write_rows(pred_path, ["example", "true_class", "predicted_class"], pred_rows)
+        write_csv(pred_path, ["example", "true_class", "predicted_class"], pred_rows)
         summary_ovo[str(t)] = {
             "overall_error": report.overall_error,
             "n_unclassified": int(np.sum(~report.classified)),
@@ -359,7 +330,7 @@ def _eval_multiclass(args, fitted, train, test, out_dir, top_t):
         base = evaluation.one_against_one_raw_psvm(train, test, fitted.config.nu)
         summary["raw_psvm_error"] = base.overall_error
         print(f"raw proximal-SVM baseline error {base.overall_error:.4f}")
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     outputs["summary"] = str(out_dir / "summary.json")
     if evaluated_on == "train":
         print("no test set supplied; one-against-one scored on training data")
@@ -408,7 +379,6 @@ def cmd_eval(args) -> int:
             "permutations": args.permutations,
             "alpha": args.alpha,
             "min_accuracy": args.min_accuracy,
-            "threads": args.threads,
             "raw_baseline": args.raw_baseline,
         },
         {} if args.seed is None else {"seed": args.seed},
@@ -429,12 +399,12 @@ def cmd_basis(args) -> int:
     names = [name for name, _, _, _ in layout]
     sample_cols = [f"s{i + 1}" for i in range(fitted.signal_length)]
 
-    _write_rows(
+    write_csv(
         out_dir / "analysis.csv",
         ["coefficient"] + sample_cols,
         [[names[i]] + list(bv.analysis[i]) for i in range(len(names))],
     )
-    _write_rows(
+    write_csv(
         out_dir / "synthesis.csv",
         ["coefficient"] + sample_cols,
         [[names[i]] + list(bv.synthesis[:, i]) for i in range(len(names))],
@@ -450,7 +420,7 @@ def cmd_basis(args) -> int:
                 s_sup[0], s_sup[-1], len(s_sup),
             ]
         )
-    _write_rows(
+    write_csv(
         out_dir / "supports.csv",
         [
             "coefficient", "kind", "level", "position",
@@ -512,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="polynomial reproduction degree bound p (0 disables constraints)",
     )
-    f.add_argument("--threads", type=int, default=1, help="parallel window solves per level")
     f.add_argument("--out-model", required=True, help="output model JSON path")
     f.add_argument("--out-features", default=None, help="optional training-coefficient CSV")
     f.set_defaults(func=cmd_fit)
@@ -539,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-accuracy", type=float, default=0.75, help="training-accuracy cut for selection"
     )
     e.add_argument("--seed", type=int, default=None, help="RNG seed for the permutation tests")
-    e.add_argument("--threads", type=int, default=1, help="parallel solves in pairwise fits")
     e.add_argument(
         "--raw-baseline",
         action="store_true",

@@ -7,12 +7,12 @@ generation is single-threaded and the per-signal draw order is fixed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, DataError, SignalDataset, is_power_of_two, make_rng
+from .io import read_csv, write_csv
 
 WAVEFORM_LENGTH = 32
 SHAPE_LENGTH = 128
@@ -132,18 +132,13 @@ def save_csv(dataset: SignalDataset, path, header: bool = True) -> None:
     ids = dataset.class_ids
     if ids is None and dataset.labels is not None:
         ids = dataset.labels.astype(int)
-    n = dataset.signal_length
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header:
-            cols = [f"s{j}" for j in range(1, n + 1)]
-            if ids is not None:
-                cols.append("label")
-            fh.write(",".join(cols) + "\n")
-        for i in range(dataset.n_examples):
-            row = [repr(float(x)) for x in dataset.signals[i]]
-            if ids is not None:
-                row.append(str(int(ids[i])))
-            fh.write(",".join(row) + "\n")
+    label = [] if ids is None else ["label"]
+    names = [f"s{j}" for j in range(1, dataset.signal_length + 1)] + label
+    rows = (
+        dataset.signals[i].tolist() + ([] if ids is None else [int(ids[i])])
+        for i in range(dataset.n_examples)
+    )
+    write_csv(path, names if header else None, rows)
 
 
 def load_csv(path, header: bool = True, labeled: bool = True) -> SignalDataset:
@@ -153,45 +148,10 @@ def load_csv(path, header: bool = True, labeled: bool = True) -> SignalDataset:
     with 1-based row/column diagnostics on ragged rows, non-numeric cells, a
     missing label column, or a non-power-of-two signal width.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        lines = [row for row in reader if row and any(c.strip() != "" for c in row)]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    start = 1 if header else 0
-    if start and len(lines) == 1:
-        raise DataError(f"{path}: header only, no data rows")
-    width = len(lines[start])
-    if labeled and width < 2:
-        raise DataError(f"{path}: expected sample columns plus a label column")
-    n_samples = width - 1 if labeled else width
+    _, signals, ids = read_csv(path, header=header, labeled=labeled)
+    n_samples = signals.shape[1]
     if not is_power_of_two(n_samples) or n_samples < 2:
         raise DataError(
             f"{path}: signal width {n_samples} is not a power of two >= 2"
         )
-    signals = np.empty((len(lines) - start, n_samples))
-    ids = np.empty(len(lines) - start, dtype=int) if labeled else None
-    for r, cells in enumerate(lines[start:], start=start + 1):
-        if len(cells) != width:
-            raise DataError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
-        for c, cell in enumerate(cells[:n_samples], start=1):
-            try:
-                signals[r - start - 1, c - 1] = float(cell)
-            except ValueError as exc:
-                raise DataError(f"{path}: row {r}, column {c}: {cell!r} is not numeric") from exc
-        if labeled:
-            cell = cells[-1]
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: row {r}, column {width}: label {cell!r} is not numeric"
-                ) from exc
-            if value != int(value):
-                raise DataError(
-                    f"{path}: row {r}, column {width}: label {cell!r} is not an integer"
-                )
-            ids[r - start - 1] = int(value)
-    if not np.all(np.isfinite(signals)):
-        raise DataError(f"{path}: non-finite sample values")
     return SignalDataset(signals=signals, class_ids=ids)

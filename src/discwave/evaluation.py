@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -274,16 +274,17 @@ def one_against_one(
     train: SignalDataset,
     test: SignalDataset,
     config: TransformConfig,
-    top_t: int,
+    top_t: Sequence[int],
     mode: str = OPTIMAL_THRESHOLD,
-    threads: int = 1,
-) -> MulticlassReport:
+) -> dict:
     """One binary transform+ensemble per class pair, pairwise-majority overall.
 
-    Each pair gets its own fitted transform, classifier ranking, and top-t
-    ensemble (selection happens per pairwise problem). Pair reports score the
-    ensemble on the test rows of those two classes; the overall prediction
-    lets every pair vote on every test example.
+    Each pair gets its own fitted transform and classifier ranking, made once;
+    the top-t members of that ranking form the pair's ensemble for every t in
+    the sequence `top_t` (selection happens per pairwise problem). Pair
+    reports score the ensemble on the test rows of those two classes; the
+    overall prediction lets every pair vote on every test example. Returns
+    {t: MulticlassReport} in the order of `top_t`.
     """
     if train.class_ids is None or test.class_ids is None:
         raise DataError("one_against_one needs class_ids on both datasets")
@@ -293,44 +294,40 @@ def one_against_one(
     missing = set(int(c) for c in np.unique(test.class_ids)) - set(classes)
     if missing:
         raise DataError(f"test classes {sorted(missing)} absent from training")
-    if top_t < 1:
-        raise ConfigError("top_t must be >= 1")
+    top_t = list(top_t)
+    if not top_t or min(top_t) < 1:
+        raise ConfigError("top_t needs at least one entry, each >= 1")
 
-    pair_reports = {}
-    pair_errors = {}
-    duel_outcomes = {}
+    pairs = {}  # (lo, hi) -> (ranked classifiers, all test rows, the pair's test rows)
     for lo, hi in combinations(classes, 2):
-        tr = train.restrict_pair(lo, hi)
-        fitted, coeffs = tf.fit(tr, config, threads=threads)
-        members = rank_classifiers(make_local_classifiers(coeffs, fitted, mode))[:top_t]
-
-        full = tf.apply(fitted, test.signals)
-        duel_outcomes[(lo, hi)] = vote(members, full).outcome
-
+        fitted, coeffs = tf.fit(train.restrict_pair(lo, hi), config)
+        ranked = rank_classifiers(make_local_classifiers(coeffs, fitted, mode))
         mask = np.isin(test.class_ids, (lo, hi))
+        sub = None
         if np.any(mask):
-            sub = tf.apply(
-                fitted,
-                test.signals[mask],
-                labels=np.where(test.class_ids[mask] == lo, -1.0, 1.0),
-            )
-            report = vote(members, sub)
-            pair_reports[(lo, hi)] = report
-            pair_errors[(lo, hi)] = report.misclassification
-        else:
-            pair_errors[(lo, hi)] = None
+            y = np.where(test.class_ids[mask] == lo, -1.0, 1.0)
+            sub = tf.apply(fitted, test.signals[mask], labels=y)
+        pairs[(lo, hi)] = ranked, tf.apply(fitted, test.signals), sub
 
-    predictions, classified, overall = _aggregate_duels(
-        classes, duel_outcomes, test.n_examples, test.class_ids
-    )
-    return MulticlassReport(
-        classes=tuple(classes),
-        pair_reports=pair_reports,
-        pair_errors=pair_errors,
-        predictions=predictions,
-        classified=classified,
-        overall_error=overall,
-    )
+    reports = {}
+    for t in top_t:
+        duel_outcomes = {p: vote(r[:t], full).outcome for p, (r, full, _) in pairs.items()}
+        pair_reports = {p: vote(r[:t], sub) for p, (r, _, sub) in pairs.items() if sub is not None}
+        predictions, classified, overall = _aggregate_duels(
+            classes, duel_outcomes, test.n_examples, test.class_ids
+        )
+        reports[t] = MulticlassReport(
+            classes=tuple(classes),
+            pair_reports=pair_reports,
+            pair_errors={
+                p: pair_reports[p].misclassification if p in pair_reports else None
+                for p in pairs
+            },
+            predictions=predictions,
+            classified=classified,
+            overall_error=overall,
+        )
+    return reports
 
 
 def fit_raw_psvm(signals: np.ndarray, labels: np.ndarray, nu: float):

@@ -19,7 +19,6 @@ arbitrate the fast path in tests; the two routes share no linear algebra.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -351,24 +350,3 @@ def objective_value(problem: PredictProblem, solution: PredictSolution) -> float
         problem.nu / 2.0
     ) * float(xi @ xi)
 
-
-def dump_problem(problem: PredictProblem, solution: Optional[PredictSolution], path) -> None:
-    """Write a problem (and optional solution) as JSON for bug reports."""
-    payload = {
-        "A": problem.A.tolist(),
-        "labels": problem.labels.tolist(),
-        "nu": problem.nu,
-        "variant": problem.variant,
-        "B": None if problem.B is None else problem.B.tolist(),
-    }
-    if solution is not None:
-        payload["solution"] = {
-            "w": solution.w.tolist(),
-            "gamma": solution.gamma,
-            "xi_norm": solution.xi_norm,
-            "u": solution.u.tolist(),
-            "v": None if solution.v is None else solution.v.tolist(),
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

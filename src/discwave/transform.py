@@ -12,10 +12,8 @@ exactly; `base_vectors` materialises the analysis/synthesis vector pairs.
 from __future__ import annotations
 
 import json
-import re
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -35,6 +33,7 @@ from .core import (
     split,
 )
 from . import solver
+from .io import read_csv, write_csv, write_json
 
 SUPPORT_ATOL = 1e-10
 INVERTIBILITY_ATOL = 1e-12
@@ -145,7 +144,6 @@ class BaseVectors:
 
     analysis: np.ndarray
     synthesis: np.ndarray
-    affine_offsets: np.ndarray  # zero for the raw transform; kept for classifier use
     analysis_supports: tuple  # per coefficient: 1-based sample indices, |entry| > 1e-10
     synthesis_supports: tuple
 
@@ -175,15 +173,14 @@ def _solve_one(A_e_col, C, y, window: IndexWindow, config: TransformConfig) -> L
     )
 
 
-def fit(train: SignalDataset, config: TransformConfig, threads: int = 1, progress=None):
+def fit(train: SignalDataset, config: TransformConfig, progress=None):
     """Train all window predictors; returns (FittedTransform, CoefficientTable).
 
-    Levels run sequentially (each consumes the previous coarse signal); the
-    per-position solves within a level are independent and run on up to
-    `threads` workers, assembled by position so scheduling cannot affect the
-    result. Stops early with a warning once the window no longer fits the
-    coarse signal, recording the effective number of levels. `progress`, if
-    given, is called as progress(level, n_positions, seconds) after each level.
+    Levels run in order, each consuming the previous coarse signal, and the
+    positions of a level are solved one after another. Stops early with a
+    warning once the window no longer fits the coarse signal, recording the
+    effective number of levels. `progress`, if given, is called as
+    progress(level, n_positions, seconds) after each level.
     """
     y = train.require_labels()
     N = train.signal_length
@@ -206,19 +203,13 @@ def fit(train: SignalDataset, config: TransformConfig, threads: int = 1, progres
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
 
-        def solve_k(k, _Ae=A_e, _C=C, _m=m):
-            window = index_window(k, _C.shape[1], config.window)
+        records = []
+        for k in range(1, half + 1):
+            window = index_window(k, half, config.window)
             try:
-                return _solve_one(_Ae[:, k - 1], _C, y, window, config)
+                records.append(_solve_one(A_e[:, k - 1], C, y, window, config))
             except (ConfigError, DataError, NumericalError) as exc:
-                raise type(exc)(f"level {_m}, position k={k}: {exc}") from exc
-
-        ks = range(1, half + 1)
-        if threads and int(threads) > 1:
-            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-                records = list(pool.map(solve_k, ks))
-        else:
-            records = [solve_k(k) for k in ks]
+                raise type(exc)(f"level {m}, position k={k}: {exc}") from exc
         levels.append(tuple(records))
         A = C
         if progress is not None:
@@ -327,7 +318,6 @@ def base_vectors(transform: FittedTransform) -> BaseVectors:
     return BaseVectors(
         analysis=analysis,
         synthesis=synthesis,
-        affine_offsets=np.zeros(N),
         analysis_supports=a_sup,
         synthesis_supports=s_sup,
     )
@@ -349,35 +339,6 @@ def constraint_residual(transform: FittedTransform) -> Optional[float]:
     return worst
 
 
-_FLOAT_TOKEN = "~f17g~"
-
-
-def _tokenize_floats(obj):
-    """Recursively replace floats with marked 17-significant-digit strings."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise NumericalError("non-finite value in JSON payload")
-        return f"{_FLOAT_TOKEN}{x:.17g}"
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_tokenize_floats(x) for x in obj]
-    if isinstance(obj, np.ndarray):
-        return [_tokenize_floats(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _tokenize_floats(v) for k, v in obj.items()}
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
-
-
-def dumps_json(obj) -> str:
-    """json.dumps with floats rendered at 17 significant digits (lossless)."""
-    text = json.dumps(_tokenize_floats(obj), indent=2)
-    return re.sub(r'"' + _FLOAT_TOKEN + r'([^"]*)"', r"\1", text) + "\n"
-
-
 def save_model(transform: FittedTransform, path) -> None:
     """Model JSON: signal_length, config, effective_levels, per-level records."""
     doc = {
@@ -397,8 +358,7 @@ def save_model(transform: FittedTransform, path) -> None:
             for records in transform.levels
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(doc))
+    write_json(path, doc)
 
 
 def load_model(path) -> FittedTransform:
@@ -438,62 +398,19 @@ def load_model(path) -> FittedTransform:
     return transform
 
 
-def save_features(table: CoefficientTable, path, header: bool = True) -> None:
+def save_features(table: CoefficientTable, path) -> None:
     """Merged-coefficient CSV: named columns plus a trailing label column."""
-    names = table.column_names()
     ids = table.class_ids
     if ids is None and table.labels is not None:
         ids = table.labels.astype(int)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header:
-            cols = names + (["label"] if ids is not None else [])
-            fh.write(",".join(cols) + "\n")
-        for i in range(table.merged.shape[0]):
-            row = [repr(float(x)) for x in table.merged[i]]
-            if ids is not None:
-                row.append(str(int(ids[i])))
-            fh.write(",".join(row) + "\n")
+    names = table.column_names() + ([] if ids is None else ["label"])
+    rows = (
+        table.merged[i].tolist() + ([] if ids is None else [int(ids[i])])
+        for i in range(table.n_examples)
+    )
+    write_csv(path, names, rows)
 
 
-def load_features(path, header: bool = True, labeled: bool = True):
+def load_features(path, labeled: bool = True):
     """Read a feature CSV back: (column_names, merged matrix, label ids or None)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    names = None
-    start = 0
-    if header:
-        names = lines[0].split(",")
-        start = 1
-    width = None
-    labels = []
-    for r, line in enumerate(lines[start:], start=start + 1):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            bad = next(i for i, c in enumerate(cells, 1) if not _is_float(c))
-            raise DataError(f"{path}: row {r}, column {bad}: not numeric") from exc
-        if labeled:
-            labels.append(int(values[-1]))
-            values = values[:-1]
-        rows.append(values)
-    merged = np.asarray(rows, dtype=float)
-    if names is not None and labeled:
-        names = names[:-1]
-    ids = np.asarray(labels, dtype=int) if labeled else None
-    return names, merged, ids
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+    return read_csv(path, labeled=labeled)

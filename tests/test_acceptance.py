@@ -156,8 +156,9 @@ def multiclass_errors(gen, spec_cls):
     for i in range(10):
         train = gen(spec_cls(per_class_count=100, seed=1000 + i))
         test = gen(spec_cls(per_class_count=1000, seed=2000 + i))
-        e3.append(ev.one_against_one(train, test, REG_CFG, top_t=3).overall_error)
-        e15.append(ev.one_against_one(train, test, REG_CFG, top_t=15).overall_error)
+        reports = ev.one_against_one(train, test, REG_CFG, top_t=(3, 15))
+        e3.append(reports[3].overall_error)
+        e15.append(reports[15].overall_error)
         eraw.append(ev.one_against_one_raw_psvm(train, test, nu=1.0).overall_error)
     return float(np.mean(e3)), float(np.mean(e15)), float(np.mean(eraw))
 

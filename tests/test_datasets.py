@@ -196,6 +196,13 @@ def test_csv_non_integer_label(tmp_path):
         load_csv(path, header=False)
 
 
+def test_csv_nan_label_is_a_data_error(tmp_path):
+    path = tmp_path / "nanlabel.csv"
+    path.write_text("1.0,2.0,3.0,4.0,nan\n")
+    with pytest.raises(DataError, match="column 5: label 'nan' is not an integer"):
+        load_csv(path, header=False)
+
+
 def test_csv_width_not_power_of_two(tmp_path):
     path = tmp_path / "width.csv"
     path.write_text("1.0,2.0,3.0,1\n")

@@ -281,7 +281,7 @@ def test_ovo_two_classes_equals_binary_pipeline():
     cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
     top_t = 5
 
-    report = ev.one_against_one(train, test, cfg, top_t=top_t)
+    report = ev.one_against_one(train, test, cfg, top_t=[top_t])[top_t]
     assert report.classes == (1, 2)
     assert set(report.pair_reports) == {(1, 2)}
 
@@ -301,7 +301,7 @@ def test_ovo_three_classes():
     train = generate_waveform(WaveformSpec(per_class_count=20, seed=206))
     test = generate_waveform(WaveformSpec(per_class_count=15, seed=207))
     cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
-    report = ev.one_against_one(train, test, cfg, top_t=3)
+    report = ev.one_against_one(train, test, cfg, top_t=[3])[3]
     assert report.classes == (1, 2, 3)
     assert set(report.pair_reports) == {(1, 2), (1, 3), (2, 3)}
     assert set(np.unique(report.predictions)).issubset({1, 2, 3})
@@ -318,15 +318,15 @@ def test_ovo_validation_errors():
     test = generate_waveform(WaveformSpec(per_class_count=4, seed=209))
     cfg = TransformConfig(levels=1, window=4, nu=1.0, variant="nonregularised")
     with pytest.raises(ConfigError):
-        ev.one_against_one(train, test, cfg, top_t=0)
+        ev.one_against_one(train, test, cfg, top_t=[0])
     unlabeled = SignalDataset(signals=train.signals)
     with pytest.raises(DataError):
-        ev.one_against_one(unlabeled, test, cfg, top_t=3)
+        ev.one_against_one(unlabeled, test, cfg, top_t=[3])
     extra = SignalDataset(
         signals=test.signals, class_ids=np.where(test.class_ids == 3, 4, test.class_ids)
     )
     with pytest.raises(DataError, match="absent from training"):
-        ev.one_against_one(train, extra, cfg, top_t=3)
+        ev.one_against_one(train, extra, cfg, top_t=[3])
 
 
 def test_raw_psvm_separates_offset_clouds():

@@ -179,7 +179,6 @@ def test_biorthogonal_base_vectors():
     assert base.analysis.shape == (N, N)
     assert base.synthesis.shape == (N, N)
     assert np.max(np.abs(base.analysis @ base.synthesis - np.eye(N))) < 1e-8
-    assert np.array_equal(base.affine_offsets, np.zeros(N))
     # Synthesis columns rebuild signals from coefficient rows.
     x = np.random.default_rng(13).normal(size=(5, N))
     coeffs = tf.apply(t, x).merged
@@ -297,6 +296,31 @@ def test_features_csv_round_trip(tmp_path):
     assert np.array_equal(ids, ds.class_ids)
 
 
+def test_features_csv_rejects_non_integer_label(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("c1_1,d1_1,label\n0.5,-0.25,1.5\n")
+    with pytest.raises(DataError, match="column 3: label '1.5' is not an integer"):
+        tf.load_features(path)
+
+
+def test_save_model_rejects_nan_weight_and_writes_nothing(tmp_path):
+    rng = np.random.default_rng(18)
+    t, _ = tf.fit(random_dataset(rng, 8, 8), TransformConfig(
+        levels=1, window=2, nu=1.0, variant="nonregularised"
+    ))
+    first = t.levels[0][0]
+    bad = tf.LevelPredictor(
+        k=first.k, indices=first.indices, weights=[np.nan, 0.0], gamma=first.gamma
+    )
+    broken = tf.FittedTransform(
+        config=t.config, signal_length=t.signal_length, levels=((bad,) + t.levels[0][1:],)
+    )
+    path = tmp_path / "model.json"
+    with pytest.raises(NumericalError, match="non-finite"):
+        tf.save_model(broken, path)
+    assert not path.exists()
+
+
 def test_features_csv_without_labels(tmp_path):
     rng = np.random.default_rng(13)
     ds = random_dataset(rng, 6, 8)
@@ -327,18 +351,6 @@ def test_fit_rejects_oversized_window():
     cfg = TransformConfig(levels=1, window=6, nu=1.0, variant="nonregularised")
     with pytest.raises(ConfigError):
         tf.fit(ds, cfg)
-
-
-def test_threads_do_not_change_results():
-    rng = np.random.default_rng(16)
-    ds = random_dataset(rng, 20, 32)
-    cfg = TransformConfig(levels=3, window=4, nu=1.0, variant="nonregularised")
-    t1, table1 = tf.fit(ds, cfg, threads=1)
-    t4, table4 = tf.fit(ds, cfg, threads=4)
-    assert np.array_equal(table1.merged, table4.merged)
-    for recs_a, recs_b in zip(t1.levels, t4.levels):
-        for a, b in zip(recs_a, recs_b):
-            assert np.array_equal(a.weights, b.weights) and a.gamma == b.gamma
 
 
 def test_progress_callback_reports_each_level():
