@@ -487,7 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_fit)
 
     e = sub.add_parser("eval", help="score coefficient classifiers and ensembles")
-    e.add_argument("--model", required=True, help="model JSON from fit")
+    e.add_argument(
+        "--model",
+        required=True,
+        help="model JSON from fit; with three or more classes in --train only "
+        "its configuration is used and every class pair is refit from --train",
+    )
     e.add_argument("--train", required=True, help="training CSV (thresholds, ranking, tests)")
     e.add_argument("--test", default=None, help="optional held-out CSV")
     e.add_argument(

@@ -338,7 +338,7 @@ def fit_raw_psvm(signals: np.ndarray, labels: np.ndarray, nu: float):
         nu=nu,
         variant=REGULARISED,
     )
-    sol = solver.solve_regularised(problem)
+    sol = solver.solve(problem)
     return sol.w, sol.gamma
 
 

@@ -9,12 +9,17 @@ to the labels:
                                                        a0 = first column of A
   constrained      nonregularised plus B w = e1        p extra dual variables
 
-All fast paths reduce to one r x r factorization via the Sherman-Morrison-
-Woodbury identity (r = L+2, L+1, or L-p+1 respectively; the constrained case
-first eliminates the constraints through a null-space substitution), so cost
-is linear in the number of examples. `kkt_oracle` solves the identical problems by one
-dense factorization of the full stationarity+feasibility system and exists to
-arbitrate the fast path in tests; the two routes share no linear algebra.
+Eliminating xi turns each into one regularised least-squares problem in
+z = (w, gamma): minimise (1/2)||z||^2 + (nu/2)||b - H z||^2 with H = Y [F, -e]
+and b = e - y * offset, where (F, offset) is (A, 0) when regularised and
+(At, a0) when not; the constrained case first substitutes w = w0 + Z q over
+the null space of B. `solve` factors the stacked [[I/sqrt(nu), 0], [H, b]]
+by one Householder QR and back-substitutes in the r x r triangle (r = L+2,
+L+1 or L-p+1), so cost is linear in the number of examples and the error
+depends on cond(H), where the normal equations H^T H + I/nu would square it.
+`kkt_oracle` solves the identical problems by one dense factorization of the
+full stationarity+feasibility system and exists to arbitrate `solve` in
+tests; the two routes share no linear algebra.
 """
 
 from __future__ import annotations
@@ -102,150 +107,92 @@ class PredictSolution:
     v: Optional[np.ndarray] = None
 
 
-def smw_solve(H1: np.ndarray, H2: np.ndarray, nu: float, b: np.ndarray) -> np.ndarray:
-    """Solve (I/nu + H1 @ H2.T) u = b touching only one r x r factorization.
-
-    Expansion of the Sherman-Morrison-Woodbury identity for this shape:
-    u = nu * (b - H1 @ (I/nu + H2.T @ H1)^{-1} @ (H2.T @ b)). The inner matrix
-    pairs H2.T with H1; the order matters when H1 != H2.
-    """
-    H1 = np.asarray(H1, dtype=float)
-    H2 = np.asarray(H2, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if H1.shape != H2.shape or H1.ndim != 2 or b.shape != (H1.shape[0],):
-        raise ConfigError(
-            f"shape mismatch: H1 {H1.shape}, H2 {H2.shape}, b {b.shape}"
-        )
-    nu = float(nu)
-    if not (nu > 0 and np.isfinite(nu)):
-        raise ConfigError(f"nu must be positive and finite, got {nu}")
-    r = H1.shape[1]
-    inner = H2.T @ H1 + np.eye(r) / nu
-    try:
-        t = np.linalg.solve(inner, H2.T @ b)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(inner)) if r else float("inf")
-        raise NumericalError(
-            f"inner {r} x {r} system is singular (cond ~ {cond:.3e})"
-        ) from exc
-    return nu * (b - H1 @ t)
-
-
 def _signed(M: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-scale M by the label vector, i.e. diag(y) @ M without forming the diagonal."""
     return M * y[:, None]
 
 
-def _check_residual(resid: np.ndarray, scale: float, what: str) -> None:
-    err = float(np.linalg.norm(resid))
-    if not np.isfinite(err) or err > FEASIBILITY_RTOL * max(1.0, scale):
-        raise NumericalError(f"{what} residual {err:.3e} exceeds tolerance")
+def _least_squares(F: np.ndarray, offset, y: np.ndarray, nu: float):
+    """Minimise (1/2)||z||^2 + (nu/2)||b - H z||^2 with H = Y [F, -e], b = e - y * offset.
 
-
-def solve_regularised(problem: PredictProblem) -> PredictSolution:
-    """Fast path for the regularised variant (all columns carry free weights)."""
-    if problem.variant != REGULARISED:
-        raise ConfigError("problem.variant must be 'regularised'")
-    A, y, nu = problem.A, problem.labels, problem.nu
-    l = A.shape[0]
-    e = np.ones(l)
-    H = _signed(np.hstack([A, -e[:, None]]), y)
-    u = smw_solve(H, H, nu, e)
-    z = H.T @ u  # stacks (w, gamma): last entry is (-e)^T Y u
-    w, gamma = z[:-1], float(z[-1])
-    _check_residual(
-        H @ z + u / nu - e,
-        np.sqrt(l) + float(np.linalg.norm(u)),
-        "regularised feasibility",
-    )
-    return PredictSolution(w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u)
-
-
-def solve_nonregularised(problem: PredictProblem) -> PredictSolution:
-    """Fast path when the first column enters with fixed unit weight."""
-    if problem.variant != NONREGULARISED:
-        raise ConfigError("problem.variant must be 'nonregularised'")
-    if problem.B is not None:
-        raise ConfigError("problem has constraints; use solve_constrained")
-    A, y, nu = problem.A, problem.labels, problem.nu
-    l = A.shape[0]
-    e = np.ones(l)
-    a0, At = A[:, 0], A[:, 1:]
-    H = _signed(np.hstack([At, -e[:, None]]), y)
-    b = e - y * a0
-    u = smw_solve(H, H, nu, b)
-    z = H.T @ u
-    w, gamma = z[:-1], float(z[-1])
-    _check_residual(
-        H @ z + u / nu - b,
-        float(np.linalg.norm(b)) + float(np.linalg.norm(u)),
-        "nonregularised feasibility",
-    )
-    return PredictSolution(w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u)
-
-
-def solve_constrained(problem: PredictProblem) -> PredictSolution:
-    """Nonregularised variant with polynomial-reproduction constraints B w = e1.
-
-    Splits the weights into a fixed particular part plus a free part in the
-    null space of B: w = w0 + Z q, with B w0 = e1 (minimum norm) and Z an
-    orthonormal null-space basis from the SVD of B. Since w0 is orthogonal to
-    that null space the objective separates, and (q, gamma) solve a plain
-    nonregularised problem whose first column absorbs At @ w0 and whose window
-    shrinks to L - p. Assembling w this way avoids the cancellation in the
-    stationarity identity w = At^T Y u - B^T v, whose two terms can dwarf w
-    itself when nu is large and the constraint multipliers blow up; v is
-    recovered afterwards by projecting that identity onto the constraint rows.
+    One QR of the stacked [[I/sqrt(nu), 0], [H, b]] keeps only R, whose
+    leading r x r triangle and last column give z by back substitution.
+    The I/sqrt(nu) rows come first, so each Householder reflector pivots on
+    its column's 1/sqrt(nu) entry. Pivoting on a data row instead adds the
+    column's norm to that row's entry: where a column of H is far smaller
+    than 1/sqrt(nu), its data is lost to rounding and z comes back accurate
+    in norm only, not entry by entry. Returns z and the dual
+    u = nu (b - H z) after checking the stationarity identity z = H^T u,
+    entry by entry, against the size of the terms that cancel in it.
     """
-    if problem.variant != NONREGULARISED or problem.B is None:
-        raise ConfigError("solve_constrained needs a nonregularised problem with B")
-    A, y, nu, B = problem.A, problem.labels, problem.nu, problem.B
-    l, p = A.shape[0], B.shape[0]
-    e1 = np.zeros(p)
-    e1[0] = 1.0
-    a0, At = A[:, 0], A[:, 1:]
-
-    U, s, Vt = np.linalg.svd(B, full_matrices=True)
-    if s[-1] <= s[0] * 1e-12:
-        raise ConfigError("constraint matrix B is numerically rank deficient")
-    w0 = Vt[:p].T @ ((U.T @ e1) / s)
-    Z = Vt[p:].T  # L x (L - p), B @ Z = 0
-
-    reduced = PredictProblem(
-        A=np.hstack([(a0 + At @ w0)[:, None], At @ Z]),
-        labels=y,
-        nu=nu,
-        variant=NONREGULARISED,
-    )
-    inner = solve_nonregularised(reduced)
-    w = w0 + Z @ inner.w
-    u = inner.u
-    rhs = At.T @ (y * u) - w
-    v = U @ ((Vt[:p] @ rhs) / s)
-
-    bw = B @ w - e1
-    if float(np.max(np.abs(bw))) > CONSTRAINT_ATOL * max(1.0, float(np.max(np.abs(B)))):
-        raise NumericalError(
-            f"constraint residual {float(np.max(np.abs(bw))):.3e} exceeds tolerance"
-        )
-    resid = y * (a0 + At @ w - inner.gamma) + u / nu - np.ones(l)
-    _check_residual(
-        resid,
-        np.sqrt(l) + float(np.linalg.norm(a0)) + float(np.linalg.norm(u)),
-        "constrained feasibility",
-    )
-    return PredictSolution(
-        w=w, gamma=inner.gamma, xi_norm=inner.xi_norm, u=u, v=v
-    )
+    l, n = F.shape
+    r = n + 1
+    M = np.zeros((r + l, r + 1), order="F")
+    H, b = M[r:, :r], M[r:, r]
+    np.multiply(F.T, y, out=H.T[:n])  # column by column: far faster into Fortran order
+    np.negative(y, out=H[:, n])
+    np.subtract(1.0, y * offset, out=b)
+    np.fill_diagonal(M[:r, :r], 1.0 / np.sqrt(nu))
+    R = np.linalg.qr(M, mode="r")
+    z = np.linalg.solve(R[:r, :r], R[:r, r])
+    u = nu * (b - H @ z)
+    absH = np.abs(H)
+    terms = np.abs(z) + nu * (absH.T @ (np.abs(b) + absH @ np.abs(z)))
+    worst = float(np.max(np.abs(z - H.T @ u) / np.maximum(1.0, terms)))
+    if not worst <= FEASIBILITY_RTOL:
+        raise NumericalError(f"stationarity residual {worst:.3e} exceeds tolerance")
+    return z, u
 
 
 def solve(problem: PredictProblem) -> PredictSolution:
-    """Dispatch on variant / constraint presence."""
-    if problem.variant == REGULARISED:
-        return solve_regularised(problem)
-    if problem.B is not None:
-        return solve_constrained(problem)
-    return solve_nonregularised(problem)
+    """Solve one window problem of any variant.
+
+    With constraints B w = e1 the weights split into a fixed particular part
+    plus a free part in the null space of B: w = w0 + Z q, with B w0 = e1
+    (minimum norm) and Z an orthonormal null-space basis from the SVD of B.
+    Since w0 is orthogonal to that null space the objective separates, and
+    (q, gamma) solve a plain nonregularised problem whose offset absorbs
+    At @ w0 and whose window shrinks to L - p. Assembling w this way avoids
+    the cancellation in the stationarity identity w = At^T Y u - B^T v, whose
+    two terms can dwarf w itself when nu is large and the constraint
+    multipliers blow up; v is recovered afterwards by projecting that
+    identity onto the constraint rows.
+    """
+    A, y, nu, B = problem.A, problem.labels, problem.nu, problem.B
+    a0, At = A[:, 0], A[:, 1:]
+    F, offset = (A, 0.0) if problem.variant == REGULARISED else (At, a0)
+    if B is not None:
+        l, p = A.shape[0], B.shape[0]
+        e1 = np.zeros(p)
+        e1[0] = 1.0
+        U, s, Vt = np.linalg.svd(B, full_matrices=True)
+        if s[-1] <= s[0] * 1e-12:
+            raise ConfigError("constraint matrix B is numerically rank deficient")
+        w0 = Vt[:p].T @ ((U.T @ e1) / s)
+        Z = Vt[p:].T  # L x (L - p), B @ Z = 0
+        F, offset = At @ Z, a0 + At @ w0
+
+    z, u = _least_squares(F, offset, y, nu)
+    w, gamma, v = z[:-1], float(z[-1]), None
+
+    if B is not None:
+        w = w0 + Z @ w
+        rhs = At.T @ (y * u) - w
+        v = U @ ((Vt[:p] @ rhs) / s)
+        bw = B @ w - e1
+        if float(np.max(np.abs(bw))) > CONSTRAINT_ATOL * max(1.0, float(np.max(np.abs(B)))):
+            raise NumericalError(
+                f"constraint residual {float(np.max(np.abs(bw))):.3e} exceeds tolerance"
+            )
+        err = float(np.linalg.norm(y * (a0 + At @ w - gamma) + u / nu - np.ones(l)))
+        scale = np.sqrt(l) + float(np.linalg.norm(a0)) + float(np.linalg.norm(u))
+        if not np.isfinite(err) or err > FEASIBILITY_RTOL * max(1.0, scale):
+            raise NumericalError(
+                f"constrained feasibility residual {err:.3e} exceeds tolerance"
+            )
+    return PredictSolution(
+        w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u, v=v
+    )
 
 
 def kkt_oracle(problem: PredictProblem) -> PredictSolution:

@@ -36,7 +36,7 @@ from . import solver
 from .io import read_csv, write_csv, write_json
 
 SUPPORT_ATOL = 1e-10
-INVERTIBILITY_ATOL = 1e-12
+INVERTIBILITY_RTOL = 1e-12  # least |w0| / ||w|| of an invertible regularised predictor
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,21 @@ class BaseVectors:
     synthesis_supports: tuple
 
 
-def _detail_columns(A_e, C, records, variant) -> np.ndarray:
-    D = np.empty((A_e.shape[0], len(records)))
+def _predict_level(C, records, variant):
+    """Target weights t and predictions P of one level from its coarse signal C.
+
+    The detail of even column j is t[j] * even[:, j] - P[:, j]: regularised
+    predictors weight the even target by their first weight, nonregularised
+    ones by exactly one.
+    """
+    t = np.ones(len(records))
+    P = np.empty((C.shape[0], len(records)))
     for j, rec in enumerate(records):
-        cwin = C[:, rec.zero_based()]
+        w = rec.weights
         if variant == REGULARISED:
-            D[:, j] = rec.weights[0] * A_e[:, j] - cwin @ rec.weights[1:]
-        else:
-            D[:, j] = A_e[:, j] - cwin @ rec.weights
-    return D
+            t[j], w = w[0], w[1:]
+        P[:, j] = C[:, rec.zero_based()] @ w
+    return t, P
 
 
 def _solve_one(A_e_col, C, y, window: IndexWindow, config: TransformConfig) -> LevelPredictor:
@@ -236,7 +242,8 @@ def apply(
     for records in transform.levels:
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
-        details.append(_detail_columns(A_e, C, records, variant))
+        t, P = _predict_level(C, records, variant)
+        details.append(t * A_e - P)
         A = C
     merged = np.hstack([A] + details[::-1])
     return CoefficientTable(
@@ -270,7 +277,8 @@ def reconstruct(
 
     Nonregularised predictors invert directly (even = detail + prediction);
     regularised ones divide by the target's own weight, which must be
-    nonnegligible for the map to be invertible.
+    nonnegligible against the predictor's weight norm for the map to be
+    invertible.
     """
     if isinstance(coefficients, CoefficientTable):
         merged = coefficients.merged
@@ -282,20 +290,17 @@ def reconstruct(
     C, details = _split_merged(transform, merged)
     C = np.array(C, dtype=float)
     for m in range(transform.effective_levels, 0, -1):
-        D = details[m - 1]
         records = transform.levels[m - 1]
-        A_e = np.empty_like(D)
-        for j, rec in enumerate(records):
-            cwin = C[:, rec.zero_based()]
-            if variant == REGULARISED:
-                if abs(rec.weights[0]) < INVERTIBILITY_ATOL:
+        if variant == REGULARISED:
+            for rec in records:
+                norm = float(np.linalg.norm(rec.weights))
+                if abs(rec.weights[0]) <= INVERTIBILITY_RTOL * norm:
                     raise NumericalError(
                         f"level {m}, position k={rec.k}: target weight "
-                        f"{rec.weights[0]:.3e} is too small to invert"
+                        f"{rec.weights[0]:.3e} is too small to invert (|w| = {norm:.3e})"
                     )
-                A_e[:, j] = (D[:, j] + cwin @ rec.weights[1:]) / rec.weights[0]
-            else:
-                A_e[:, j] = D[:, j] + cwin @ rec.weights
+        t, P = _predict_level(C, records, variant)
+        A_e = (details[m - 1] + P) / t
         A_o = 2.0 * C - A_e
         C = interleave(A_o, A_e)
     return C

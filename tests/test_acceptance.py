@@ -44,8 +44,8 @@ NONREG_CFG = TransformConfig(levels=3, window=4, nu=1.0, variant="nonregularised
 
 
 def test_01_solver_agrees_with_dense_kkt_oracle():
-    # Two independent routes to the same minimiser: the low-rank inverse
-    # update path used by the library and a dense assembly of the optimality
+    # Two independent routes to the same minimiser: the QR least-squares
+    # solve used by the library and a dense assembly of the optimality
     # system solved in one shot. 432 random problems, 108 per variant.
     rng = np.random.default_rng(401)
     worst = 0.0

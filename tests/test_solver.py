@@ -1,7 +1,7 @@
 """Window solvers against the dense KKT oracle, plus structural checks.
 
 The oracle assembles the full stationarity + feasibility system and solves it
-by one dense factorization; the fast path must agree with it on every
+by one dense factorization; `solve` must agree with it on every
 randomized problem. Derived closed-form fixtures below were computed by hand
 before the solver existed and are frozen here.
 """
@@ -21,11 +21,7 @@ from discwave.solver import (
     PredictSolution,
     kkt_oracle,
     objective_value,
-    smw_solve,
     solve,
-    solve_constrained,
-    solve_nonregularised,
-    solve_regularised,
     vandermonde_constraints,
     window_knots,
 )
@@ -33,8 +29,8 @@ from discwave.solver import (
 REL_TOL = 1e-8
 
 
-def random_problem(rng, l, L, nu, variant, p=0):
-    A = rng.standard_normal((l, L + 1))
+def random_problem(rng, l, L, nu, variant, p=0, scale=1.0):
+    A = scale * rng.standard_normal((l, L + 1))
     y = np.where(rng.standard_normal(l) > 0, 1.0, -1.0)
     if np.all(y > 0) or np.all(y < 0):
         y[0] = -y[0]
@@ -59,7 +55,7 @@ def test_regularised_unit_fixture():
         nu=1.0,
         variant="regularised",
     )
-    sol = solve_regularised(prob)
+    sol = solve(prob)
     assert sol.gamma == pytest.approx(0.0, abs=1e-12)
     assert sol.w[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
@@ -67,34 +63,51 @@ def test_regularised_unit_fixture():
 def test_regularised_matches_oracle_random():
     rng = np.random.default_rng(10)
     prob = random_problem(rng, 20, 4, 1.0, "regularised")
-    assert rel_diff(solve_regularised(prob), kkt_oracle(prob)) < 1e-10
+    assert rel_diff(solve(prob), kkt_oracle(prob)) < 1e-10
 
 
 def test_nonregularised_matches_oracle_random():
     rng = np.random.default_rng(11)
     prob = random_problem(rng, 30, 4, 1.0, "nonregularised")
-    assert rel_diff(solve_nonregularised(prob), kkt_oracle(prob)) < 1e-10
+    assert rel_diff(solve(prob), kkt_oracle(prob)) < 1e-10
 
 
 def test_constrained_matches_oracle_random():
     rng = np.random.default_rng(12)
     prob = random_problem(rng, 30, 4, 1.0, "nonregularised", p=2)
-    assert rel_diff(solve_constrained(prob), kkt_oracle(prob)) < REL_TOL
+    assert rel_diff(solve(prob), kkt_oracle(prob)) < REL_TOL
 
 
 def test_oracle_agreement_grid():
+    # The data scale sweeps far from unit size: a solve that squares cond(H)
+    # loses all accuracy, or fails its own checks, by 1e6.
     rng = np.random.default_rng(13)
     cases = 0
     for variant, p in (("regularised", 0), ("nonregularised", 0), ("nonregularised", 1), ("nonregularised", 2)):
         for l in (10, 50, 200):
             for L in (2, 4, 8):
                 for nu in (0.1, 1.0, 100.0):
-                    prob = random_problem(rng, l, L, nu, variant, p=p)
-                    assert rel_diff(solve(prob), kkt_oracle(prob)) < REL_TOL, (
-                        variant, p, l, L, nu,
-                    )
-                    cases += 1
-    assert cases == 4 * 3 * 3 * 3
+                    for scale in (1e-6, 1.0, 1e3, 1e6, 1e9):
+                        prob = random_problem(rng, l, L, nu, variant, p=p, scale=scale)
+                        assert rel_diff(solve(prob), kkt_oracle(prob)) < REL_TOL, (
+                            variant, p, l, L, nu, scale,
+                        )
+                        cases += 1
+    assert cases == 4 * 3 * 3 * 3 * 5
+
+
+def test_small_scale_weights_match_oracle_entrywise():
+    # Far below unit data scale w is tiny beside gamma, so agreement in norm
+    # says nothing about w; each entry must still match the oracle's.
+    rng = np.random.default_rng(28)
+    for variant, p in (("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)):
+        for scale in (1e-10, 1e-20):
+            for nu in (0.1, 1.0, 100.0):
+                prob = random_problem(rng, 50, 4, nu, variant, p=p, scale=scale)
+                got, ref = solve(prob).w, kkt_oracle(prob).w
+                assert np.all(np.abs(got - ref) <= REL_TOL * np.abs(ref)), (
+                    variant, p, scale, nu,
+                )
 
 
 def test_stationarity_residuals():
@@ -168,7 +181,7 @@ def test_constraint_satisfied_exactly():
     rng = np.random.default_rng(18)
     for p in (1, 2):
         prob = random_problem(rng, 40, 6, 1.0, "nonregularised", p=p)
-        sol = solve_constrained(prob)
+        sol = solve(prob)
         target = np.zeros(p)
         target[0] = 1.0
         assert np.max(np.abs(prob.B @ sol.w - target)) < 1e-10
@@ -177,71 +190,46 @@ def test_constraint_satisfied_exactly():
 def test_constrained_p1_weights_sum_to_one():
     rng = np.random.default_rng(19)
     prob = random_problem(rng, 20, 4, 0.5, "nonregularised", p=1)
-    sol = solve_constrained(prob)
+    sol = solve(prob)
     assert np.sum(sol.w) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_smw_zero_matrix_gives_nu_b():
-    b = np.array([1.0, -2.0, 3.0])
-    H = np.zeros((3, 2))
-    out = smw_solve(H, H, 2.5, b)
-    assert np.allclose(out, 2.5 * b, rtol=0, atol=1e-14)
-
-
-def test_smw_zero_rhs_gives_zero():
-    rng = np.random.default_rng(20)
-    H = rng.standard_normal((10, 3))
-    out = smw_solve(H, H, 1.0, np.zeros(10))
-    assert np.all(out == 0.0)
-
-
-def test_smw_matches_dense_solve_symmetric():
-    rng = np.random.default_rng(21)
-    H = rng.standard_normal((200, 5))
-    b = rng.standard_normal(200)
-    nu = 0.7
-    expected = np.linalg.solve(np.eye(200) / nu + H @ H.T, b)
-    got = smw_solve(H, H, nu, b)
-    assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-10
-
-
-def test_smw_matches_dense_solve_asymmetric():
-    # H1 != H2 is exactly the constrained-variant case; the inner matrix must
-    # be H2^T H1 for the identity to hold.
-    rng = np.random.default_rng(22)
-    H1 = rng.standard_normal((50, 4))
-    H2 = rng.standard_normal((50, 4))
-    b = rng.standard_normal(50)
-    nu = 1.3
-    expected = np.linalg.solve(np.eye(50) / nu + H1 @ H2.T, b)
-    got = smw_solve(H1, H2, nu, b)
-    assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-10
-
-
 def test_smw_factors_only_small_systems(monkeypatch):
-    # structural cost check: every np.linalg.solve call during a large solve
-    # must be on an r x r system, never l x l
-    shapes = []
-    real_solve = np.linalg.solve
+    # structural cost check: no l x l system is ever formed. Every
+    # np.linalg.solve is on an r x r triangle (r <= L+2) and every QR input
+    # is l-plus-r tall but at most L+3 columns wide.
+    solve_shapes, qr_shapes = [], []
+    real_solve, real_qr = np.linalg.solve, np.linalg.qr
 
     def recording_solve(a, b):
-        shapes.append(np.asarray(a).shape)
+        solve_shapes.append(np.asarray(a).shape)
         return real_solve(a, b)
 
+    def recording_qr(a, *args, **kwargs):
+        qr_shapes.append(np.asarray(a).shape)
+        return real_qr(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
     rng = np.random.default_rng(23)
-    prob = random_problem(rng, 500, 4, 1.0, "nonregularised", p=2)
-    solve(prob)
-    assert shapes, "expected at least one inner factorization"
-    assert all(s[0] <= 8 for s in shapes), shapes
+    L = 4
+    for variant, p in (("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)):
+        solve(random_problem(rng, 500, L, 1.0, variant, p=p))
+    assert len(qr_shapes) == 3 and solve_shapes, (qr_shapes, solve_shapes)
+    assert all(s[0] <= L + 2 and s[1] <= L + 2 for s in solve_shapes), solve_shapes
+    assert all(s[1] <= L + 3 for s in qr_shapes), qr_shapes
 
 
-def test_smw_singular_inner_raises_numerical_error():
-    # engineered singular inner matrix: nu and H chosen so I/nu + H2^T H1 = 0
-    H1 = np.array([[1.0], [0.0]])
-    H2 = np.array([[-1.0], [0.0]])
-    with pytest.raises(NumericalError):
-        smw_solve(H1, H2, 1.0, np.array([1.0, 1.0]))
+def test_wrong_solution_fails_stationarity_check(monkeypatch):
+    # The solve checks its own answer: weights off by 1e-6 must raise.
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: real_solve(a, b) + 1e-6)
+    rng = np.random.default_rng(29)
+    for variant, p in (("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)):
+        for scale in (1.0, 1e6):
+            prob = random_problem(rng, 50, 4, 1.0, variant, p=p, scale=scale)
+            with pytest.raises(NumericalError, match="stationarity"):
+                solve(prob)
 
 
 def test_single_class_rejected():
@@ -262,13 +250,6 @@ def test_bad_nu_rejected():
             nu=0.0,
             variant="regularised",
         )
-
-
-def test_nonregularised_rejects_constrained_problem():
-    rng = np.random.default_rng(24)
-    prob = random_problem(rng, 10, 4, 1.0, "nonregularised", p=1)
-    with pytest.raises(ConfigError):
-        solve_nonregularised(prob)
 
 
 def test_rank_deficient_constraints_rejected():
@@ -337,7 +318,7 @@ def test_constrained_weights_reproduce_linear_polynomials():
     prob = PredictProblem(
         A=prob.A, labels=prob.labels, nu=prob.nu, variant="nonregularised", B=B
     )
-    sol = solve_constrained(prob)
+    sol = solve(prob)
     knots = window_knots(win)
     for a, c in ((2.0, 1.0), (-0.3, 4.0), (0.0, 1.0)):
         values = a * knots + c
@@ -347,7 +328,7 @@ def test_constrained_weights_reproduce_linear_polynomials():
 def test_objective_matches_xi_norm_definition():
     rng = np.random.default_rng(26)
     prob = random_problem(rng, 20, 4, 2.0, "regularised")
-    sol = solve_regularised(prob)
+    sol = solve(prob)
     expected = (
         0.5 * sol.w @ sol.w + 0.5 * sol.gamma ** 2 + prob.nu / 2.0 * sol.xi_norm ** 2
     )

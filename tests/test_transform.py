@@ -122,6 +122,32 @@ def test_round_trip_random_signals(variant):
     assert np.max(np.abs(back - x)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "variant, degree, scale",
+    [
+        ("nonregularised", 0, 1e6),
+        ("regularised", 0, 1e6),
+        ("nonregularised", 2, 1e6),
+        ("regularised", 0, 1e-20),
+    ],
+)
+def test_fit_and_round_trip_far_from_unit_scale(variant, degree, scale):
+    # At 1e6 a solve through the normal equations fails its own checks; at
+    # 1e-20 every regularised target weight is ~1e-20, yet each predictor is
+    # well invertible relative to its own weights.
+    rng = np.random.default_rng(20)
+    ds = random_dataset(rng, 30, 32)
+    ds = SignalDataset(signals=scale * ds.signals, labels=ds.labels)
+    cfg = TransformConfig(
+        levels=3, window=4, nu=1.0, variant=variant, constraint_degree=degree
+    )
+    t, table = tf.fit(ds, cfg)
+    assert np.array_equal(table.merged, tf.apply(t, ds.signals).merged)
+    x = scale * rng.normal(size=(50, 32))
+    back = tf.reconstruct(t, tf.apply(t, x))
+    assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
+
+
 def test_round_trip_waveform():
     ds = generate_waveform(WaveformSpec(per_class_count=40, seed=11)).restrict_pair(1, 2)
     cfg = TransformConfig(levels=3, window=4, nu=1.0, variant="nonregularised")
