@@ -21,9 +21,10 @@ train = generate_waveform(WaveformSpec(per_class_count=100, seed=21)).restrict_p
 fitted, coeffs = tf.fit(train, cfg)
 ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))
 
-B = 999
-for clf in ranked:
-    clf.p_value = ev.permutation_test(clf, coeffs, train.labels, B=B, seed=5000)
+B = 999  # drawn once and shared by every coefficient of the call
+p_values = ev.permutation_test(ranked, coeffs, train.labels, B=B, seed=5000)
+for clf, p in zip(ranked, p_values):
+    clf.p_value = p
 
 print(f"permutation p-values with B = {B}, strongest and weakest coefficients:")
 for clf in ranked[:3] + ranked[-3:]:
@@ -38,7 +39,7 @@ print(f"  {[clf.name for clf in kept[:10]]}{' ...' if len(kept) > 10 else ''}")
 # two hundred times and checks the rate lands near alpha.
 rng = make_rng(2718)
 noise = rng.standard_normal(train.n_examples)
-p_noise = ev.permutation_test(ranked[0], noise, train.labels, B=B, seed=5001)
+[p_noise] = ev.permutation_test([ranked[0]], noise[:, None], train.labels, B=B, seed=5001)
 print(f"same test on a pure-noise column: p = {p_noise:.3f}")
 
 hist = ev.support_histogram(kept, train.signal_length)

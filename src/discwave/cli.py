@@ -196,10 +196,11 @@ def _eval_binary(args, fitted, train, test, out_dir, top_t):
     if args.permutations > 0:
         if args.seed is None:
             raise ConfigError("--seed is required when permutation tests run")
-        for c in classifiers:
-            c.p_value = evaluation.permutation_test(
-                c, train_table, train_table.labels, args.permutations, args.seed
-            )
+        p_values = evaluation.permutation_test(
+            classifiers, train_table, train_table.labels, args.permutations, args.seed
+        )
+        for c, p in zip(classifiers, p_values):
+            c.p_value = p
 
     ranked = evaluation.rank_classifiers(classifiers)
     columns = [

@@ -63,12 +63,15 @@ def classifier_values(table: tf.CoefficientTable, classifier: LocalClassifier) -
     return table.detail(classifier.level)[:, classifier.k - 1]
 
 
-def _prepare_scan(values: np.ndarray):
-    """Sorted order, candidate split counts, and candidate thresholds.
+def _scan_counts(values: np.ndarray, plus_rows: np.ndarray):
+    """Candidate thresholds and the s = +1 correct count at each, per labelling.
 
-    Split count c means: the c smallest values fall below the threshold.
-    Candidates are the minimum value itself (c = 0, everything predicted on
-    the >= side) plus the midpoints between distinct consecutive values.
+    `plus_rows` is an R x l boolean stack of labellings (True where the label
+    is +1); returns (cands, counts) with counts R x len(cands). Candidates are
+    the minimum value itself (nothing below the threshold, everything
+    predicted on the >= side) plus the midpoints between distinct consecutive
+    values. With c values below a candidate, pos of them +1 out of P in all,
+    the s = +1 classifier gets (P - pos) + (c - pos) right.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
@@ -78,7 +81,16 @@ def _prepare_scan(values: np.ndarray):
     cands[0] = v[0]
     if boundaries.size:
         cands[1:] = 0.5 * (v[boundaries - 1] + v[boundaries])
-    return order, splits, cands
+    # int32 is exact below 2**31 examples; a bool cumsum into int64 is ~3x slower.
+    pos = np.cumsum(plus_rows[:, order], axis=1, dtype=np.int32)
+    pos_at = np.zeros((pos.shape[0], splits.size), dtype=pos.dtype)
+    pos_at[:, 1:] = pos[:, boundaries - 1]
+    return cands, pos[:, -1:] + splits - 2 * pos_at
+
+
+def _fixed_counts(values: np.ndarray, plus_rows: np.ndarray, b: float) -> np.ndarray:
+    """The s = +1 correct count at the fixed threshold b, per labelling."""
+    return np.sum(plus_rows == (values >= b), axis=1)
 
 
 def fit_threshold(values: np.ndarray, labels: np.ndarray):
@@ -90,16 +102,8 @@ def fit_threshold(values: np.ndarray, labels: np.ndarray):
     """
     values = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=float)
-    order, splits, cands = _prepare_scan(values)
-    ys = y[order]
-    pos = np.cumsum(ys > 0)
-    P = int(pos[-1])
-    l = ys.size
-    pos_at = np.zeros(splits.size, dtype=int)
-    if splits.size > 1:
-        pos_at[1:] = pos[splits[1:] - 1]
-    plus = P + splits - 2 * pos_at  # correct count with s = +1
-    minus = l - plus
+    cands, counts = _scan_counts(values, (y > 0)[None, :])
+    plus = counts[0]
 
     def pick(counts):
         best = int(counts.max())
@@ -108,19 +112,10 @@ def fit_threshold(values: np.ndarray, labels: np.ndarray):
         return best, float(cands[at[sub[0]]])
 
     best_p, b_p = pick(plus)
-    best_m, b_m = pick(minus)
+    best_m, b_m = pick(y.size - plus)
     if best_p >= best_m:
         return b_p, 1, best_p
     return b_m, -1, best_m
-
-
-def _fixed_threshold(values: np.ndarray, labels: np.ndarray, b: float):
-    """Best orientation for a fixed threshold; returns (s, correct_count)."""
-    pred = np.where(values >= b, 1.0, -1.0)
-    correct = int(np.sum(pred == labels))
-    if correct >= labels.size - correct:
-        return 1, correct
-    return -1, labels.size - correct
 
 
 def make_local_classifiers(
@@ -136,6 +131,7 @@ def make_local_classifiers(
         raise DataError("coefficient table carries no binary labels")
     y = coefficients.labels
     l = y.size
+    y_plus = (y > 0)[None, :]
     analysis = tf.apply(fitted, np.eye(fitted.signal_length)).merged.T
     out = []
     for level in range(1, fitted.effective_levels + 1):
@@ -145,7 +141,8 @@ def make_local_classifiers(
             rec = fitted.levels[level - 1][k - 1]
             if mode == PSVM_BIAS:
                 b = rec.gamma
-                s, correct = _fixed_threshold(values, y, b)
+                plus = int(_fixed_counts(values, y_plus, b)[0])
+                s, correct = (1, plus) if plus >= l - plus else (-1, l - plus)
             else:
                 b, s, correct = fit_threshold(values, y)
             row = analysis[fitted.column_index(level, k)]
@@ -270,6 +267,21 @@ def _aggregate_duels(classes, duel_outcomes, n_examples, true_ids):
     return predictions, classified, overall
 
 
+def _duel_classes(train: SignalDataset, test: SignalDataset) -> list:
+    """Sorted training class ids. Raises DataError unless both sets carry
+    class ids, training has two or more classes and every test class occurs
+    in training."""
+    if train.class_ids is None or test.class_ids is None:
+        raise DataError("one_against_one needs class_ids on both datasets")
+    classes = [int(c) for c in np.unique(train.class_ids)]
+    if len(classes) < 2:
+        raise DataError("need at least two classes")
+    missing = set(int(c) for c in np.unique(test.class_ids)) - set(classes)
+    if missing:
+        raise DataError(f"test classes {sorted(missing)} absent from training")
+    return classes
+
+
 def one_against_one(
     train: SignalDataset,
     test: SignalDataset,
@@ -286,14 +298,7 @@ def one_against_one(
     overall prediction lets every pair vote on every test example. Returns
     {t: MulticlassReport} in the order of `top_t`.
     """
-    if train.class_ids is None or test.class_ids is None:
-        raise DataError("one_against_one needs class_ids on both datasets")
-    classes = [int(c) for c in np.unique(train.class_ids)]
-    if len(classes) < 2:
-        raise DataError("need at least two classes")
-    missing = set(int(c) for c in np.unique(test.class_ids)) - set(classes)
-    if missing:
-        raise DataError(f"test classes {sorted(missing)} absent from training")
+    classes = _duel_classes(train, test)
     top_t = list(top_t)
     if not top_t or min(top_t) < 1:
         raise ConfigError("top_t needs at least one entry, each >= 1")
@@ -350,11 +355,7 @@ def one_against_one_raw_psvm(
     train: SignalDataset, test: SignalDataset, nu: float
 ) -> MulticlassReport:
     """Baseline: pairwise proximal SVMs on the raw samples, same duel rules."""
-    if train.class_ids is None or test.class_ids is None:
-        raise DataError("one_against_one needs class_ids on both datasets")
-    classes = [int(c) for c in np.unique(train.class_ids)]
-    if len(classes) < 2:
-        raise DataError("need at least two classes")
+    classes = _duel_classes(train, test)
     duel_outcomes = {}
     pair_errors = {}
     for lo, hi in combinations(classes, 2):
@@ -381,68 +382,57 @@ def one_against_one_raw_psvm(
     )
 
 
-def _null_best_counts(values: np.ndarray, labels: np.ndarray, perms: np.ndarray):
-    """Best scan correct-count per permuted labelling (vectorised over rows)."""
-    order, splits, _ = _prepare_scan(values)
-    ys = labels[perms[:, order]]
-    pos = np.cumsum(ys > 0, axis=1)
-    P = pos[:, -1:]
-    l = values.size
-    pos_at = np.zeros((perms.shape[0], splits.size), dtype=int)
-    if splits.size > 1:
-        pos_at[:, 1:] = pos[:, splits[1:] - 1]
-    plus = P + splits[None, :] - 2 * pos_at
-    return np.maximum(plus.max(axis=1), l - plus.min(axis=1))
-
-
-def _null_fixed_counts(values: np.ndarray, labels: np.ndarray, perms: np.ndarray, b: float):
-    """Fixed-threshold correct-count per permuted labelling, orientation free.
-
-    Mirrors the psvm_bias selection functional: the bias stays put, only the
-    orientation is re-picked on each permuted labelling.
-    """
-    pred = np.where(values >= b, 1.0, -1.0)
-    correct = np.sum(pred[None, :] == labels[perms], axis=1)
-    return np.maximum(correct, values.size - correct)
-
-
 def permutation_test(
-    classifier: LocalClassifier,
+    classifiers: Sequence[LocalClassifier],
     coefficients,
     labels: np.ndarray,
     B: int,
     seed: int,
-) -> float:
-    """p = (1 + #{permutations with accuracy >= observed}) / (B + 1).
+) -> list:
+    """Permutation p-values of the classifiers, in order.
 
-    The null mirrors the classifier's own selection so p-values are never
+    p = (1 + #{permutations with accuracy >= observed}) / (B + 1). The null
+    mirrors each classifier's own selection so p-values are never
     anti-conservative: in optimal_threshold mode the threshold and orientation
     are re-fit from scratch under every permuted labelling (full re-selection
     under the null); in psvm_bias mode the bias stays fixed and only the
-    orientation is re-picked, matching how the classifier was built. Each
-    permutation draws from its own child stream make_rng(seed, replicate), so
-    the result is independent of any scheduling.
+    orientation is re-picked, matching how the classifier was built.
+
+    `coefficients` is a CoefficientTable or an l x len(classifiers) matrix of
+    values. The B permutations are drawn once per call, each from its own
+    child stream make_rng(seed, replicate), and every classifier is scored
+    against the same ones, so a classifier's p-value does not depend on which
+    others share the call.
     """
     if B < 100:
         raise ConfigError(f"need at least 100 permutations, got {B}")
+    classifiers = list(classifiers)
     if isinstance(coefficients, tf.CoefficientTable):
-        values = classifier_values(coefficients, classifier)
+        X = np.empty((coefficients.n_examples, len(classifiers)))
+        for j, c in enumerate(classifiers):
+            X[:, j] = classifier_values(coefficients, c)
     else:
-        values = np.asarray(coefficients, dtype=float)
-    y = validate_labels(labels, values.size)
+        X = np.asarray(coefficients, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(classifiers):
+            raise DataError(
+                f"coefficients must be l x {len(classifiers)}, got shape {X.shape}"
+            )
+    y = validate_labels(labels, X.shape[0])
     l = y.size
-    perms = np.empty((B, l), dtype=int)
+    plus_rows = np.empty((B + 1, l), dtype=bool)  # row 0 observed, row b+1 replicate b
+    plus_rows[0] = y > 0
     for b in range(B):
-        perms[b] = make_rng(seed, b).permutation(l)
-    if classifier.mode == PSVM_BIAS:
-        pred = np.where(values >= classifier.b, 1.0, -1.0)
-        correct = int(np.sum(pred == y))
-        obs = max(correct, l - correct)
-        best = _null_fixed_counts(values, y, perms, classifier.b)
-    else:
-        _, _, obs = fit_threshold(values, y)
-        best = _null_best_counts(values, y, perms)
-    return float((1 + int(np.sum(best >= obs))) / (B + 1))
+        plus_rows[b + 1] = plus_rows[0, make_rng(seed, b).permutation(l)]
+    p_values = []
+    for c, values in zip(classifiers, X.T):
+        if c.mode == PSVM_BIAS:
+            plus = _fixed_counts(values, plus_rows, c.b)
+            best = np.maximum(plus, l - plus)
+        else:
+            _, plus = _scan_counts(values, plus_rows)
+            best = np.maximum(plus.max(axis=1), l - plus.min(axis=1))
+        p_values.append(float((1 + int(np.sum(best[1:] >= best[0]))) / (B + 1)))
+    return p_values
 
 
 def select_significant(classifiers, min_accuracy: float = 0.75, alpha: float = 0.1):

@@ -68,13 +68,17 @@ class FittedTransform:
         L = self.config.window
         w_len = L + 1 if self.config.variant == REGULARISED else L
         for m, recs in enumerate(self.levels, start=1):
-            expect = N // (2 ** m)
-            if len(recs) != expect:
+            half = N // (2 ** m)
+            if len(recs) != half:
                 raise ConfigError(
-                    f"level {m} must hold {expect} predictors, got {len(recs)}"
+                    f"level {m} must hold {half} predictors, got {len(recs)}"
                 )
             for j, rec in enumerate(recs, start=1):
-                if rec.k != j or len(rec.indices) != L or rec.weights.shape != (w_len,):
+                if (
+                    rec.k != j
+                    or rec.indices != index_window(j, half, L).indices
+                    or rec.weights.shape != (w_len,)
+                ):
                     raise ConfigError(f"malformed predictor at level {m}, k={j}")
         object.__setattr__(self, "signal_length", N)
         object.__setattr__(self, "levels", tuple(tuple(recs) for recs in self.levels))
@@ -393,12 +397,10 @@ def load_model(path) -> FittedTransform:
         )
         if transform.effective_levels != int(doc["effective_levels"]):
             raise DataError(
-                f"{path}: effective_levels {doc['effective_levels']} does not "
+                f"effective_levels {doc['effective_levels']} does not "
                 f"match {transform.effective_levels} stored levels"
             )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, (DataError, ConfigError)):
-            raise
+    except (LookupError, TypeError, ValueError) as exc:  # ConfigError, DataError too
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     return transform
 

@@ -202,7 +202,7 @@ def test_09_permutation_test_calibration():
         rng = make_rng(911, i)
         values = rng.standard_normal(1000)
         labels = np.where(rng.random(1000) < 0.5, 1.0, -1.0)
-        p = ev.permutation_test(clf, values, labels, B=999, seed=200000 + i)
+        [p] = ev.permutation_test([clf], values[:, None], labels, B=999, seed=200000 + i)
         rejections += p <= 0.1
     rate = rejections / 200.0
     report(9, "permutation calibration", 0.07 <= rate <= 0.13,

@@ -221,7 +221,8 @@ def test_eval_binary_without_test_set(tmp_path, capsys):
     assert rows[1].split(",")[8] == ""  # p_value empty
 
 
-def test_eval_rerun_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["optimal_threshold", "psvm_bias"])
+def test_eval_rerun_byte_identical(tmp_path, capsys, mode):
     train, test, model = eval_setup(tmp_path, capsys)
     outs = []
     for name in ("r1", "r2"):
@@ -229,7 +230,7 @@ def test_eval_rerun_byte_identical(tmp_path, capsys):
         code, _, _ = run(
             ["eval", "--model", str(model), "--train", str(train),
              "--test", str(test), "--permutations", "199", "--seed", "3",
-             "--top-t", "3", "--out-dir", str(out)],
+             "--mode", mode, "--top-t", "3", "--out-dir", str(out)],
             capsys,
         )
         assert code == 0
@@ -237,6 +238,8 @@ def test_eval_rerun_byte_identical(tmp_path, capsys):
     for fname in ("coefficients.csv", "selected.csv", "support_histogram.csv",
                   "profile_t3.csv", "ensemble_t3.json", "summary.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+    rows = (outs[0] / "coefficients.csv").read_text().splitlines()[1:]
+    assert all(row.split(",")[8] for row in rows)  # every coefficient has a p-value
 
 
 def test_eval_multiclass(tmp_path, capsys):

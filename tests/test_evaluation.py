@@ -207,7 +207,7 @@ def test_perfect_separator_has_tiny_p_value():
     labels = np.array([1.0] * 10 + [-1.0] * 10)
     values = labels + 0.01 * rng.standard_normal(20)
     clf = fake_classifier(1, b=0.0, s=1)
-    p = ev.permutation_test(clf, values, labels, B=999, seed=302)
+    [p] = ev.permutation_test([clf], values[:, None], labels, B=999, seed=302)
     assert p <= 0.005
 
 
@@ -217,7 +217,7 @@ def test_permutation_test_requires_enough_replicates():
     labels = np.array([-1.0, 1.0])
     for B in (0, 99):
         with pytest.raises(ConfigError):
-            ev.permutation_test(clf, values, labels, B=B, seed=0)
+            ev.permutation_test([clf], values[:, None], labels, B=B, seed=0)
 
 
 def test_permutation_test_deterministic_per_seed():
@@ -227,9 +227,71 @@ def test_permutation_test_deterministic_per_seed():
     labels[:2] = (1.0, -1.0)
     for mode in ev.MODES:
         clf = fake_classifier(1, b=0.0, mode=mode)
-        p1 = ev.permutation_test(clf, values, labels, B=199, seed=7)
-        p2 = ev.permutation_test(clf, values, labels, B=199, seed=7)
+        p1 = ev.permutation_test([clf], values[:, None], labels, B=199, seed=7)
+        p2 = ev.permutation_test([clf], values[:, None], labels, B=199, seed=7)
         assert p1 == p2
+
+
+def reference_p_value(values, labels, mode, b, B, seed):
+    """Per-permutation loop with explicit counting, one coefficient at a time."""
+    l = labels.size
+
+    def statistic(y):
+        if mode == ev.PSVM_BIAS:
+            count = int(np.sum(np.where(values >= b, 1.0, -1.0) == y))
+            return max(count, l - count)
+        return brute_force_threshold(values, y)[2]
+
+    observed = statistic(labels)
+    hits = sum(
+        statistic(labels[make_rng(seed, r).permutation(l)]) >= observed
+        for r in range(B)
+    )
+    return (1 + hits) / (B + 1)
+
+
+def test_permutation_test_matches_per_coefficient_reference():
+    rng = make_rng(304)
+    l = 30
+    labels = np.where(rng.random(l) < 0.5, 1.0, -1.0)
+    labels[:2] = (1.0, -1.0)
+    X = np.column_stack([
+        labels + 0.8 * rng.standard_normal(l),  # informative
+        rng.standard_normal(l),  # noise
+        rng.integers(-2, 3, size=l).astype(float),  # heavily tied
+        np.where(labels > 0, 1.0, 0.0),  # two tied blocks, perfect split
+    ])
+    for mode in ev.MODES:
+        classifiers = [fake_classifier(k, b=0.25, mode=mode) for k in range(1, 5)]
+        got = ev.permutation_test(classifiers, X, labels, B=120, seed=11)
+        want = [reference_p_value(X[:, j], labels, mode, 0.25, 120, 11) for j in range(4)]
+        assert got == want
+
+
+def test_permutation_test_draws_each_permutation_once(monkeypatch):
+    draws = []
+
+    def counting_make_rng(*args):
+        draws.append(args)
+        return make_rng(*args)
+
+    monkeypatch.setattr(ev, "make_rng", counting_make_rng)
+    rng = make_rng(305)
+    X = rng.standard_normal((25, 5))
+    labels = np.where(np.arange(25) % 2 == 0, 1.0, -1.0)
+    classifiers = [fake_classifier(k) for k in range(1, 6)]
+    p_values = ev.permutation_test(classifiers, X, labels, B=150, seed=9)
+    assert len(p_values) == 5
+    assert draws == [(9, r) for r in range(150)]
+
+
+def test_permutation_test_coefficient_shapes():
+    clf = fake_classifier(1)
+    labels = np.array([-1.0, 1.0, 1.0])
+    with pytest.raises(DataError):
+        ev.permutation_test([clf, clf], np.zeros((3, 1)), labels, B=100, seed=0)
+    table = fake_table(np.zeros((3, 1)), labels=labels)
+    assert ev.permutation_test([], table, labels, B=100, seed=0) == []
 
 
 def test_null_calibration_both_modes():
@@ -247,7 +309,9 @@ def test_null_calibration_both_modes():
             if np.all(labels == labels[0]):
                 labels[0] = -labels[0]
             clf = fake_classifier(1, b=0.0, mode=mode)
-            p = ev.permutation_test(clf, values, labels, B=199, seed=1000000 + i)
+            [p] = ev.permutation_test(
+                [clf], values[:, None], labels, B=199, seed=1000000 + i
+            )
             rejections += p <= 0.1
         return rejections / 100.0
 
@@ -327,6 +391,8 @@ def test_ovo_validation_errors():
     )
     with pytest.raises(DataError, match="absent from training"):
         ev.one_against_one(train, extra, cfg, top_t=[3])
+    with pytest.raises(DataError, match="absent from training"):
+        ev.one_against_one_raw_psvm(train, extra, nu=1.0)
 
 
 def test_raw_psvm_separates_offset_clouds():

@@ -299,6 +299,16 @@ def test_model_file_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"signal_length": 8}))
     with pytest.raises(DataError):
         tf.load_model(path)
+    # Window indices off the index_window rule would index past the signal.
+    t, _ = tf.fit(random_dataset(np.random.default_rng(19), 12, 16), TransformConfig(
+        levels=1, window=4, nu=1.0, variant="nonregularised"
+    ))
+    tf.save_model(t, path)
+    doc = json.loads(path.read_text())
+    doc["levels"][0][5]["indices"] = [100, 101, 102, 103]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="bad.json.*level 1, k=6"):
+        tf.load_model(path)
 
 
 def test_features_csv_round_trip(tmp_path):
