@@ -9,6 +9,12 @@ Spelling rule, for every file the package writes:
   arrays converted to plain numbers and lists;
 - NaN and infinities are rejected: JSON writing raises NumericalError and
   CSV reading raises DataError.
+
+Reading a CSV is one C-level parse of its body (numpy.loadtxt). The
+row-by-row csv reader runs only on inputs that parse declines: quoted cells,
+ragged, whitespace-only or comma-only rows, numbers that only float() reads
+(such as 1_000), labels that fail their checks, and so on. The row reader
+defines what is accepted and words every DataError, so both are unchanged.
 """
 
 from __future__ import annotations
@@ -63,15 +69,68 @@ def write_json(path, payload) -> None:
         fh.write(text + "\n")
 
 
+# numpy's number parser strips these ASCII separators as whitespace, float()
+# rejects them; a line holding one is left to the row reader.
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+_LABEL_BOUND = 2.0 ** 63  # labels must lie in [-2**63, 2**63), the int64 range
+
+
 def read_csv(path, header: bool = True, labeled: bool = True):
     """Read a numeric CSV: (column names or None, float matrix, int ids or None).
 
     Blank rows are skipped. With `labeled`, the last column holds integer
-    class ids and is left out of the names and the matrix. Raises DataError
+    class ids and is left out of the names and the matrix. The matrix is a
+    C-contiguous float64 array and the ids are int64. The body is parsed once
+    in C; the row reader runs only on inputs that parse declines, so what is
+    accepted and every message are those of the row reader. Raises DataError
     with 1-based row/column diagnostics (rows counted from the header) on an
     empty file, a header without data, a missing label column, ragged rows,
-    non-numeric cells or labels, non-integer labels and non-finite values.
+    non-numeric cells or labels, non-integer or out-of-int64-range labels and
+    non-finite values.
     """
+    try:
+        parsed = _read_c(path, header, labeled)
+    except ValueError:
+        parsed = None
+    return _read_rows(path, header, labeled) if parsed is None else parsed
+
+
+def _c_lines(fh):
+    """Lines of `fh` for numpy.loadtxt; ValueError where the row reader must run."""
+    content = False
+    for line in fh:
+        if any(c in line for c in _SEPARATORS):
+            raise ValueError("ASCII separator in line")
+        content = content or line != "\n"
+        yield line
+    if not content:
+        raise ValueError("no data rows")
+
+
+def _read_c(path, header, labeled):
+    """read_csv through one numpy.loadtxt parse, or None where it declines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        names = next(csv.reader([fh.readline()]), []) if header else None
+        if header and not any(c.strip() for c in names):
+            return None
+        data = np.loadtxt(
+            _c_lines(fh), delimiter=",", comments=None, ndmin=2, dtype=float
+        )
+    if (labeled and data.shape[1] < 2) or not np.isfinite(data).all():
+        return None
+    if not labeled:
+        return names, data, None
+    labels = data[:, -1]
+    if not np.all(
+        (labels == np.trunc(labels)) & (labels >= -_LABEL_BOUND) & (labels < _LABEL_BOUND)
+    ):
+        return None
+    matrix = np.ascontiguousarray(data[:, :-1])
+    return None if names is None else names[:-1], matrix, labels.astype(np.int64)
+
+
+def _read_rows(path, header, labeled):
+    """read_csv one csv.reader row at a time: the reference, and every DataError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = (row for row in csv.reader(fh) if any(c.strip() for c in row))
         first = next(rows, None)
@@ -107,6 +166,11 @@ def read_csv(path, header: bool = True, labeled: bool = True):
                     raise DataError(
                         f"{path}: row {r}, column {width}: label {cells[-1]!r} is not an integer"
                     )
+                if not -_LABEL_BOUND <= label < _LABEL_BOUND:
+                    raise DataError(
+                        f"{path}: row {r}, column {width}: label {cells[-1]!r} "
+                        "is outside the int64 range"
+                    )
                 ids.append(int(label))
             matrix.append(np.array(values))
     matrix = np.vstack(matrix)
@@ -114,4 +178,4 @@ def read_csv(path, header: bool = True, labeled: bool = True):
         raise DataError(f"{path}: non-finite sample values")
     if not labeled:
         return names, matrix, None
-    return None if names is None else names[:-1], matrix, np.asarray(ids, dtype=int)
+    return None if names is None else names[:-1], matrix, np.asarray(ids, dtype=np.int64)

@@ -37,6 +37,12 @@ from .io import read_csv, write_csv, write_json
 
 SUPPORT_ATOL = 1e-10
 INVERTIBILITY_RTOL = 1e-12  # least |w0| / ||w|| of an invertible regularised predictor
+# Most max|reconstruct(fit table) - train| / max|train| a fit may leave. Loose
+# on purpose: a small regularised target weight amplifies rounding (1.8e-7 on
+# shape data with |w0|/||w|| = 1.9e-7), while a fit whose details lost the
+# signal is off by O(1).
+ROUND_TRIP_RTOL = 1e-3
+ROUND_TRIP_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,9 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
     positions of a level are solved one after another. Stops early with a
     warning once the window no longer fits the coarse signal, recording the
     effective number of levels. `progress`, if given, is called as
-    progress(level, n_positions, seconds) after each level.
+    progress(level, n_positions, seconds) after each level. Raises
+    NumericalError when the fitted transform does not reconstruct its own
+    training signals to ROUND_TRIP_RTOL of their largest magnitude.
     """
     y = train.require_labels()
     N = train.signal_length
@@ -226,6 +234,19 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
             progress(m, half, time.perf_counter() - t0)
     transform = FittedTransform(config=config, signal_length=N, levels=tuple(levels))
     table = apply(transform, train.signals, labels=train.labels, class_ids=train.class_ids)
+    # Details can lose the signal without any solve failing: regularised
+    # weights of tiny data times the data underflow to zero. Such a transform
+    # no longer inverts its own training signals. Checked in row blocks, so
+    # reconstruct's temporaries stay small next to the table.
+    scale = max(np.max(train.signals), -np.min(train.signals))
+    for i in range(0, train.n_examples, ROUND_TRIP_ROWS):
+        rows = slice(i, i + ROUND_TRIP_ROWS)
+        error = np.max(np.abs(reconstruct(transform, table.merged[rows]) - train.signals[rows]))
+        if not error <= ROUND_TRIP_RTOL * scale:
+            raise NumericalError(
+                f"fitted transform does not invert its training signals: error "
+                f"{error:.3e} against max |signal| {scale:.3e}"
+            )
     return transform, table
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from discwave.cli import main
+from discwave.core import SignalDataset
 from discwave.datasets import WaveformSpec, generate_waveform, load_csv, save_csv
 from discwave import transform as tf
 
@@ -350,13 +351,15 @@ def test_exit_code_3_on_data_errors(tmp_path, capsys):
     assert code == 3
     assert "error:" in err
     bad = tmp_path / "bad.csv"
-    bad.write_text("s1,s2,label\n1.0,oops,1\n")
-    code, _, _ = run(
-        ["fit", "--train", str(bad), "--window", "2", "--nu", "1.0",
-         "--levels", "1", "--out-model", str(tmp_path / "m.json")],
-        capsys,
-    )
-    assert code == 3
+    for body in ("1.0,oops,1\n", "1.0,2.0,1e20\n3.0,4.0,2\n"):
+        bad.write_text("s1,s2,label\n" + body)
+        code, _, err = run(
+            ["fit", "--train", str(bad), "--window", "2", "--nu", "1.0",
+             "--levels", "1", "--out-model", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 3
+        assert "row 2" in err
 
 
 def test_exit_code_4_on_numerical_error(tmp_path, capsys):
@@ -382,6 +385,22 @@ def test_exit_code_4_on_numerical_error(tmp_path, capsys):
     )
     assert code == 4
     assert "target weight" in err
+    # A regularised fit of data x1e-200: every detail underflows to zero.
+    rng = np.random.default_rng(3)
+    tiny = tmp_path / "tiny.csv"
+    save_csv(
+        SignalDataset(signals=1e-200 * rng.normal(size=(20, 16)),
+                      class_ids=np.repeat([1, 2], 10)),
+        tiny,
+    )
+    code, _, err = run(
+        ["fit", "--train", str(tiny), "--window", "2", "--nu", "1.0",
+         "--levels", "2", "--variant", "regularised",
+         "--out-model", str(tmp_path / "tiny.json")],
+        capsys,
+    )
+    assert code == 4
+    assert "does not invert its training signals" in err
 
 
 def test_console_script_and_version():

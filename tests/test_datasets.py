@@ -203,6 +203,15 @@ def test_csv_nan_label_is_a_data_error(tmp_path):
         load_csv(path, header=False)
 
 
+def test_csv_label_outside_int64_is_a_data_error(tmp_path):
+    path = tmp_path / "hugelabel.csv"
+    path.write_text("s1,s2,label\n1.0,2.0,1e20\n3.0,4.0,2\n")
+    with pytest.raises(
+        DataError, match="row 2, column 3: label '1e20' is outside the int64 range"
+    ):
+        load_csv(path)
+
+
 def test_csv_width_not_power_of_two(tmp_path):
     path = tmp_path / "width.csv"
     path.write_text("1.0,2.0,3.0,1\n")

@@ -148,6 +148,17 @@ def test_fit_and_round_trip_far_from_unit_scale(variant, degree, scale):
     assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
 
 
+def test_fit_rejects_details_that_underflow():
+    # x1e-200: every regularised weight times the data underflows, so all
+    # details are 0 and the transform cannot give the signals back.
+    rng = np.random.default_rng(21)
+    ds = random_dataset(rng, 20, 16)
+    ds = SignalDataset(signals=1e-200 * ds.signals, labels=ds.labels)
+    cfg = TransformConfig(levels=2, window=2, nu=1.0, variant="regularised")
+    with pytest.raises(NumericalError, match="does not invert its training signals"):
+        tf.fit(ds, cfg)
+
+
 def test_round_trip_waveform():
     ds = generate_waveform(WaveformSpec(per_class_count=40, seed=11)).restrict_pair(1, 2)
     cfg = TransformConfig(levels=3, window=4, nu=1.0, variant="nonregularised")
