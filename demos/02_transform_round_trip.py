@@ -50,9 +50,10 @@ print(f"constrained transform on ramps: max |detail| {worst:.2e} "
 # Models serialize to JSON and reload bit-for-bit.
 tf.save_model(fitted, "/tmp/demo_model.json")
 again = tf.load_model("/tmp/demo_model.json")
+# Each level is a weight matrix (one row per position) and an offset vector.
+print(f"level weight matrices: {[level.weights.shape for level in fitted.levels]}")
 same = all(
-    np.array_equal(a.weights, b.weights)
-    for la, lb in zip(fitted.levels, again.levels)
-    for a, b in zip(la, lb)
+    np.array_equal(a.weights, b.weights) and np.array_equal(a.gamma, b.gamma)
+    for a, b in zip(fitted.levels, again.levels)
 )
 print(f"model JSON round trip identical: {same}")

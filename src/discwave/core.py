@@ -60,7 +60,7 @@ def validate_labels(labels, n_rows: int) -> np.ndarray:
     y = np.asarray(labels, dtype=float)
     if y.shape != (n_rows,):
         raise DataError(f"labels must have shape ({n_rows},), got {y.shape}")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all(np.abs(y) == 1.0):
         raise DataError("labels must be -1 or +1")
     if n_rows < 2 or not (np.any(y == 1.0) and np.any(y == -1.0)):
         raise DataError("need at least one example of each label")

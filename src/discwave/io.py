@@ -72,7 +72,7 @@ def write_json(path, payload) -> None:
 # numpy's number parser strips these ASCII separators as whitespace, float()
 # rejects them; a line holding one is left to the row reader.
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
-_LABEL_BOUND = 2.0 ** 63  # labels must lie in [-2**63, 2**63), the int64 range
+_LABEL_BOUND = 2.0 ** 53  # |label| < 2**53: a float64 holds each such integer exactly
 
 
 def read_csv(path, header: bool = True, labeled: bool = True):
@@ -85,8 +85,8 @@ def read_csv(path, header: bool = True, labeled: bool = True):
     accepted and every message are those of the row reader. Raises DataError
     with 1-based row/column diagnostics (rows counted from the header) on an
     empty file, a header without data, a missing label column, ragged rows,
-    non-numeric cells or labels, non-integer or out-of-int64-range labels and
-    non-finite values.
+    non-numeric cells or labels, labels that are not integers of magnitude
+    below 2**53 and non-finite values.
     """
     try:
         parsed = _read_c(path, header, labeled)
@@ -121,9 +121,7 @@ def _read_c(path, header, labeled):
     if not labeled:
         return names, data, None
     labels = data[:, -1]
-    if not np.all(
-        (labels == np.trunc(labels)) & (labels >= -_LABEL_BOUND) & (labels < _LABEL_BOUND)
-    ):
+    if not np.all((labels == np.trunc(labels)) & (np.abs(labels) < _LABEL_BOUND)):
         return None
     matrix = np.ascontiguousarray(data[:, :-1])
     return None if names is None else names[:-1], matrix, labels.astype(np.int64)
@@ -166,10 +164,10 @@ def _read_rows(path, header, labeled):
                     raise DataError(
                         f"{path}: row {r}, column {width}: label {cells[-1]!r} is not an integer"
                     )
-                if not -_LABEL_BOUND <= label < _LABEL_BOUND:
+                if not abs(label) < _LABEL_BOUND:
                     raise DataError(
                         f"{path}: row {r}, column {width}: label {cells[-1]!r} "
-                        "is outside the int64 range"
+                        "is outside (-2**53, 2**53), where every integer reads exactly"
                     )
                 ids.append(int(label))
             matrix.append(np.array(values))

@@ -137,8 +137,9 @@ def _least_squares(F: np.ndarray, offset, y: np.ndarray, nu: float):
     z = np.linalg.solve(R[:r, :r], R[:r, r])
     u = nu * (b - H @ z)
     absH = np.abs(H)
-    terms = np.abs(z) + nu * (absH.T @ (np.abs(b) + absH @ np.abs(z)))
-    worst = float(np.max(np.abs(z - H.T @ u) / np.maximum(1.0, terms)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves worst NaN
+        terms = np.abs(z) + nu * (absH.T @ (np.abs(b) + absH @ np.abs(z)))
+        worst = float(np.max(np.abs(z - H.T @ u) / np.maximum(1.0, terms)))
     if not worst <= FEASIBILITY_RTOL:
         raise NumericalError(f"stationarity residual {worst:.3e} exceeds tolerance")
     return z, u

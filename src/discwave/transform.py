@@ -3,10 +3,13 @@
 A fitted transform is a linear map from length-N signals to N coefficients:
 the final coarse approximation followed by the per-level detail columns,
 merged coarsest-first as (c_M | d_M | ... | d_1). Fitting trains one window
-predictor per even position per level; applying uses the frozen weights only,
-so train-set coefficients from fit and apply are bit-identical. For the
-nonregularised variant the map is invertible and `reconstruct` undoes it
-exactly; `base_vectors` materialises the analysis/synthesis vector pairs.
+predictor per even position per level, and a fitted level is two arrays over
+its positions k: a weight matrix and an offset vector. The window of coarse
+samples behind each weight row follows from `index_window`; it is derived
+once per transform and not stored with the weights. Applying uses the frozen
+weights only, so train-set coefficients from fit and apply are bit-identical.
+For the nonregularised variant the map is invertible and `reconstruct` undoes
+it exactly; `base_vectors` materialises the analysis/synthesis vector pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -24,7 +28,6 @@ from .core import (
     REGULARISED,
     ConfigError,
     DataError,
-    IndexWindow,
     NumericalError,
     SignalDataset,
     TransformConfig,
@@ -45,49 +48,46 @@ ROUND_TRIP_RTOL = 1e-3
 ROUND_TRIP_ROWS = 256
 
 
-@dataclass(frozen=True)
-class LevelPredictor:
-    """Frozen predictor for one even position at one level (1-based fields)."""
+def _level(weights, gamma) -> np.recarray:
+    """One fitted level: a record array whose row k-1 is position k's predictor.
 
-    k: int
-    indices: tuple
-    weights: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "gamma", float(self.gamma))
-
-    def zero_based(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=int) - 1
+    `level.weights` is then the weight matrix, `level.gamma` the offset vector
+    and `level[k-1].weights` / `.gamma` one position's predictor.
+    """
+    W = np.asarray(weights, dtype=float)
+    dtype = [("weights", float, W.shape[1:]), ("gamma", float)]
+    return np.rec.fromarrays([W, np.asarray(gamma, dtype=float)], dtype=dtype)
 
 
 @dataclass(frozen=True)
 class FittedTransform:
     config: TransformConfig
     signal_length: int
-    levels: tuple  # levels[m-1] = tuple of LevelPredictor ordered by k
+    levels: tuple  # levels[m-1]: record array of level m, fields weights and gamma
 
     def __post_init__(self):
         N = int(self.signal_length)
         L = self.config.window
         w_len = L + 1 if self.config.variant == REGULARISED else L
-        for m, recs in enumerate(self.levels, start=1):
-            half = N // (2 ** m)
-            if len(recs) != half:
+        for m, level in enumerate(self.levels, start=1):
+            shape = (N // (2 ** m), w_len)
+            if level.weights.shape != shape:
                 raise ConfigError(
-                    f"level {m} must hold {half} predictors, got {len(recs)}"
+                    f"level {m} must hold a {shape[0]} x {shape[1]} weight matrix, "
+                    f"got {level.weights.shape}"
                 )
-            for j, rec in enumerate(recs, start=1):
-                if (
-                    rec.k != j
-                    or rec.indices != index_window(j, half, L).indices
-                    or rec.weights.shape != (w_len,)
-                ):
-                    raise ConfigError(f"malformed predictor at level {m}, k={j}")
         object.__setattr__(self, "signal_length", N)
-        object.__setattr__(self, "levels", tuple(tuple(recs) for recs in self.levels))
+        object.__setattr__(self, "levels", tuple(self.levels))
+        self.windows  # a window wider than its level raises ConfigError here
+
+    @cached_property
+    def windows(self) -> tuple:
+        """windows[m-1][k-1]: the IndexWindow behind row k-1 of level m."""
+        L = self.config.window
+        return tuple(
+            tuple(index_window(k, len(level), L) for k in range(1, len(level) + 1))
+            for level in self.levels
+        )
 
     @property
     def effective_levels(self) -> int:
@@ -158,35 +158,22 @@ class BaseVectors:
     synthesis_supports: tuple
 
 
-def _predict_level(C, records, variant):
+def _predict_level(C, level, windows, variant):
     """Target weights t and predictions P of one level from its coarse signal C.
 
     The detail of even column j is t[j] * even[:, j] - P[:, j]: regularised
     predictors weight the even target by their first weight, nonregularised
     ones by exactly one.
     """
-    t = np.ones(len(records))
-    P = np.empty((C.shape[0], len(records)))
-    for j, rec in enumerate(records):
-        w = rec.weights
-        if variant == REGULARISED:
-            t[j], w = w[0], w[1:]
-        P[:, j] = C[:, rec.zero_based()] @ w
+    W = level.weights
+    if variant == REGULARISED:
+        t, W = W[:, 0], W[:, 1:]
+    else:
+        t = np.ones(len(windows))
+    P = np.empty((C.shape[0], len(windows)))
+    for j, window in enumerate(windows):
+        P[:, j] = C[:, window.as_zero_based()] @ W[j]
     return t, P
-
-
-def _solve_one(A_e_col, C, y, window: IndexWindow, config: TransformConfig) -> LevelPredictor:
-    A_k = np.column_stack([A_e_col, -C[:, window.as_zero_based()]])
-    B = None
-    if config.constraint_degree > 0:
-        B = solver.vandermonde_constraints(window, config.constraint_degree)
-    problem = solver.PredictProblem(
-        A=A_k, labels=y, nu=config.nu, variant=config.variant, B=B
-    )
-    sol = solver.solve(problem)
-    return LevelPredictor(
-        k=window.k, indices=window.indices, weights=sol.w, gamma=sol.gamma
-    )
 
 
 def fit(train: SignalDataset, config: TransformConfig, progress=None):
@@ -221,14 +208,22 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
 
-        records = []
+        weights, gamma = [], []
         for k in range(1, half + 1):
             window = index_window(k, half, config.window)
             try:
-                records.append(_solve_one(A_e[:, k - 1], C, y, window, config))
+                B = None
+                if config.constraint_degree > 0:
+                    B = solver.vandermonde_constraints(window, config.constraint_degree)
+                sol = solver.solve(solver.PredictProblem(
+                    A=np.column_stack([A_e[:, k - 1], -C[:, window.as_zero_based()]]),
+                    labels=y, nu=config.nu, variant=config.variant, B=B,
+                ))
             except (ConfigError, DataError, NumericalError) as exc:
                 raise type(exc)(f"level {m}, position k={k}: {exc}") from exc
-        levels.append(tuple(records))
+            weights.append(sol.w)
+            gamma.append(sol.gamma)
+        levels.append(_level(weights, gamma))
         A = C
         if progress is not None:
             progress(m, half, time.perf_counter() - t0)
@@ -264,10 +259,10 @@ def apply(
         )
     variant = transform.config.variant
     details = []
-    for records in transform.levels:
+    for level, windows in zip(transform.levels, transform.windows):
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
-        t, P = _predict_level(C, records, variant)
+        t, P = _predict_level(C, level, windows, variant)
         details.append(t * A_e - P)
         A = C
     merged = np.hstack([A] + details[::-1])
@@ -315,16 +310,17 @@ def reconstruct(
     C, details = _split_merged(transform, merged)
     C = np.array(C, dtype=float)
     for m in range(transform.effective_levels, 0, -1):
-        records = transform.levels[m - 1]
+        level = transform.levels[m - 1]
         if variant == REGULARISED:
-            for rec in records:
-                norm = float(np.linalg.norm(rec.weights))
-                if abs(rec.weights[0]) <= INVERTIBILITY_RTOL * norm:
-                    raise NumericalError(
-                        f"level {m}, position k={rec.k}: target weight "
-                        f"{rec.weights[0]:.3e} is too small to invert (|w| = {norm:.3e})"
-                    )
-        t, P = _predict_level(C, records, variant)
+            norm = np.linalg.norm(level.weights, axis=1)
+            tiny = np.flatnonzero(np.abs(level.weights[:, 0]) <= INVERTIBILITY_RTOL * norm)
+            if tiny.size:
+                j = tiny[0]
+                raise NumericalError(
+                    f"level {m}, position k={j + 1}: target weight "
+                    f"{level.weights[j, 0]:.3e} is too small to invert (|w| = {norm[j]:.3e})"
+                )
+        t, P = _predict_level(C, level, transform.windows[m - 1], variant)
         A_e = (details[m - 1] + P) / t
         A_o = 2.0 * C - A_e
         C = interleave(A_o, A_e)
@@ -358,14 +354,13 @@ def constraint_residual(transform: FittedTransform) -> Optional[float]:
     p = transform.config.constraint_degree
     if p < 1:
         return None
+    e1 = np.zeros(p)
+    e1[0] = 1.0
     worst = 0.0
-    for records in transform.levels:
-        for rec in records:
-            window = IndexWindow(k=rec.k, indices=rec.indices)
+    for level, windows in zip(transform.levels, transform.windows):
+        for w, window in zip(level.weights, windows):
             B = solver.vandermonde_constraints(window, p)
-            e1 = np.zeros(p)
-            e1[0] = 1.0
-            worst = max(worst, float(np.max(np.abs(B @ rec.weights - e1))))
+            worst = max(worst, float(np.max(np.abs(B @ w - e1))))
     return worst
 
 
@@ -377,15 +372,10 @@ def save_model(transform: FittedTransform, path) -> None:
         "effective_levels": transform.effective_levels,
         "levels": [
             [
-                {
-                    "k": rec.k,
-                    "indices": list(rec.indices),
-                    "weights": rec.weights,
-                    "gamma": rec.gamma,
-                }
-                for rec in records
+                {"k": window.k, "indices": list(window.indices), "weights": w, "gamma": g}
+                for window, w, g in zip(windows, level.weights.tolist(), level.gamma.tolist())
             ]
-            for records in transform.levels
+            for level, windows in zip(transform.levels, transform.windows)
         ],
     }
     write_json(path, doc)
@@ -399,23 +389,18 @@ def load_model(path) -> FittedTransform:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     try:
         config = TransformConfig.from_dict(doc["config"])
-        levels = tuple(
-            tuple(
-                LevelPredictor(
-                    k=rec["k"],
-                    indices=rec["indices"],
-                    weights=rec["weights"],
-                    gamma=rec["gamma"],
-                )
-                for rec in records
-            )
-            for records in doc["levels"]
-        )
         transform = FittedTransform(
             config=config,
             signal_length=doc["signal_length"],
-            levels=levels,
+            levels=tuple(
+                _level([rec["weights"] for rec in records], [rec["gamma"] for rec in records])
+                for records in doc["levels"]
+            ),
         )
+        for m, (records, windows) in enumerate(zip(doc["levels"], transform.windows), start=1):
+            for rec, window in zip(records, windows):
+                if rec["k"] != window.k or rec["indices"] != list(window.indices):
+                    raise DataError(f"malformed predictor at level {m}, k={window.k}")
         if transform.effective_levels != int(doc["effective_levels"]):
             raise DataError(
                 f"effective_levels {doc['effective_levels']} does not "

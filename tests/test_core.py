@@ -174,6 +174,19 @@ def test_validate_labels_shape_mismatch():
         validate_labels(np.array([1.0, -1.0]), 3)
 
 
+@pytest.mark.parametrize("bad", [0.0, 0.5, 2.0, -2.0, np.nan])
+def test_validate_labels_rejects_values_other_than_plus_minus_one(bad):
+    with pytest.raises(DataError, match="labels must be -1 or \\+1"):
+        validate_labels(np.array([1.0, -1.0, bad]), 3)
+
+
+def test_validate_labels_accepts_both_signs_and_needs_both_classes():
+    y = validate_labels([1, -1, -1.0], 3)
+    assert y.dtype == float and y.tolist() == [1.0, -1.0, -1.0]
+    with pytest.raises(DataError, match="need at least one example of each label"):
+        validate_labels(np.array([1.0, 1.0]), 2)
+
+
 def test_make_rng_determinism_and_child_streams():
     a = make_rng(7).standard_normal(4)
     b = make_rng(7).standard_normal(4)

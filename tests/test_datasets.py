@@ -6,6 +6,8 @@ an independently constructed stream, so a silent reordering of draws fails
 loudly rather than just shifting numbers.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,19 @@ def test_csv_label_outside_int64_is_a_data_error(tmp_path):
     path = tmp_path / "hugelabel.csv"
     path.write_text("s1,s2,label\n1.0,2.0,1e20\n3.0,4.0,2\n")
     with pytest.raises(
-        DataError, match="row 2, column 3: label '1e20' is outside the int64 range"
+        DataError, match=re.escape("row 2, column 3: label '1e20' is outside (-2**53, 2**53)")
+    ):
+        load_csv(path)
+
+
+def test_csv_labels_read_exactly_or_not_at_all(tmp_path):
+    # 2**53 + 1 parses to the float 2**53, so no float reader can return it.
+    path = tmp_path / "labels.csv"
+    path.write_text("s1,s2,label\n1.0,2.0,9007199254740991\n3.0,4.0,-9007199254740991\n")
+    assert load_csv(path).class_ids.tolist() == [2 ** 53 - 1, -(2 ** 53 - 1)]
+    path.write_text("s1,s2,label\n1.0,2.0,2\n3.0,4.0,9007199254740993\n")
+    with pytest.raises(
+        DataError, match=re.escape("row 3, column 3: label '9007199254740993' is outside")
     ):
         load_csv(path)
 

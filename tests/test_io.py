@@ -53,6 +53,8 @@ FILES = {
     "huge_label": HEADER + "1.0,2.0,1e20\n3.0,4.0,2\n",
     "float_spelled_label": HEADER + "1.0,2.0,2.0\n3.0,4.0,-0.0\n",
     "int64_extreme_labels": HEADER + "1.0,2.0,-9223372036854775808\n3.0,4.0,9223372036854775807\n",
+    "largest_exact_labels": HEADER + "1.0,2.0,-9007199254740991\n3.0,4.0,9007199254740991\n",
+    "label_rounded_by_float": HEADER + "1.0,2.0,1\n3.0,4.0,9007199254740993\n",
     "ragged": HEADER + "1.0,2.0,1\n3.0,2\n",
     "trailing_comma": HEADER + "1.0,2.0,1,\n3.0,4.0,2,\n",
     "one_data_row": HEADER + "1.0,2.0,1\n",
@@ -69,6 +71,7 @@ FILES = {
 TAKEN_IN_C = (
     "plain", "no_final_newline", "blank_rows", "spaces_around_cells", "crlf",
     "signed_zero_and_subnormals", "float_spelled_label", "one_data_row",
+    "largest_exact_labels",
 )
 
 

@@ -7,9 +7,11 @@ out as exact rationals with denominator 280, frozen below.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discwave.core import (
     ConfigError,
@@ -57,12 +59,13 @@ def test_hand_solved_tiny_fixture():
     cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="nonregularised")
     t, table = tf.fit(tiny_dataset(), cfg)
     assert t.effective_levels == 1
-    r1, r2 = t.levels[0]
-    assert r1.indices == (1, 2) and r2.indices == (1, 2)
-    assert np.allclose(r1.weights, np.array([293.0, -43.0]) / 280.0, atol=1e-12)
-    assert np.allclose(r2.weights, np.array([69.0, 181.0]) / 280.0, atol=1e-12)
-    assert abs(r1.gamma - 5.0 / 28.0) < 1e-12
-    assert abs(r2.gamma - 5.0 / 28.0) < 1e-12
+    level = t.levels[0]
+    assert [w.indices for w in t.windows[0]] == [(1, 2), (1, 2)]
+    expected_w = np.array([[293.0, -43.0], [69.0, 181.0]]) / 280.0
+    assert level.weights.shape == (2, 2)
+    assert np.allclose(level.weights, expected_w, atol=1e-12)
+    assert np.max(np.abs(level.gamma - 5.0 / 28.0)) < 1e-12
+    assert np.array_equal(level[0].weights, level.weights[0]) and level[1].gamma == level.gamma[1]
     expected = np.array([[271.0, 383.0], [-121.0, -233.0]]) / 280.0
     assert np.max(np.abs(table.details[0] - expected)) < 1e-12
     assert np.array_equal(table.coarse, [[1.5, 3.5], [3.5, 1.5]])
@@ -157,6 +160,19 @@ def test_fit_rejects_details_that_underflow():
     cfg = TransformConfig(levels=2, window=2, nu=1.0, variant="regularised")
     with pytest.raises(NumericalError, match="does not invert its training signals"):
         tf.fit(ds, cfg)
+
+
+def test_fit_overflow_is_a_typed_error_without_runtime_warnings():
+    # x1e200: the stationarity check's products overflow to inf and NaN; the
+    # NaN residual fails the tolerance test, and numpy stays silent.
+    rng = np.random.default_rng(0)
+    ds = random_dataset(rng, 20, 16)
+    ds = SignalDataset(signals=1e200 * ds.signals, labels=ds.labels)
+    cfg = TransformConfig(levels=2, window=2, nu=1.0, variant="nonregularised")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="stationarity residual"):
+            tf.fit(ds, cfg)
 
 
 def test_round_trip_waveform():
@@ -289,13 +305,18 @@ def test_model_json_round_trip_is_exact(tmp_path):
     loaded = tf.load_model(path)
     assert loaded.signal_length == t.signal_length
     assert loaded.config.to_dict() == t.config.to_dict()
-    for recs_a, recs_b in zip(t.levels, loaded.levels):
-        for a, b in zip(recs_a, recs_b):
-            assert a.k == b.k and tuple(a.indices) == tuple(b.indices)
-            assert np.array_equal(np.asarray(a.weights), np.asarray(b.weights))
-            assert a.gamma == b.gamma
+    assert loaded.windows == t.windows
+    assert len(loaded.levels) == len(t.levels)
+    for a, b in zip(t.levels, loaded.levels):
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.gamma, b.gamma)
     x = rng.normal(size=(4, 16))
     assert np.array_equal(tf.apply(t, x).merged, tf.apply(loaded, x).merged)
+    # The file still spells each position's k and window indices.
+    doc = json.loads(path.read_text())
+    assert [[(r["k"], tuple(r["indices"])) for r in recs] for recs in doc["levels"]] == [
+        [(w.k, w.indices) for w in windows] for windows in t.windows
+    ]
     # Saving the loaded model reproduces the file byte for byte.
     path2 = tmp_path / "model2.json"
     tf.save_model(loaded, path2)
@@ -355,12 +376,10 @@ def test_save_model_rejects_nan_weight_and_writes_nothing(tmp_path):
     t, _ = tf.fit(random_dataset(rng, 8, 8), TransformConfig(
         levels=1, window=2, nu=1.0, variant="nonregularised"
     ))
-    first = t.levels[0][0]
-    bad = tf.LevelPredictor(
-        k=first.k, indices=first.indices, weights=[np.nan, 0.0], gamma=first.gamma
-    )
+    bad = t.levels[0].copy()
+    bad.weights[0] = [np.nan, 0.0]
     broken = tf.FittedTransform(
-        config=t.config, signal_length=t.signal_length, levels=((bad,) + t.levels[0][1:],)
+        config=t.config, signal_length=t.signal_length, levels=(bad,)
     )
     path = tmp_path / "model.json"
     with pytest.raises(NumericalError, match="non-finite"):
@@ -398,6 +417,11 @@ def test_fit_rejects_oversized_window():
     cfg = TransformConfig(levels=1, window=6, nu=1.0, variant="nonregularised")
     with pytest.raises(ConfigError):
         tf.fit(ds, cfg)
+    # A transform built directly is checked when it is made, not when used.
+    cfg = TransformConfig(levels=1, window=4, nu=1.0, variant="nonregularised")
+    level = tf._level(np.zeros((2, 4)), np.zeros(2))
+    with pytest.raises(ConfigError, match="window"):
+        tf.FittedTransform(config=cfg, signal_length=4, levels=(level,))
 
 
 def test_progress_callback_reports_each_level():
@@ -411,15 +435,10 @@ def test_progress_callback_reports_each_level():
 
 
 def test_reconstruct_rejects_tiny_regularised_target_weight():
-    from discwave.transform import FittedTransform, LevelPredictor
-
     cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="regularised")
-    records = (
-        LevelPredictor(k=1, indices=(1, 2), weights=np.array([0.0, 0.5, 0.5]), gamma=0.0),
-        LevelPredictor(k=2, indices=(1, 2), weights=np.array([1.0, 0.5, 0.5]), gamma=0.0),
-    )
-    t = FittedTransform(config=cfg, signal_length=4, levels=(records,))
-    with pytest.raises(NumericalError, match="target weight"):
+    level = tf._level([[0.0, 0.5, 0.5], [1.0, 0.5, 0.5]], [0.0, 0.0])
+    t = tf.FittedTransform(config=cfg, signal_length=4, levels=(level,))
+    with pytest.raises(NumericalError, match="k=1: target weight"):
         tf.reconstruct(t, np.zeros((1, 4)))
 
 
@@ -458,3 +477,41 @@ def test_detail_columns_match_direct_assembly():
         )
         d = even[:, k - 1] - C[:, cols] @ sol.w
         assert np.max(np.abs(table.details[0][:, k - 1] - d)) < 1e-8
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    variant=st.sampled_from(["nonregularised", "regularised"]),
+    degree=st.integers(0, 2),
+    window=st.sampled_from([2, 4]),
+    levels=st.integers(1, 3),
+    n=st.integers(4, 40),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_fitted_levels_are_arrays_that_round_trip(
+    tmp_path_factory, variant, degree, window, levels, n, scale, seed
+):
+    if variant == "regularised":
+        degree = 0  # constraints are defined for the nonregularised predictor only
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n, 32)
+    ds = SignalDataset(signals=scale * ds.signals, labels=ds.labels)
+    cfg = TransformConfig(
+        levels=levels, window=window, nu=1.0, variant=variant, constraint_degree=degree
+    )
+    t, table = tf.fit(ds, cfg)
+    assert table.merged.tobytes() == tf.apply(t, ds.signals).merged.tobytes()
+    w_len = window + 1 if variant == "regularised" else window
+    assert t.effective_levels == levels
+    for m, level in enumerate(t.levels, start=1):
+        assert level.weights.shape == (32 // 2 ** m, w_len)
+        assert level.gamma.shape == (32 // 2 ** m,)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    tf.save_model(t, path)
+    again = path.with_name("again.json")
+    tf.save_model(tf.load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    x = scale * rng.normal(size=(8, 32))
+    back = tf.reconstruct(t, tf.apply(t, x))
+    assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
