@@ -6,6 +6,9 @@ Fit an update-first lifting transform on labelled training signals, look at
 the coefficient layout, and check that reconstruction inverts it exactly.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from discwave import transform as tf
@@ -48,8 +51,10 @@ print(f"constrained transform on ramps: max |detail| {worst:.2e} "
       f"(constraint residual {tf.constraint_residual(cfitted):.2e})")
 
 # Models serialize to JSON and reload bit-for-bit.
-tf.save_model(fitted, "/tmp/demo_model.json")
-again = tf.load_model("/tmp/demo_model.json")
+with tempfile.TemporaryDirectory() as tmp:
+    model_path = Path(tmp) / "model.json"
+    tf.save_model(fitted, model_path)
+    again = tf.load_model(model_path)
 # Each level is a weight matrix (one row per position) and an offset vector.
 print(f"level weight matrices: {[level.weights.shape for level in fitted.levels]}")
 same = all(

@@ -340,6 +340,8 @@ def _eval_multiclass(args, fitted, train, test, out_dir, top_t):
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
+    if args.permutations < 0:
+        raise ConfigError(f"--permutations must be >= 0, got {args.permutations}")
     fitted = _load_model(args.model)
     train = _load_dataset(args.train)
     if train.class_ids is None:

@@ -63,15 +63,15 @@ def classifier_values(table: tf.CoefficientTable, classifier: LocalClassifier) -
     return table.detail(classifier.level)[:, classifier.k - 1]
 
 
-def _scan_counts(values: np.ndarray, plus_rows: np.ndarray):
-    """Candidate thresholds and the s = +1 correct count at each, per labelling.
+def _scan_counts(values: np.ndarray, plus: np.ndarray):
+    """Candidate thresholds and the s = +1 correct count at each.
 
-    `plus_rows` is an R x l boolean stack of labellings (True where the label
-    is +1); returns (cands, counts) with counts R x len(cands). Candidates are
-    the minimum value itself (nothing below the threshold, everything
-    predicted on the >= side) plus the midpoints between distinct consecutive
-    values. With c values below a candidate, pos of them +1 out of P in all,
-    the s = +1 classifier gets (P - pos) + (c - pos) right.
+    `plus` is the labelling as a boolean vector (True where the label is
+    +1). Candidates are the minimum value itself (nothing below the
+    threshold, everything predicted on the >= side) plus the midpoints
+    between distinct consecutive values. With c values below a candidate,
+    pos of them +1 out of P in all, the s = +1 classifier gets
+    (P - pos) + (c - pos) right.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
@@ -81,11 +81,51 @@ def _scan_counts(values: np.ndarray, plus_rows: np.ndarray):
     cands[0] = v[0]
     if boundaries.size:
         cands[1:] = 0.5 * (v[boundaries - 1] + v[boundaries])
-    # int32 is exact below 2**31 examples; a bool cumsum into int64 is ~3x slower.
-    pos = np.cumsum(plus_rows[:, order], axis=1, dtype=np.int32)
-    pos_at = np.zeros((pos.shape[0], splits.size), dtype=pos.dtype)
-    pos_at[:, 1:] = pos[:, boundaries - 1]
-    return cands, pos[:, -1:] + splits - 2 * pos_at
+    pos = np.cumsum(plus[order])
+    pos_at = np.concatenate([[0], pos[boundaries - 1]])
+    return cands, pos[-1] + splits - 2 * pos_at
+
+
+def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
+    """Best correct count over every threshold and both orientations.
+
+    `X` is l x K (one column per coefficient) and `plus_rows` an R x l
+    boolean stack of labellings (True where the label is +1); returns the
+    K x R counts, equal to fit_threshold's correct count for every column
+    and labelling. With c values below a split, pos of them +1 out of P,
+    the s = +1 classifier gets P + W right and the s = -1 one l - P - W,
+    where W = c - 2 pos. One walk serves every column and labelling: it
+    steps through the sorted positions, adding +1 for a -1 label and -1 for
+    a +1 label to each column's W, and keeps W's extremes hi and lo over the
+    candidate splits (split 0, where W = 0, and the boundaries between
+    distinct values); best = max(P + hi, l - P - lo). A tied column skips
+    the splits inside a run of equal values. Time O(l K R), memory
+    O((l + K) R).
+    """
+    l, K = X.shape
+    R = plus_rows.shape[0]
+    dtype = np.int16 if l < 2**15 else np.int32  # |W| <= l
+    order = np.argsort(X, axis=0, kind="stable")
+    v = np.take_along_axis(X, order, axis=0)
+    cut = v[1:] > v[:-1]  # cut[c - 1, k]: split c is a candidate of column k
+    tied = ~cut.all(axis=1)
+    steps = plus_rows.T.astype(dtype, order="C")  # l x R: -1 for +1, +1 for -1
+    steps *= -2
+    steps += 1
+    W, hi, lo, step = (np.zeros((K, R), dtype) for _ in range(4))
+    for c in range(1, l):
+        # mode="clip" writes straight into `step`; "raise" would buffer it.
+        np.take(steps, order[c - 1], axis=0, out=step, mode="clip")
+        W += step
+        if tied[c - 1]:  # restore the columns for which split c is no candidate
+            held = np.flatnonzero(~cut[c - 1])
+            kept = hi[held], lo[held]
+        np.maximum(hi, W, out=hi)
+        np.minimum(lo, W, out=lo)
+        if tied[c - 1]:
+            hi[held], lo[held] = kept
+    P = plus_rows.sum(axis=1)  # a platform integer: P + hi cannot wrap
+    return np.maximum(P + hi, l - P - lo)
 
 
 def _fixed_counts(values: np.ndarray, plus_rows: np.ndarray, b: float) -> np.ndarray:
@@ -102,8 +142,7 @@ def fit_threshold(values: np.ndarray, labels: np.ndarray):
     """
     values = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=float)
-    cands, counts = _scan_counts(values, (y > 0)[None, :])
-    plus = counts[0]
+    cands, plus = _scan_counts(values, y > 0)
 
     def pick(counts):
         best = int(counts.max())
@@ -402,7 +441,8 @@ def permutation_test(
     values. The B permutations are drawn once per call, each from its own
     child stream make_rng(seed, replicate), and every classifier is scored
     against the same ones, so a classifier's p-value does not depend on which
-    others share the call.
+    others share the call. The optimal_threshold classifiers share one walk
+    over the sorted values (_best_counts).
     """
     if B < 100:
         raise ConfigError(f"need at least 100 permutations, got {B}")
@@ -423,16 +463,15 @@ def permutation_test(
     plus_rows[0] = y > 0
     for b in range(B):
         plus_rows[b + 1] = plus_rows[0, make_rng(seed, b).permutation(l)]
-    p_values = []
-    for c, values in zip(classifiers, X.T):
+    best = np.empty((len(classifiers), B + 1), dtype=np.int64)
+    walked = [j for j, c in enumerate(classifiers) if c.mode != PSVM_BIAS]
+    if walked:
+        best[walked] = _best_counts(X[:, walked], plus_rows)
+    for j, c in enumerate(classifiers):
         if c.mode == PSVM_BIAS:
-            plus = _fixed_counts(values, plus_rows, c.b)
-            best = np.maximum(plus, l - plus)
-        else:
-            _, plus = _scan_counts(values, plus_rows)
-            best = np.maximum(plus.max(axis=1), l - plus.min(axis=1))
-        p_values.append(float((1 + int(np.sum(best[1:] >= best[0]))) / (B + 1)))
-    return p_values
+            plus = _fixed_counts(X[:, j], plus_rows, c.b)
+            best[j] = np.maximum(plus, l - plus)
+    return [float((1 + int(np.sum(row[1:] >= row[0]))) / (B + 1)) for row in best]
 
 
 def select_significant(classifiers, min_accuracy: float = 0.75, alpha: float = 0.1):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -73,6 +74,18 @@ def write_json(path, payload) -> None:
 # rejects them; a line holding one is left to the row reader.
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 _LABEL_BOUND = 2.0 ** 53  # |label| < 2**53: a float64 holds each such integer exactly
+# From 2**52 up the float64 spacing is 1, so the nearest float to a fraction
+# such as 4503599627370496.5 is an integer: such labels are checked as text.
+_TEXT_CHECK_BOUND = 2.0 ** 52
+
+
+def _integral_text(cell: str) -> bool:
+    """Whether the numeric text `cell` denotes an integer exactly."""
+    try:
+        value = Decimal(cell)
+    except InvalidOperation:
+        return False
+    return value.is_finite() and value == value.to_integral_value()
 
 
 def read_csv(path, header: bool = True, labeled: bool = True):
@@ -86,7 +99,8 @@ def read_csv(path, header: bool = True, labeled: bool = True):
     with 1-based row/column diagnostics (rows counted from the header) on an
     empty file, a header without data, a missing label column, ragged rows,
     non-numeric cells or labels, labels that are not integers of magnitude
-    below 2**53 and non-finite values.
+    below 2**53 (as written: from 2**52 up, where 4503599627370496.5 reads
+    as an integer float, the cell text is checked) and non-finite values.
     """
     try:
         parsed = _read_c(path, header, labeled)
@@ -123,8 +137,31 @@ def _read_c(path, header, labeled):
     labels = data[:, -1]
     if not np.all((labels == np.trunc(labels)) & (np.abs(labels) < _LABEL_BOUND)):
         return None
+    if np.any(np.abs(labels) >= _TEXT_CHECK_BOUND) and not _large_labels_integral(path, header):
+        return None
     matrix = np.ascontiguousarray(data[:, :-1])
     return None if names is None else names[:-1], matrix, labels.astype(np.int64)
+
+
+def _large_labels_integral(path, header) -> bool:
+    """Whether every last cell of magnitude >= 2**52 is an integer as written.
+
+    A second pass over the text, made only for bodies holding such labels.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        if header:
+            fh.readline()
+        for line in fh:
+            cell = line.rpartition(",")[2]
+            if not cell.strip():
+                continue
+            try:
+                large = abs(float(cell)) >= _TEXT_CHECK_BOUND
+            except ValueError:
+                return False
+            if large and not _integral_text(cell):
+                return False
+    return True
 
 
 def _read_rows(path, header, labeled):
@@ -160,7 +197,10 @@ def _read_rows(path, header, labeled):
                         ) from exc
             if labeled:
                 label = values.pop()
-                if not label.is_integer():
+                if not label.is_integer() or (
+                    _TEXT_CHECK_BOUND <= abs(label) < _LABEL_BOUND
+                    and not _integral_text(cells[-1])
+                ):
                     raise DataError(
                         f"{path}: row {r}, column {width}: label {cells[-1]!r} is not an integer"
                     )

@@ -341,6 +341,19 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_eval_rejects_negative_permutations_before_reading(tmp_path, capsys):
+    # The inputs do not exist: a read would be a data error (exit 3).
+    code, _, err = run(
+        ["eval", "--model", str(tmp_path / "missing.json"),
+         "--train", str(tmp_path / "missing.csv"), "--permutations", "-5",
+         "--seed", "1", "--out-dir", str(tmp_path / "r")],
+        capsys,
+    )
+    assert code == 2
+    assert "--permutations must be >= 0, got -5" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_exit_code_3_on_data_errors(tmp_path, capsys):
     code, _, err = run(
         ["fit", "--train", str(tmp_path / "missing.csv"), "--window", "4",

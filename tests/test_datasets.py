@@ -13,6 +13,7 @@ import pytest
 
 from discwave.core import ConfigError, DataError, make_rng
 from discwave import datasets as dsm
+from discwave import io
 from discwave.datasets import (
     ShapeSpec,
     WaveformSpec,
@@ -212,6 +213,19 @@ def test_csv_label_outside_int64_is_a_data_error(tmp_path):
         DataError, match=re.escape("row 2, column 3: label '1e20' is outside (-2**53, 2**53)")
     ):
         load_csv(path)
+
+
+def test_csv_fractional_label_above_2_52_is_a_data_error(tmp_path):
+    # From 2**52 up the nearest float to x.5 is an integer, so only the text
+    # shows the fraction; both readers must see it.
+    path = tmp_path / "fraclabel.csv"
+    path.write_text("s1,s2,label\n1.0,2.0,2\n3.0,4.0,-4503599627370496.5\n")
+    message = re.escape("row 3, column 3: label '-4503599627370496.5' is not an integer")
+    with pytest.raises(DataError, match=message):
+        load_csv(path)
+    with pytest.raises(DataError, match=message):
+        io._read_rows(path, True, True)
+    assert io._read_c(path, True, True) is None
 
 
 def test_csv_labels_read_exactly_or_not_at_all(tmp_path):

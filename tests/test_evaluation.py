@@ -268,6 +268,80 @@ def test_permutation_test_matches_per_coefficient_reference():
         assert got == want
 
 
+def test_permutation_test_walk_matches_reference_ties_and_mixed_modes():
+    # One call holds both modes, an odd l, heavy ties, a constant column and
+    # fixed thresholds below the minimum and above the maximum.
+    rng = make_rng(306)
+    l = 31
+    labels = np.where(rng.random(l) < 0.5, 1.0, -1.0)
+    labels[:2] = (1.0, -1.0)
+    X = np.column_stack([
+        labels + 0.8 * rng.standard_normal(l),  # informative
+        rng.standard_normal(l),  # noise
+        rng.integers(-2, 3, size=l).astype(float),  # heavily tied
+        np.full(l, 0.7),  # constant
+        np.where(labels > 0, 1.0, 0.0),  # two tied blocks, perfect split
+        rng.integers(0, 2, size=l) * 2.0 - 1.0,  # two values
+        rng.standard_normal(l),  # noise, psvm_bias below the minimum
+        rng.integers(-2, 3, size=l).astype(float),  # tied, psvm_bias above the maximum
+    ])
+    spec = [
+        (ev.OPTIMAL_THRESHOLD, 0.0), (ev.PSVM_BIAS, 0.1), (ev.OPTIMAL_THRESHOLD, 0.0),
+        (ev.OPTIMAL_THRESHOLD, 0.0), (ev.PSVM_BIAS, 0.5), (ev.OPTIMAL_THRESHOLD, 0.0),
+        (ev.PSVM_BIAS, -10.0), (ev.PSVM_BIAS, 10.0),
+    ]
+    classifiers = [fake_classifier(k, b=b, mode=m) for k, (m, b) in enumerate(spec, start=1)]
+    got = ev.permutation_test(classifiers, X, labels, B=120, seed=12)
+    want = [reference_p_value(X[:, j], labels, m, b, 120, 12) for j, (m, b) in enumerate(spec)]
+    assert got == want
+    assert got[6] == got[7] == 1.0  # one predicted side for every labelling
+
+
+def check_best_counts(X, plus_rows):
+    """_best_counts against fit_threshold, column by column and labelling by
+    labelling; column 0 of the result is the observed labelling."""
+    best = ev._best_counts(X, plus_rows)
+    assert best.shape == (X.shape[1], plus_rows.shape[0])
+    for r, plus in enumerate(plus_rows):
+        y = np.where(plus, 1.0, -1.0)
+        want = [ev.fit_threshold(X[:, k], y)[2] for k in range(X.shape[1])]
+        assert best[:, r].tolist() == want, r
+    return best
+
+
+def test_best_counts_match_fit_threshold_on_every_labelling():
+    rng = make_rng(307)
+    l = 57
+    X = rng.standard_normal((l, 12))
+    X[:, 3] = rng.integers(-3, 4, size=l)
+    X[:, 5] = 2.5
+    X[:, 8] = rng.integers(0, 2, size=l)
+    X[:, 10] = np.round(X[:, 10], 1)
+    plus_rows = rng.random((40, l)) < 0.5
+    plus_rows[1] = False  # one class only: the walk takes any labelling
+    plus_rows[2] = True
+    check_best_counts(X, plus_rows)
+
+
+@pytest.mark.parametrize("l", [2 ** 15, 2 ** 15 + 1])
+def test_best_counts_at_the_int16_limit(l):
+    # The walk stores W = c - 2 pos in int16 below l = 2**15 and in int32
+    # from there. At l = 2**15 + 1 a labelling that puts l - 1 labels of one
+    # class first drives |W| to 2**15, one past int16; at l = 2**15 the
+    # best count itself is 2**15.
+    rng = make_rng(308)
+    X = np.column_stack([
+        np.arange(l, dtype=float),
+        rng.integers(-50, 50, size=l).astype(float),
+    ])
+    plus_rows = np.zeros((3, l), dtype=bool)
+    plus_rows[0, -1] = True
+    plus_rows[1] = rng.random(l) < 0.5
+    plus_rows[2] = ~plus_rows[0]
+    best = check_best_counts(X, plus_rows)
+    assert best[0, [0, 2]].tolist() == [l, l]
+
+
 def test_permutation_test_draws_each_permutation_once(monkeypatch):
     draws = []
 

@@ -55,6 +55,10 @@ FILES = {
     "int64_extreme_labels": HEADER + "1.0,2.0,-9223372036854775808\n3.0,4.0,9223372036854775807\n",
     "largest_exact_labels": HEADER + "1.0,2.0,-9007199254740991\n3.0,4.0,9007199254740991\n",
     "label_rounded_by_float": HEADER + "1.0,2.0,1\n3.0,4.0,9007199254740993\n",
+    "large_labels_spelled_as_floats": HEADER
+    + "1.0,2.0,4503599627370497.0\n3.0,4.0,-4.503599627370497e15\n",
+    "fractional_label_above_2_52": HEADER + "1.0,2.0,4503599627370496.5\n3.0,4.0,2\n",
+    "fractional_label_below_minus_2_52": HEADER + "1.0,2.0,1\n3.0,4.0,-6755399441055744.5\n",
     "ragged": HEADER + "1.0,2.0,1\n3.0,2\n",
     "trailing_comma": HEADER + "1.0,2.0,1,\n3.0,4.0,2,\n",
     "one_data_row": HEADER + "1.0,2.0,1\n",
@@ -71,7 +75,7 @@ FILES = {
 TAKEN_IN_C = (
     "plain", "no_final_newline", "blank_rows", "spaces_around_cells", "crlf",
     "signed_zero_and_subnormals", "float_spelled_label", "one_data_row",
-    "largest_exact_labels",
+    "largest_exact_labels", "large_labels_spelled_as_floats",
 )
 
 
