@@ -342,6 +342,11 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     if args.permutations < 0:
         raise ConfigError(f"--permutations must be >= 0, got {args.permutations}")
+    if 0 < args.permutations < evaluation.MIN_PERMUTATIONS:
+        raise ConfigError(
+            f"--permutations must be 0 or >= {evaluation.MIN_PERMUTATIONS}, "
+            f"got {args.permutations}"
+        )
     fitted = _load_model(args.model)
     train = _load_dataset(args.train)
     if train.class_ids is None:
@@ -365,7 +370,8 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if len(train.classes) == 2:
+    binary = len(train.classes) == 2
+    if binary:
         outputs = _eval_binary(args, fitted, train, test, out_dir, top_t)
     else:
         outputs = _eval_multiclass(args, fitted, train, test, out_dir, top_t)
@@ -379,7 +385,7 @@ def cmd_eval(args) -> int:
         {
             "mode": args.mode,
             "top_t": top_t,
-            "permutations": args.permutations,
+            "permutations": args.permutations if binary else 0,  # no tests on 3+ classes
             "alpha": args.alpha,
             "min_accuracy": args.min_accuracy,
             "raw_baseline": args.raw_baseline,
@@ -509,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--permutations",
         type=int,
         default=999,
-        help="label permutations per coefficient (>= 100; 0 skips the tests)",
+        help="label permutations per coefficient (>= 100; 0 skips the tests; "
+        "two-class eval only)",
     )
     e.add_argument("--alpha", type=float, default=0.1, help="p-value cut for selection")
     e.add_argument(

@@ -30,6 +30,7 @@ from . import solver
 PSVM_BIAS = "psvm_bias"
 OPTIMAL_THRESHOLD = "optimal_threshold"
 MODES = (PSVM_BIAS, OPTIMAL_THRESHOLD)
+MIN_PERMUTATIONS = 100  # fewer cannot give a p-value below 0.01
 
 RED, BLUE, GREEN = "red", "blue", "green"  # +1 side, -1 side, unclassified
 
@@ -444,8 +445,8 @@ def permutation_test(
     others share the call. The optimal_threshold classifiers share one walk
     over the sorted values (_best_counts).
     """
-    if B < 100:
-        raise ConfigError(f"need at least 100 permutations, got {B}")
+    if B < MIN_PERMUTATIONS:
+        raise ConfigError(f"need at least {MIN_PERMUTATIONS} permutations, got {B}")
     classifiers = list(classifiers)
     if isinstance(coefficients, tf.CoefficientTable):
         X = np.empty((coefficients.n_examples, len(classifiers)))

@@ -74,13 +74,17 @@ def write_json(path, payload) -> None:
 # rejects them; a line holding one is left to the row reader.
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 _LABEL_BOUND = 2.0 ** 53  # |label| < 2**53: a float64 holds each such integer exactly
-# From 2**52 up the float64 spacing is 1, so the nearest float to a fraction
-# such as 4503599627370496.5 is an integer: such labels are checked as text.
-_TEXT_CHECK_BOUND = 2.0 ** 52
 
 
 def _integral_text(cell: str) -> bool:
-    """Whether the numeric text `cell` denotes an integer exactly."""
+    """Whether the numeric text `cell` denotes an integer exactly.
+
+    Labels are checked as text because a float cannot tell: the nearest
+    float to 1.0000000000000001 or to 4503599627370496.5 is an integer.
+    """
+    cell = cell.strip()
+    if cell.isdigit():  # the labels discwave writes: checked without Decimal
+        return True
     try:
         value = Decimal(cell)
     except InvalidOperation:
@@ -99,22 +103,26 @@ def read_csv(path, header: bool = True, labeled: bool = True):
     with 1-based row/column diagnostics (rows counted from the header) on an
     empty file, a header without data, a missing label column, ragged rows,
     non-numeric cells or labels, labels that are not integers of magnitude
-    below 2**53 (as written: from 2**52 up, where 4503599627370496.5 reads
-    as an integer float, the cell text is checked) and non-finite values.
+    below 2**53 (each label cell's text is checked, since 1.0000000000000001
+    and 4503599627370496.5 read as integer floats) and non-finite values.
     """
-    try:
-        parsed = _read_c(path, header, labeled)
-    except ValueError:
-        parsed = None
+    parsed = _read_c(path, header, labeled)
     return _read_rows(path, header, labeled) if parsed is None else parsed
 
 
-def _c_lines(fh):
-    """Lines of `fh` for numpy.loadtxt; ValueError where the row reader must run."""
+def _c_lines(fh, labeled):
+    """Lines of `fh` for numpy.loadtxt; ValueError where the row reader must run.
+
+    With `labeled`, each line's last cell must denote an integer as written.
+    """
     content = False
     for line in fh:
         if any(c in line for c in _SEPARATORS):
             raise ValueError("ASCII separator in line")
+        if labeled:
+            cell = line[line.rfind(",") + 1:]
+            if cell.strip() and not _integral_text(cell):
+                raise ValueError("label text is not an integer")
         content = content or line != "\n"
         yield line
     if not content:
@@ -123,45 +131,25 @@ def _c_lines(fh):
 
 def _read_c(path, header, labeled):
     """read_csv through one numpy.loadtxt parse, or None where it declines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        names = next(csv.reader([fh.readline()]), []) if header else None
-        if header and not any(c.strip() for c in names):
-            return None
-        data = np.loadtxt(
-            _c_lines(fh), delimiter=",", comments=None, ndmin=2, dtype=float
-        )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            names = next(csv.reader([fh.readline()]), []) if header else None
+            if header and not any(c.strip() for c in names):
+                return None
+            data = np.loadtxt(
+                _c_lines(fh, labeled), delimiter=",", comments=None, ndmin=2, dtype=float
+            )
+    except ValueError:  # declined by _c_lines, unparsable or not UTF-8
+        return None
     if (labeled and data.shape[1] < 2) or not np.isfinite(data).all():
         return None
     if not labeled:
         return names, data, None
     labels = data[:, -1]
-    if not np.all((labels == np.trunc(labels)) & (np.abs(labels) < _LABEL_BOUND)):
-        return None
-    if np.any(np.abs(labels) >= _TEXT_CHECK_BOUND) and not _large_labels_integral(path, header):
+    if not np.all(np.abs(labels) < _LABEL_BOUND):
         return None
     matrix = np.ascontiguousarray(data[:, :-1])
     return None if names is None else names[:-1], matrix, labels.astype(np.int64)
-
-
-def _large_labels_integral(path, header) -> bool:
-    """Whether every last cell of magnitude >= 2**52 is an integer as written.
-
-    A second pass over the text, made only for bodies holding such labels.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        if header:
-            fh.readline()
-        for line in fh:
-            cell = line.rpartition(",")[2]
-            if not cell.strip():
-                continue
-            try:
-                large = abs(float(cell)) >= _TEXT_CHECK_BOUND
-            except ValueError:
-                return False
-            if large and not _integral_text(cell):
-                return False
-    return True
 
 
 def _read_rows(path, header, labeled):
@@ -197,10 +185,7 @@ def _read_rows(path, header, labeled):
                         ) from exc
             if labeled:
                 label = values.pop()
-                if not label.is_integer() or (
-                    _TEXT_CHECK_BOUND <= abs(label) < _LABEL_BOUND
-                    and not _integral_text(cells[-1])
-                ):
+                if not label.is_integer() or not _integral_text(cells[-1]):
                     raise DataError(
                         f"{path}: row {r}, column {width}: label {cells[-1]!r} is not an integer"
                     )

@@ -17,6 +17,13 @@ the null space of B. `solve` factors the stacked [[I/sqrt(nu), 0], [H, b]]
 by one Householder QR and back-substitutes in the r x r triangle (r = L+2,
 L+1 or L-p+1), so cost is linear in the number of examples and the error
 depends on cond(H), where the normal equations H^T H + I/nu would square it.
+
+A level's windows share y and nu, so `solve_windows` solves them in stacks:
+each stack is one stacked QR and one stacked triangular solve through the
+same core as `solve`, which is its one-window case and gives the same bits.
+A stack holds about STACK_BYTES of QR input, so its arrays stay in cache
+and memory stays flat at any example count, and the constraint bases (the
+SVD of B, w0 and Z) are computed once per knot pattern, not per window.
 `kkt_oracle` solves the identical problems by one dense factorization of the
 full stationarity+feasibility system and exists to arbitrate `solve` in
 tests; the two routes share no linear algebra.
@@ -44,6 +51,10 @@ from .core import (
 # (relative) bound surface as NumericalError rather than a silent bad answer.
 FEASIBILITY_RTOL = 1e-8
 CONSTRAINT_ATOL = 1e-8
+# Budget of QR input per stack of window problems. A stack pays each numpy
+# call once; past about this size (its temporaries take about four times as
+# much) stacks only add memory and fall out of cache, and run slower.
+STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -112,37 +123,111 @@ def _signed(M: np.ndarray, y: np.ndarray) -> np.ndarray:
     return M * y[:, None]
 
 
-def _least_squares(F: np.ndarray, offset, y: np.ndarray, nu: float):
-    """Minimise (1/2)||z||^2 + (nu/2)||b - H z||^2 with H = Y [F, -e], b = e - y * offset.
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v slice by slice for stacks of matrices M and vectors v."""
+    return np.matmul(M, v[..., None])[..., 0]
 
-    One QR of the stacked [[I/sqrt(nu), 0], [H, b]] keeps only R, whose
-    leading r x r triangle and last column give z by back substitution.
-    The I/sqrt(nu) rows come first, so each Householder reflector pivots on
-    its column's 1/sqrt(nu) entry. Pivoting on a data row instead adds the
-    column's norm to that row's entry: where a column of H is far smaller
-    than 1/sqrt(nu), its data is lost to rounding and z comes back accurate
-    in norm only, not entry by entry. Returns z and the dual
-    u = nu (b - H z) after checking the stationarity identity z = H^T u,
-    entry by entry, against the size of the terms that cancel in it.
+
+def _check(positions, *checks) -> None:
+    """Raise NumericalError for the first window failing any (what, residual, bound) check.
+
+    Checks are per-window arrays; NaN fails. `positions` (1-based k per
+    window, or None for a lone problem) names the window in the message.
     """
-    l, n = F.shape
+    failed = np.array([~(residual <= bound) for _, residual, bound in checks])
+    if failed.any():
+        j = int(np.flatnonzero(failed.any(axis=0))[0])
+        what, residual, _ = checks[int(np.argmax(failed[:, j]))]
+        where = "" if positions is None else f"position k={positions[j]}: "
+        raise NumericalError(f"{where}{what} {residual[j]:.3e} exceeds tolerance")
+
+
+def _least_squares(F: np.ndarray, offset, y: np.ndarray, nu: float):
+    """Minimise (1/2)||z||^2 + (nu/2)||b - H z||^2 with H = Y [F, -e], b = e - y * offset,
+    for K problems at once that share y and nu: F is K x l x n, offset K x l or 0.
+
+    One stacked QR of K Fortran-ordered [[I/sqrt(nu), 0], [H, b]] slices
+    keeps only R, whose leading r x r triangle and last column give z by
+    back substitution. The I/sqrt(nu) rows come first, so each Householder
+    reflector pivots on its column's 1/sqrt(nu) entry. Pivoting on a data
+    row instead adds the column's norm to that row's entry: where a column
+    of H is far smaller than 1/sqrt(nu), its data is lost to rounding and z
+    comes back accurate in norm only, not entry by entry. Returns z (K x r),
+    the duals u = nu (b - H z) (K x l) and, per problem, the worst relative
+    violation of the stationarity identity z = H^T u, entry by entry,
+    against the size of the terms that cancel in it.
+    """
+    K, l, n = F.shape
     r = n + 1
-    M = np.zeros((r + l, r + 1), order="F")
-    H, b = M[r:, :r], M[r:, r]
-    np.multiply(F.T, y, out=H.T[:n])  # column by column: far faster into Fortran order
-    np.negative(y, out=H[:, n])
+    M = np.zeros((K, r + 1, r + l)).transpose(0, 2, 1)
+    H, b = M[:, r:, :r], M[:, r:, r]
+    # column by column: far faster into Fortran order
+    np.multiply(F.transpose(0, 2, 1), y, out=H.transpose(0, 2, 1)[:, :n])
+    np.negative(y, out=H[:, :, n])
     np.subtract(1.0, y * offset, out=b)
-    np.fill_diagonal(M[:r, :r], 1.0 / np.sqrt(nu))
+    M[:, np.arange(r), np.arange(r)] = 1.0 / np.sqrt(nu)
     R = np.linalg.qr(M, mode="r")
-    z = np.linalg.solve(R[:r, :r], R[:r, r])
-    u = nu * (b - H @ z)
+    z = np.linalg.solve(R[:, :r, :r], R[:, :r, r:])[..., 0]
+    u = nu * (b - _matvec(H, z))
     absH = np.abs(H)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves worst NaN
-        terms = np.abs(z) + nu * (absH.T @ (np.abs(b) + absH @ np.abs(z)))
-        worst = float(np.max(np.abs(z - H.T @ u) / np.maximum(1.0, terms)))
-    if not worst <= FEASIBILITY_RTOL:
-        raise NumericalError(f"stationarity residual {worst:.3e} exceeds tolerance")
-    return z, u
+        terms = np.abs(z) + nu * _matvec(
+            absH.transpose(0, 2, 1), np.abs(b) + _matvec(absH, np.abs(z))
+        )
+        excess = np.abs(z - _matvec(H.transpose(0, 2, 1), u)) / np.maximum(1.0, terms)
+    return z, u, np.max(excess, axis=1)
+
+
+def _solve_stack(A, y: np.ndarray, nu: float, variant: str, bases=None, positions=None):
+    """(w, gamma, u) of K window problems that share labels y and nu.
+
+    A is K x l x (L+1), each slice laid out as PredictProblem.A. `bases`,
+    for constrained problems, is (B, w0, Vt) stacked per window as
+    `constraint_patterns` builds them. Every check of `solve` runs per
+    window with its tolerance, and the first failing window raises.
+    """
+    a0, At = A[..., 0], A[..., 1:]
+    F, offset = (A, 0.0) if variant == REGULARISED else (At, a0)
+    if bases is not None:
+        B, w0, Vt = bases
+        Z = Vt[:, B.shape[1]:].transpose(0, 2, 1)  # B @ Z = 0 slice by slice
+        F, offset = At @ Z, a0 + _matvec(At, w0)
+    z, u, worst = _least_squares(F, offset, y, nu)
+    w, gamma = z[:, :-1], z[:, -1]
+    checks = [("stationarity residual", worst, FEASIBILITY_RTOL)]
+    if bases is not None:
+        w = w0 + _matvec(Z, w)
+        e1 = np.zeros(B.shape[1])
+        e1[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # failed checks may overflow
+            bw = np.max(np.abs(_matvec(B, w) - e1), axis=1)
+            margin = y * (a0 + _matvec(At, w) - gamma[:, None]) + u / nu - 1.0
+            err = np.linalg.norm(margin, axis=1)
+            scale = np.sqrt(A.shape[1]) + np.linalg.norm(a0, axis=1) + np.linalg.norm(u, axis=1)
+        checks += [
+            ("constraint residual", bw,
+             CONSTRAINT_ATOL * np.maximum(1.0, np.max(np.abs(B), axis=(1, 2)))),
+            ("constrained feasibility residual", err,
+             FEASIBILITY_RTOL * np.maximum(1.0, scale)),
+        ]
+    _check(positions, *checks)
+    return w, gamma, u
+
+
+def _null_space_split(B: np.ndarray):
+    """(U, s, Vt, w0) of the constraints B w = e1, from one SVD of B.
+
+    w0 = B^+ e1 is the minimum-norm solution and the rows of Vt past the
+    first p span the null space of B. Raises ConfigError when B is
+    numerically rank deficient.
+    """
+    p = B.shape[0]
+    e1 = np.zeros(p)
+    e1[0] = 1.0
+    U, s, Vt = np.linalg.svd(B, full_matrices=True)
+    if s[-1] <= s[0] * 1e-12:
+        raise ConfigError("constraint matrix B is numerically rank deficient")
+    return U, s, Vt, Vt[:p].T @ ((U.T @ e1) / s)
 
 
 def solve(problem: PredictProblem) -> PredictSolution:
@@ -157,43 +242,65 @@ def solve(problem: PredictProblem) -> PredictSolution:
     the cancellation in the stationarity identity w = At^T Y u - B^T v, whose
     two terms can dwarf w itself when nu is large and the constraint
     multipliers blow up; v is recovered afterwards by projecting that
-    identity onto the constraint rows.
+    identity onto the constraint rows. This is the one-window case of the
+    stacked solve that `solve_windows` runs over a level.
     """
     A, y, nu, B = problem.A, problem.labels, problem.nu, problem.B
-    a0, At = A[:, 0], A[:, 1:]
-    F, offset = (A, 0.0) if problem.variant == REGULARISED else (At, a0)
+    bases = None
     if B is not None:
-        l, p = A.shape[0], B.shape[0]
-        e1 = np.zeros(p)
-        e1[0] = 1.0
-        U, s, Vt = np.linalg.svd(B, full_matrices=True)
-        if s[-1] <= s[0] * 1e-12:
-            raise ConfigError("constraint matrix B is numerically rank deficient")
-        w0 = Vt[:p].T @ ((U.T @ e1) / s)
-        Z = Vt[p:].T  # L x (L - p), B @ Z = 0
-        F, offset = At @ Z, a0 + At @ w0
-
-    z, u = _least_squares(F, offset, y, nu)
-    w, gamma, v = z[:-1], float(z[-1]), None
-
+        U, s, Vt, w0 = _null_space_split(B)
+        bases = (B[None], w0[None], Vt[None])
+    w, gamma, u = _solve_stack(A[None], y, nu, problem.variant, bases)
+    w, gamma, u, v = w[0], float(gamma[0]), u[0], None
     if B is not None:
-        w = w0 + Z @ w
-        rhs = At.T @ (y * u) - w
-        v = U @ ((Vt[:p] @ rhs) / s)
-        bw = B @ w - e1
-        if float(np.max(np.abs(bw))) > CONSTRAINT_ATOL * max(1.0, float(np.max(np.abs(B)))):
-            raise NumericalError(
-                f"constraint residual {float(np.max(np.abs(bw))):.3e} exceeds tolerance"
-            )
-        err = float(np.linalg.norm(y * (a0 + At @ w - gamma) + u / nu - np.ones(l)))
-        scale = np.sqrt(l) + float(np.linalg.norm(a0)) + float(np.linalg.norm(u))
-        if not np.isfinite(err) or err > FEASIBILITY_RTOL * max(1.0, scale):
-            raise NumericalError(
-                f"constrained feasibility residual {err:.3e} exceeds tolerance"
-            )
+        rhs = A[:, 1:].T @ (y * u) - w
+        v = U @ ((Vt[: B.shape[0]] @ rhs) / s)
     return PredictSolution(
         w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u, v=v
     )
+
+
+def solve_windows(targets, coarse, windows, labels, nu: float, variant: str, degree: int = 0):
+    """Predictors of one level's windows, solved in stacks: (weights, gamma).
+
+    Window j, at position k = windows[j].k and over the coarse columns
+    c = windows[j].as_zero_based(), has the problem PredictProblem(
+    A=np.column_stack([targets[:, k-1], -coarse[:, c]]), labels, nu, variant,
+    B), with B = vandermonde_constraints(windows[j], degree) when degree > 0,
+    and row j of the result is `solve` of that problem bit for bit. The
+    problems share labels and nu, so they run through `_solve_stack` a stack
+    at a time, each stack gathered straight from `coarse` and holding about
+    STACK_BYTES of QR input; constraint bases come once per knot pattern.
+    `labels` must be a valid +/-1 vector, which is not checked again.
+    Errors name the failing window: "position k=K: ...".
+    """
+    ks = np.array([window.k for window in windows])
+    cols = np.array([window.indices for window in windows]) - 1
+    bad = ~np.isfinite(targets).all(axis=0)[ks - 1]
+    bad |= ~np.isfinite(coarse).all(axis=0)[cols].any(axis=1)
+    if bad.any():
+        raise DataError(f"position k={ks[np.argmax(bad)]}: A contains non-finite values")
+    patterns = constraint_patterns(windows, degree) if degree else None
+    J, L = cols.shape
+    l = len(labels)
+    size = max(1, STACK_BYTES // (8 * (l + L + 2) * (L + 3)))  # QR input is at most this
+    weights = np.empty((J, L + 1 if variant == REGULARISED else L))
+    gamma = np.empty(J)
+    for start in range(0, J, size):
+        rows = slice(start, start + size)
+        # K x (L+1) x l, so each window's l x (L+1) slice is Fortran-ordered
+        # like column_stack's: the products below then round the same way.
+        A = np.empty((len(ks[rows]), L + 1, l))
+        A[:, 0] = targets.T[ks[rows] - 1]
+        np.negative(coarse.T[cols[rows]], out=A[:, 1:])
+        bases = None
+        if patterns is not None:
+            which, B, w0, Vt = patterns
+            bases = (B[which[rows]], w0[which[rows]], Vt[which[rows]])
+        weights[rows], gamma[rows], _ = _solve_stack(
+            A.transpose(0, 2, 1), labels, nu, variant, bases, ks[rows]
+        )
+    return weights, gamma
 
 
 def kkt_oracle(problem: PredictProblem) -> PredictSolution:
@@ -284,6 +391,33 @@ def vandermonde_constraints(window: IndexWindow, degree: int) -> np.ndarray:
         raise ConfigError(f"degree must lie in 1..{L}, got {degree}")
     t = window_knots(window)
     return np.vstack([t ** r for r in range(p)])
+
+
+def constraint_patterns(windows, degree: int):
+    """Constraint rows of `windows` and their null-space splits, once per knot pattern.
+
+    A window's rows depend only on its indices relative to k (its knots, see
+    `window_knots`), so a level's windows share at most L+1 patterns.
+    Returns (which, B, w0, Vt): window j's rows are B[which[j]], and
+    w0[which[j]] and Vt[which[j]] are their `_null_space_split`.
+    """
+    index, firsts, which = {}, [], []
+    for window in windows:
+        key = tuple(i - window.k for i in window.indices)
+        if key not in index:
+            index[key] = len(firsts)
+            firsts.append(window)
+        which.append(index[key])
+    B, splits = [], []
+    for window in firsts:
+        B.append(vandermonde_constraints(window, degree))
+        try:
+            splits.append(_null_space_split(B[-1]))
+        except ConfigError as exc:
+            raise ConfigError(f"position k={window.k}: {exc}") from exc
+    w0 = np.array([split[3] for split in splits])
+    Vt = np.array([split[2] for split in splits])
+    return np.array(which), np.array(B), w0, Vt
 
 
 def objective_value(problem: PredictProblem, solution: PredictSolution) -> float:

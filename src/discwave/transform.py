@@ -6,7 +6,7 @@ merged coarsest-first as (c_M | d_M | ... | d_1). Fitting trains one window
 predictor per even position per level, and a fitted level is two arrays over
 its positions k: a weight matrix and an offset vector. The window of coarse
 samples behind each weight row follows from `index_window`; it is derived
-once per transform and not stored with the weights. Applying uses the frozen
+once per level shape and not stored with the weights. Applying uses the frozen
 weights only, so train-set coefficients from fit and apply are bit-identical.
 For the nonregularised variant the map is invertible and `reconstruct` undoes
 it exactly; `base_vectors` materialises the analysis/synthesis vector pairs.
@@ -18,7 +18,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -59,6 +59,12 @@ def _level(weights, gamma) -> np.recarray:
     return np.rec.fromarrays([W, np.asarray(gamma, dtype=float)], dtype=dtype)
 
 
+@lru_cache(maxsize=64)
+def _level_windows(half: int, window: int) -> tuple:
+    """The IndexWindows of positions 1..half: fixed by the rule, so built once."""
+    return tuple(index_window(k, half, window) for k in range(1, half + 1))
+
+
 @dataclass(frozen=True)
 class FittedTransform:
     config: TransformConfig
@@ -83,11 +89,12 @@ class FittedTransform:
     @cached_property
     def windows(self) -> tuple:
         """windows[m-1][k-1]: the IndexWindow behind row k-1 of level m."""
-        L = self.config.window
-        return tuple(
-            tuple(index_window(k, len(level), L) for k in range(1, len(level) + 1))
-            for level in self.levels
-        )
+        return tuple(_level_windows(len(level), self.config.window) for level in self.levels)
+
+    @cached_property
+    def columns(self) -> tuple:
+        """columns[m-1][k-1]: the 0-based coarse columns of windows[m-1][k-1]."""
+        return tuple(np.array([w.indices for w in ws]) - 1 for ws in self.windows)
 
     @property
     def effective_levels(self) -> int:
@@ -158,7 +165,7 @@ class BaseVectors:
     synthesis_supports: tuple
 
 
-def _predict_level(C, level, windows, variant):
+def _predict_level(C, level, columns, variant):
     """Target weights t and predictions P of one level from its coarse signal C.
 
     The detail of even column j is t[j] * even[:, j] - P[:, j]: regularised
@@ -169,10 +176,10 @@ def _predict_level(C, level, windows, variant):
     if variant == REGULARISED:
         t, W = W[:, 0], W[:, 1:]
     else:
-        t = np.ones(len(windows))
-    P = np.empty((C.shape[0], len(windows)))
-    for j, window in enumerate(windows):
-        P[:, j] = C[:, window.as_zero_based()] @ W[j]
+        t = np.ones(len(columns))
+    P = np.empty((C.shape[0], len(columns)))
+    for j, cols in enumerate(columns):
+        P[:, j] = C[:, cols] @ W[j]
     return t, P
 
 
@@ -180,7 +187,8 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
     """Train all window predictors; returns (FittedTransform, CoefficientTable).
 
     Levels run in order, each consuming the previous coarse signal, and the
-    positions of a level are solved one after another. Stops early with a
+    positions of a level are solved in stacks by `solver.solve_windows`; the
+    labels were checked once, when the dataset was built. Stops early with a
     warning once the window no longer fits the coarse signal, recording the
     effective number of levels. `progress`, if given, is called as
     progress(level, n_positions, seconds) after each level. Raises
@@ -207,22 +215,13 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
         t0 = time.perf_counter()
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
-
-        weights, gamma = [], []
-        for k in range(1, half + 1):
-            window = index_window(k, half, config.window)
-            try:
-                B = None
-                if config.constraint_degree > 0:
-                    B = solver.vandermonde_constraints(window, config.constraint_degree)
-                sol = solver.solve(solver.PredictProblem(
-                    A=np.column_stack([A_e[:, k - 1], -C[:, window.as_zero_based()]]),
-                    labels=y, nu=config.nu, variant=config.variant, B=B,
-                ))
-            except (ConfigError, DataError, NumericalError) as exc:
-                raise type(exc)(f"level {m}, position k={k}: {exc}") from exc
-            weights.append(sol.w)
-            gamma.append(sol.gamma)
+        windows = _level_windows(half, config.window)
+        try:
+            weights, gamma = solver.solve_windows(
+                A_e, C, windows, y, config.nu, config.variant, config.constraint_degree
+            )
+        except (ConfigError, DataError, NumericalError) as exc:
+            raise type(exc)(f"level {m}, {exc}") from exc
         levels.append(_level(weights, gamma))
         A = C
         if progress is not None:
@@ -259,10 +258,10 @@ def apply(
         )
     variant = transform.config.variant
     details = []
-    for level, windows in zip(transform.levels, transform.windows):
+    for level, columns in zip(transform.levels, transform.columns):
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
-        t, P = _predict_level(C, level, windows, variant)
+        t, P = _predict_level(C, level, columns, variant)
         details.append(t * A_e - P)
         A = C
     merged = np.hstack([A] + details[::-1])
@@ -320,7 +319,7 @@ def reconstruct(
                     f"level {m}, position k={j + 1}: target weight "
                     f"{level.weights[j, 0]:.3e} is too small to invert (|w| = {norm[j]:.3e})"
                 )
-        t, P = _predict_level(C, level, transform.windows[m - 1], variant)
+        t, P = _predict_level(C, level, transform.columns[m - 1], variant)
         A_e = (details[m - 1] + P) / t
         A_o = 2.0 * C - A_e
         C = interleave(A_o, A_e)
@@ -358,9 +357,9 @@ def constraint_residual(transform: FittedTransform) -> Optional[float]:
     e1[0] = 1.0
     worst = 0.0
     for level, windows in zip(transform.levels, transform.windows):
-        for w, window in zip(level.weights, windows):
-            B = solver.vandermonde_constraints(window, p)
-            worst = max(worst, float(np.max(np.abs(B @ w - e1))))
+        which, B, _, _ = solver.constraint_patterns(windows, p)
+        Bw = np.matmul(B[which], level.weights[:, :, None])[..., 0]
+        worst = max(worst, float(np.max(np.abs(Bw - e1))))
     return worst
 
 

@@ -277,6 +277,8 @@ def test_eval_multiclass(tmp_path, capsys):
     assert summary["classes"] == [1, 2, 3]
     assert "raw_psvm_error" in summary
     assert "3" in summary["one_against_one"]
+    # One-against-one runs no permutation test, whatever --permutations says.
+    assert manifest_sans_clock(out / "manifest.json")["config"]["permutations"] == 0
 
 
 def test_basis_artifacts(tmp_path, capsys):
@@ -351,6 +353,23 @@ def test_eval_rejects_negative_permutations_before_reading(tmp_path, capsys):
     )
     assert code == 2
     assert "--permutations must be >= 0, got -5" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_eval_rejects_too_few_permutations_before_reading(tmp_path, capsys, classes):
+    # A real training CSV of two or three classes, and no model: a read
+    # would be a data error (exit 3), so exit 2 shows the count came first.
+    train = tmp_path / "train.csv"
+    ds = generate_waveform(WaveformSpec(per_class_count=8, seed=3))
+    save_csv(ds if classes == 3 else ds.restrict_pair(1, 2), train)
+    code, _, err = run(
+        ["eval", "--model", str(tmp_path / "missing.json"), "--train", str(train),
+         "--permutations", "50", "--seed", "1", "--out-dir", str(tmp_path / "r")],
+        capsys,
+    )
+    assert code == 2
+    assert "--permutations must be 0 or >= 100, got 50" in err
     assert not (tmp_path / "r").exists()
 
 

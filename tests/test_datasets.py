@@ -228,6 +228,20 @@ def test_csv_fractional_label_above_2_52_is_a_data_error(tmp_path):
     assert io._read_c(path, True, True) is None
 
 
+@pytest.mark.parametrize("label", ["1.0000000000000001", "-2251799813685248.25"])
+def test_csv_fractional_label_below_float_resolution_is_a_data_error(tmp_path, label):
+    # The nearest float to either label is an integer at any magnitude, so
+    # every label cell is checked as text, on both read paths.
+    path = tmp_path / "fraclabel.csv"
+    path.write_text(f"s1,s2,label\n1.0,2.0,2\n3.0,4.0,{label}\n")
+    message = re.escape(f"row 3, column 3: label '{label}' is not an integer")
+    with pytest.raises(DataError, match=message):
+        load_csv(path)
+    with pytest.raises(DataError, match=message):
+        io._read_rows(path, True, True)
+    assert io._read_c(path, True, True) is None
+
+
 def test_csv_labels_read_exactly_or_not_at_all(tmp_path):
     # 2**53 + 1 parses to the float 2**53, so no float reader can return it.
     path = tmp_path / "labels.csv"

@@ -197,7 +197,8 @@ def test_constrained_p1_weights_sum_to_one():
 def test_smw_factors_only_small_systems(monkeypatch):
     # structural cost check: no l x l system is ever formed. Every
     # np.linalg.solve is on an r x r triangle (r <= L+2) and every QR input
-    # is l-plus-r tall but at most L+3 columns wide.
+    # is l-plus-r tall but at most L+3 columns wide. Calls are stacked, so
+    # the bounds apply to the trailing two axes of each shape.
     solve_shapes, qr_shapes = [], []
     real_solve, real_qr = np.linalg.solve, np.linalg.qr
 
@@ -216,8 +217,8 @@ def test_smw_factors_only_small_systems(monkeypatch):
     for variant, p in (("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)):
         solve(random_problem(rng, 500, L, 1.0, variant, p=p))
     assert len(qr_shapes) == 3 and solve_shapes, (qr_shapes, solve_shapes)
-    assert all(s[0] <= L + 2 and s[1] <= L + 2 for s in solve_shapes), solve_shapes
-    assert all(s[1] <= L + 3 for s in qr_shapes), qr_shapes
+    assert all(s[-2] <= L + 2 and s[-1] <= L + 2 for s in solve_shapes), solve_shapes
+    assert all(s[-1] <= L + 3 for s in qr_shapes), qr_shapes
 
 
 def test_wrong_solution_fails_stationarity_check(monkeypatch):

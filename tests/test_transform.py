@@ -22,7 +22,7 @@ from discwave.core import (
     interleave,
     split,
 )
-from discwave import transform as tf
+from discwave import solver, transform as tf
 from discwave.datasets import WaveformSpec, generate_waveform
 
 
@@ -515,3 +515,93 @@ def test_fitted_levels_are_arrays_that_round_trip(
     x = scale * rng.normal(size=(8, 32))
     back = tf.reconstruct(t, tf.apply(t, x))
     assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
+
+
+def stack_budget(l, window, size):
+    """STACK_BYTES at which a level of l examples and this window stacks `size` windows."""
+    return 8 * (l + window + 2) * (window + 3) * size
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    variant=st.sampled_from(["nonregularised", "regularised"]),
+    degree_share=st.sampled_from([0.0, 0.5, 1.0]),
+    window=st.sampled_from([2, 4, 8]),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    nu=st.sampled_from([1e-2, 1.0, 1e2]),
+    n=st.integers(12, 60),
+    size=st.sampled_from([3, 5, 6]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_level_stacks_match_solve_bit_for_bit(
+    variant, degree_share, window, scale, nu, n, size, seed
+):
+    # Every window's (w, gamma) from the stacked level solve must be the
+    # one-window solve's, bit for bit, and agree with the dense KKT oracle.
+    # The budget is set so that each level runs several stacks of `size`
+    # windows and its last stack is partial (32, 16 and 8 positions).
+    degree = 0 if variant == "regularised" else int(degree_share * window // 2)
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n, 64)
+    ds = SignalDataset(signals=scale * ds.signals, labels=ds.labels)
+    cfg = TransformConfig(
+        levels=3, window=window, nu=nu, variant=variant, constraint_degree=degree
+    )
+    stacks = []
+    real_qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        stacks.append(a.shape[0])
+        return real_qr(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "STACK_BYTES", stack_budget(n, window, size))
+        mp.setattr(np.linalg, "qr", recording_qr)
+        t, _ = tf.fit(ds, cfg)
+    assert max(stacks) == size and len(stacks) > 3 and min(stacks) < size, stacks
+    y, A = ds.labels, ds.signals
+    for m, (level, windows) in enumerate(zip(t.levels, t.windows), start=1):
+        A_o, A_e = split(A)
+        C = 0.5 * (A_o + A_e)
+        for window_k, w, gamma in zip(windows, level.weights, level.gamma):
+            k = window_k.k
+            problem = solver.PredictProblem(
+                A=np.column_stack([A_e[:, k - 1], -C[:, window_k.as_zero_based()]]),
+                labels=y, nu=nu, variant=variant,
+                B=solver.vandermonde_constraints(window_k, degree) if degree else None,
+            )
+            one = solver.solve(problem)
+            assert one.w.tobytes() == w.tobytes() and one.gamma == gamma, (m, k)
+            ref = solver.kkt_oracle(problem)
+            size_ref = max(1.0, float(np.max(np.abs(ref.w))), abs(ref.gamma))
+            diff = max(float(np.max(np.abs(w - ref.w))), abs(gamma - ref.gamma))
+            assert diff <= 1e-8 * size_ref, (m, k, diff / size_ref)
+        A = C
+
+
+@pytest.mark.parametrize(
+    "variant, degree", [("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)]
+)
+def test_stacked_stationarity_failure_names_its_window(monkeypatch, variant, degree):
+    # Stacks of 3: z is knocked off by 1e-6 in the 2nd and 3rd windows of
+    # the second stack, so the error must name the first of them, k = 5.
+    rng = np.random.default_rng(31)
+    ds = random_dataset(rng, 30, 32)
+    cfg = TransformConfig(
+        levels=1, window=4, nu=1.0, variant=variant, constraint_degree=degree
+    )
+    monkeypatch.setattr(solver, "STACK_BYTES", stack_budget(30, 4, 3))
+    real_solve = np.linalg.solve
+    calls = []
+
+    def perturbed(a, b):
+        x = real_solve(a, b)
+        calls.append(a.shape[0])
+        if len(calls) == 2:
+            x[1:3] += 1e-6
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(NumericalError, match=r"^level 1, position k=5: stationarity residual"):
+        tf.fit(ds, cfg)
+    assert calls == [3, 3]
