@@ -263,25 +263,26 @@ def interleave(odd: np.ndarray, even: np.ndarray) -> np.ndarray:
     return out
 
 
-def index_window(k: int, half_length: int, window: int) -> IndexWindow:
-    """The three-case window rule around even-sample position k (1-based).
+def window_columns(half_length: int, window: int) -> np.ndarray:
+    """The window rule of a level: row k-1 holds the 0-based coarse columns
+    behind even position k, for k = 1..half_length.
 
-    First matching rule wins:
-      1 <= k < L/2                     -> {1, ..., L}
-      L/2 <= k < half_length - L/2     -> {k - L/2 + 1, ..., k + L/2}
-      otherwise                        -> {half_length - L + 1, ..., half_length}
+    Each window is L contiguous columns starting at lo = clip(k - L/2, 0,
+    half_length - L): centred on k where it fits, pushed against the first
+    or last column where it would cross an end.
     """
-    k = int(k)
     half = int(half_length)
     L = int(window)
     if L > half:
         raise ConfigError(f"window {L} does not fit in coarse length {half}")
-    if not 1 <= k <= half:
-        raise ConfigError(f"k must lie in 1..{half}, got {k}")
-    if k < L // 2:
-        lo = 1
-    elif k < half - L // 2:
-        lo = k - L // 2 + 1
-    else:
-        lo = half - L + 1
-    return IndexWindow(k=k, indices=tuple(range(lo, lo + L)))
+    lo = np.clip(np.arange(1, half + 1) - L // 2, 0, half - L)
+    return lo[:, None] + np.arange(L)
+
+
+def index_window(k: int, half_length: int, window: int) -> IndexWindow:
+    """The window of even-sample position k (1-based): row k-1 of `window_columns`."""
+    columns = window_columns(half_length, window)
+    k = int(k)
+    if not 1 <= k <= len(columns):
+        raise ConfigError(f"k must lie in 1..{len(columns)}, got {k}")
+    return IndexWindow(k=k, indices=tuple((columns[k - 1] + 1).tolist()))

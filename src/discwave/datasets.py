@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DataError, SignalDataset, is_power_of_two, make_rng
-from .io import read_csv, write_csv
+from .io import read_csv, write_table
 
 WAVEFORM_LENGTH = 32
 SHAPE_LENGTH = 128
@@ -129,16 +129,8 @@ def save_csv(dataset: SignalDataset, path, header: bool = True) -> None:
     Sample values are written with shortest round-trip precision, so
     load_csv(save_csv(d)) reproduces the values bit-for-bit.
     """
-    ids = dataset.class_ids
-    if ids is None and dataset.labels is not None:
-        ids = dataset.labels.astype(int)
-    label = [] if ids is None else ["label"]
-    names = [f"s{j}" for j in range(1, dataset.signal_length + 1)] + label
-    rows = (
-        dataset.signals[i].tolist() + ([] if ids is None else [int(ids[i])])
-        for i in range(dataset.n_examples)
-    )
-    write_csv(path, names if header else None, rows)
+    names = [f"s{j}" for j in range(1, dataset.signal_length + 1)] if header else None
+    write_table(path, names, dataset.signals, dataset.class_ids, dataset.labels)
 
 
 def load_csv(path, header: bool = True, labeled: bool = True) -> SignalDataset:

@@ -172,10 +172,12 @@ def make_local_classifiers(
     y = coefficients.labels
     l = y.size
     y_plus = (y > 0)[None, :]
-    analysis = tf.apply(fitted, np.eye(fitted.signal_length)).merged.T
+    basis = tf.apply(fitted, np.eye(fitted.signal_length))
     out = []
     for level in range(1, fitted.effective_levels + 1):
         D = coefficients.detail(level)
+        # Column k-1 of the level's block of apply(eye) is position k's analysis vector.
+        supports = tf.supports(basis.detail(level).T)
         for k in range(1, D.shape[1] + 1):
             values = D[:, k - 1]
             rec = fitted.levels[level - 1][k - 1]
@@ -185,10 +187,6 @@ def make_local_classifiers(
                 s, correct = (1, plus) if plus >= l - plus else (-1, l - plus)
             else:
                 b, s, correct = fit_threshold(values, y)
-            row = analysis[fitted.column_index(level, k)]
-            support = tuple(
-                (np.flatnonzero(np.abs(row) > tf.SUPPORT_ATOL) + 1).tolist()
-            )
             out.append(
                 LocalClassifier(
                     level=level,
@@ -198,16 +196,14 @@ def make_local_classifiers(
                     s=int(s),
                     mode=mode,
                     train_accuracy=correct / l,
-                    support=support,
+                    support=supports[k - 1],
                 )
             )
     return out
 
 
-def rank_classifiers(classifiers, criterion: str = "train_accuracy"):
-    """Stable descending sort; ties broken by (level asc, position asc)."""
-    if criterion != "train_accuracy":
-        raise ConfigError(f"unknown ranking criterion {criterion!r}")
+def rank_classifiers(classifiers):
+    """Stable descending sort by training accuracy; ties broken by (level asc, position asc)."""
     return sorted(classifiers, key=lambda c: (-c.train_accuracy, c.level, c.k))
 
 

@@ -50,6 +50,23 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(_cell, row)) + "\n")
 
 
+def write_table(path, names, matrix, class_ids=None, labels=None) -> None:
+    """Write `matrix` one row per line under `names` (None: no header line).
+
+    Rows gain a trailing integer column named "label": the class ids, else
+    the +/-1 labels, else none.
+    """
+    ids = class_ids
+    if ids is None and labels is not None:
+        ids = labels.astype(int)
+    if ids is None:
+        rows = (row.tolist() for row in matrix)
+    else:
+        rows = (row.tolist() + [int(i)] for row, i in zip(matrix, ids))
+        names = None if names is None else names + ["label"]
+    write_csv(path, names, rows)
+
+
 def _plain(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()

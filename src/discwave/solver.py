@@ -260,28 +260,28 @@ def solve(problem: PredictProblem) -> PredictSolution:
     )
 
 
-def solve_windows(targets, coarse, windows, labels, nu: float, variant: str, degree: int = 0):
+def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, degree: int = 0):
     """Predictors of one level's windows, solved in stacks: (weights, gamma).
 
-    Window j, at position k = windows[j].k and over the coarse columns
-    c = windows[j].as_zero_based(), has the problem PredictProblem(
+    `columns` is the level's J x L window matrix (`core.window_columns`):
+    row j is the window of position k = j + 1 over the 0-based coarse
+    columns c = columns[j], whose problem is PredictProblem(
     A=np.column_stack([targets[:, k-1], -coarse[:, c]]), labels, nu, variant,
-    B), with B = vandermonde_constraints(windows[j], degree) when degree > 0,
-    and row j of the result is `solve` of that problem bit for bit. The
-    problems share labels and nu, so they run through `_solve_stack` a stack
-    at a time, each stack gathered straight from `coarse` and holding about
-    STACK_BYTES of QR input; constraint bases come once per knot pattern.
-    `labels` must be a valid +/-1 vector, which is not checked again.
-    Errors name the failing window: "position k=K: ...".
+    B), with B = vandermonde_constraints(window, degree) of that window when
+    degree > 0, and row j of the result is `solve` of that problem bit for
+    bit. The problems share labels and nu, so they run through `_solve_stack`
+    a stack at a time, each stack gathered straight from `coarse` and holding
+    about STACK_BYTES of QR input; constraint bases come once per knot
+    pattern. `labels` must be a valid +/-1 vector, which is not checked
+    again. Errors name the failing window: "position k=K: ...".
     """
-    ks = np.array([window.k for window in windows])
-    cols = np.array([window.indices for window in windows]) - 1
-    bad = ~np.isfinite(targets).all(axis=0)[ks - 1]
-    bad |= ~np.isfinite(coarse).all(axis=0)[cols].any(axis=1)
+    J, L = columns.shape
+    ks = np.arange(1, J + 1)
+    bad = ~np.isfinite(targets).all(axis=0)[:J]
+    bad |= ~np.isfinite(coarse).all(axis=0)[columns].any(axis=1)
     if bad.any():
-        raise DataError(f"position k={ks[np.argmax(bad)]}: A contains non-finite values")
-    patterns = constraint_patterns(windows, degree) if degree else None
-    J, L = cols.shape
+        raise DataError(f"position k={np.argmax(bad) + 1}: A contains non-finite values")
+    patterns = constraint_patterns(columns, degree) if degree else None
     l = len(labels)
     size = max(1, STACK_BYTES // (8 * (l + L + 2) * (L + 3)))  # QR input is at most this
     weights = np.empty((J, L + 1 if variant == REGULARISED else L))
@@ -291,8 +291,8 @@ def solve_windows(targets, coarse, windows, labels, nu: float, variant: str, deg
         # K x (L+1) x l, so each window's l x (L+1) slice is Fortran-ordered
         # like column_stack's: the products below then round the same way.
         A = np.empty((len(ks[rows]), L + 1, l))
-        A[:, 0] = targets.T[ks[rows] - 1]
-        np.negative(coarse.T[cols[rows]], out=A[:, 1:])
+        A[:, 0] = targets.T[rows]
+        np.negative(coarse.T[columns[rows]], out=A[:, 1:])
         bases = None
         if patterns is not None:
             which, B, w0, Vt = patterns
@@ -393,20 +393,22 @@ def vandermonde_constraints(window: IndexWindow, degree: int) -> np.ndarray:
     return np.vstack([t ** r for r in range(p)])
 
 
-def constraint_patterns(windows, degree: int):
-    """Constraint rows of `windows` and their null-space splits, once per knot pattern.
+def constraint_patterns(columns, degree: int):
+    """Constraint rows of a level's windows and their null-space splits, once per knot pattern.
 
-    A window's rows depend only on its indices relative to k (its knots, see
+    `columns` is the level's window matrix (`core.window_columns`): row j
+    holds the 0-based coarse columns of position k = j + 1. A window's rows
+    depend only on its columns relative to k (its knots, see
     `window_knots`), so a level's windows share at most L+1 patterns.
     Returns (which, B, w0, Vt): window j's rows are B[which[j]], and
     w0[which[j]] and Vt[which[j]] are their `_null_space_split`.
     """
     index, firsts, which = {}, [], []
-    for window in windows:
-        key = tuple(i - window.k for i in window.indices)
+    relative = columns - np.arange(len(columns))[:, None]
+    for j, key in enumerate(map(tuple, relative.tolist())):
         if key not in index:
             index[key] = len(firsts)
-            firsts.append(window)
+            firsts.append(IndexWindow(k=j + 1, indices=columns[j] + 1))
         which.append(index[key])
     B, splits = [], []
     for window in firsts:

@@ -1,13 +1,16 @@
 """Multi-level split/update/predict pipeline over trained window predictors.
 
-A fitted transform is a linear map from length-N signals to N coefficients:
-the final coarse approximation followed by the per-level detail columns,
-merged coarsest-first as (c_M | d_M | ... | d_1). Fitting trains one window
-predictor per even position per level, and a fitted level is two arrays over
-its positions k: a weight matrix and an offset vector. The window of coarse
-samples behind each weight row follows from `index_window`; it is derived
-once per level shape and not stored with the weights. Applying uses the frozen
-weights only, so train-set coefficients from fit and apply are bit-identical.
+A fitted transform is a linear map from length-N signals to N coefficients,
+which a CoefficientTable holds as one matrix merged coarsest-first as
+(c_M | d_M | ... | d_1): the final coarse approximation in columns
+0..N/2^M - 1 and level m's details in columns N/2^m..N/2^(m-1) - 1, so every
+block's place is arithmetic in (N, M). Fitting
+trains one window predictor per even position per level, and a fitted level
+is two arrays over its positions k: a weight matrix and an offset vector. The
+window of coarse samples behind each weight row is row k-1 of
+`window_columns`; it is derived once per transform and not stored with the
+weights. Applying uses the frozen weights only, so train-set coefficients
+from fit and apply are bit-identical.
 For the nonregularised variant the map is invertible and `reconstruct` undoes
 it exactly; `base_vectors` materialises the analysis/synthesis vector pairs.
 """
@@ -18,7 +21,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -31,12 +34,12 @@ from .core import (
     NumericalError,
     SignalDataset,
     TransformConfig,
-    index_window,
     interleave,
     split,
+    window_columns,
 )
 from . import solver
-from .io import read_csv, write_csv, write_json
+from .io import read_csv, write_json, write_table
 
 SUPPORT_ATOL = 1e-10
 INVERTIBILITY_RTOL = 1e-12  # least |w0| / ||w|| of an invertible regularised predictor
@@ -59,10 +62,18 @@ def _level(weights, gamma) -> np.recarray:
     return np.rec.fromarrays([W, np.asarray(gamma, dtype=float)], dtype=dtype)
 
 
-@lru_cache(maxsize=64)
-def _level_windows(half: int, window: int) -> tuple:
-    """The IndexWindows of positions 1..half: fixed by the rule, so built once."""
-    return tuple(index_window(k, half, window) for k in range(1, half + 1))
+def _layout(N: int, M: int) -> list:
+    """(name, kind, level, position) of each merged column of an M-level,
+    N-sample transform, positions 1-based: c_M, then d_M down to d_1."""
+    out = [(f"c{M}_{j}", "coarse", M, j) for j in range(1, (N >> M) + 1)]
+    for m in range(M, 0, -1):
+        out += [(f"d{m}_{j}", "detail", m, j) for j in range(1, (N >> m) + 1)]
+    return out
+
+
+def supports(vectors) -> tuple:
+    """Per row of `vectors`: the 1-based indices of its entries larger than SUPPORT_ATOL."""
+    return tuple(tuple((np.flatnonzero(np.abs(v) > SUPPORT_ATOL) + 1).tolist()) for v in vectors)
 
 
 @dataclass(frozen=True)
@@ -84,17 +95,12 @@ class FittedTransform:
                 )
         object.__setattr__(self, "signal_length", N)
         object.__setattr__(self, "levels", tuple(self.levels))
-        self.windows  # a window wider than its level raises ConfigError here
-
-    @cached_property
-    def windows(self) -> tuple:
-        """windows[m-1][k-1]: the IndexWindow behind row k-1 of level m."""
-        return tuple(_level_windows(len(level), self.config.window) for level in self.levels)
+        self.columns  # a window wider than its level raises ConfigError here
 
     @cached_property
     def columns(self) -> tuple:
-        """columns[m-1][k-1]: the 0-based coarse columns of windows[m-1][k-1]."""
-        return tuple(np.array([w.indices for w in ws]) - 1 for ws in self.windows)
+        """columns[m-1][k-1]: the 0-based coarse columns behind position k of level m."""
+        return tuple(window_columns(len(level), self.config.window) for level in self.levels)
 
     @property
     def effective_levels(self) -> int:
@@ -102,57 +108,58 @@ class FittedTransform:
 
     def column_layout(self):
         """Merged-column metadata: list of (name, kind, level, position), 1-based."""
-        M = self.effective_levels
-        out = []
-        for j in range(1, self.signal_length // (2 ** M) + 1):
-            out.append((f"c{M}_{j}", "coarse", M, j))
-        for m in range(M, 0, -1):
-            for j in range(1, self.signal_length // (2 ** m) + 1):
-                out.append((f"d{m}_{j}", "detail", m, j))
-        return out
+        return _layout(self.signal_length, self.effective_levels)
 
     def column_index(self, level: int, k: int) -> int:
-        """0-based merged column of detail coefficient (level, k)."""
+        """0-based merged column of detail coefficient (level, k): N/2^level + k - 1."""
         M = self.effective_levels
         if not 1 <= level <= M:
             raise ConfigError(f"level must lie in 1..{M}, got {level}")
-        if not 1 <= k <= self.signal_length // (2 ** level):
+        if not 1 <= k <= self.signal_length >> level:
             raise ConfigError(f"position {k} out of range at level {level}")
-        off = self.signal_length // (2 ** M)
-        for m in range(M, level, -1):
-            off += self.signal_length // (2 ** m)
-        return off + k - 1
+        return (self.signal_length >> level) + k - 1
 
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Per-example coefficients: final coarse block plus all detail blocks."""
+    """Per-example coefficients of an `n_levels`-level transform: one l x N
+    matrix laid out as the transform's merged columns. `coarse`, `detail(m)`
+    and `details` are views into it."""
 
-    coarse: np.ndarray
-    details: tuple  # details[m-1] = l x N/2^m matrix for level m
     merged: np.ndarray
+    n_levels: int
     labels: Optional[np.ndarray] = None
     class_ids: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.merged.ndim != 2 or self.merged.shape[1] % (1 << self.n_levels):
+            raise ConfigError(
+                f"a {self.n_levels}-level table needs a 2-D matrix whose width is a "
+                f"multiple of {1 << self.n_levels}, got shape {self.merged.shape}"
+            )
 
     @property
     def n_examples(self) -> int:
         return self.merged.shape[0]
 
     @property
-    def n_levels(self) -> int:
-        return len(self.details)
+    def coarse(self) -> np.ndarray:
+        return self.merged[:, : self.merged.shape[1] >> self.n_levels]
 
     def detail(self, level: int) -> np.ndarray:
-        if not 1 <= level <= len(self.details):
-            raise ConfigError(f"level must lie in 1..{len(self.details)}, got {level}")
-        return self.details[level - 1]
+        """Level `level`'s l x N/2^level details: merged columns N/2^level..N/2^(level-1) - 1."""
+        if not 1 <= level <= self.n_levels:
+            raise ConfigError(f"level must lie in 1..{self.n_levels}, got {level}")
+        N = self.merged.shape[1]
+        return self.merged[:, N >> level : N >> (level - 1)]
+
+    @property
+    def details(self) -> tuple:
+        """details[m-1] = detail(m)."""
+        return tuple(self.detail(m) for m in range(1, self.n_levels + 1))
 
     def column_names(self):
-        M = len(self.details)
-        names = [f"c{M}_{j}" for j in range(1, self.coarse.shape[1] + 1)]
-        for m in range(M, 0, -1):
-            names += [f"d{m}_{j}" for j in range(1, self.details[m - 1].shape[1] + 1)]
-        return names
+        return [name for name, _, _, _ in _layout(self.merged.shape[1], self.n_levels)]
 
 
 @dataclass(frozen=True)
@@ -215,10 +222,10 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
         t0 = time.perf_counter()
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
-        windows = _level_windows(half, config.window)
+        columns = window_columns(half, config.window)
         try:
             weights, gamma = solver.solve_windows(
-                A_e, C, windows, y, config.nu, config.variant, config.constraint_degree
+                A_e, C, columns, y, config.nu, config.variant, config.constraint_degree
             )
         except (ConfigError, DataError, NumericalError) as exc:
             raise type(exc)(f"level {m}, {exc}") from exc
@@ -250,42 +257,24 @@ def apply(
     labels: Optional[np.ndarray] = None,
     class_ids: Optional[np.ndarray] = None,
 ) -> CoefficientTable:
-    """Run the frozen transform over rows of `signals` (no re-fitting)."""
+    """Run the frozen transform over rows of `signals` (no re-fitting).
+
+    Each level writes its details straight into its block of the table.
+    """
     A = np.asarray(signals, dtype=float)
-    if A.ndim != 2 or A.shape[1] != transform.signal_length:
-        raise DataError(
-            f"signals must be 2-D with {transform.signal_length} columns, got {A.shape}"
-        )
+    N, M = transform.signal_length, transform.effective_levels
+    if A.ndim != 2 or A.shape[1] != N:
+        raise DataError(f"signals must be 2-D with {N} columns, got {A.shape}")
     variant = transform.config.variant
-    details = []
-    for level, columns in zip(transform.levels, transform.columns):
+    merged = np.empty((A.shape[0], N))
+    for m, (level, columns) in enumerate(zip(transform.levels, transform.columns), start=1):
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
         t, P = _predict_level(C, level, columns, variant)
-        details.append(t * A_e - P)
+        np.subtract(t * A_e, P, out=merged[:, N >> m : N >> (m - 1)])
         A = C
-    merged = np.hstack([A] + details[::-1])
-    return CoefficientTable(
-        coarse=A,
-        details=tuple(details),
-        merged=merged,
-        labels=labels,
-        class_ids=class_ids,
-    )
-
-
-def _split_merged(transform: FittedTransform, merged: np.ndarray):
-    N, M = transform.signal_length, transform.effective_levels
-    widths = [N // (2 ** M)] + [N // (2 ** m) for m in range(M, 0, -1)]
-    bounds = np.cumsum([0] + widths)
-    if merged.shape[1] != bounds[-1]:
-        raise DataError(
-            f"merged width {merged.shape[1]} does not match transform ({bounds[-1]})"
-        )
-    blocks = [merged[:, bounds[i] : bounds[i + 1]] for i in range(len(widths))]
-    coarse = blocks[0]
-    details = blocks[1:][::-1]  # reorder to details[m-1] = level m
-    return coarse, details
+    merged[:, : N >> M] = A
+    return CoefficientTable(merged=merged, n_levels=M, labels=labels, class_ids=class_ids)
 
 
 def reconstruct(
@@ -305,10 +294,12 @@ def reconstruct(
         merged = np.asarray(coefficients, dtype=float)
         if merged.ndim != 2:
             raise DataError(f"coefficients must be 2-D, got shape {merged.shape}")
+    N, M = transform.signal_length, transform.effective_levels
+    if merged.shape[1] != N:
+        raise DataError(f"merged width {merged.shape[1]} does not match transform ({N})")
     variant = transform.config.variant
-    C, details = _split_merged(transform, merged)
-    C = np.array(C, dtype=float)
-    for m in range(transform.effective_levels, 0, -1):
+    C = np.array(merged[:, : N >> M], dtype=float)
+    for m in range(M, 0, -1):
         level = transform.levels[m - 1]
         if variant == REGULARISED:
             norm = np.linalg.norm(level.weights, axis=1)
@@ -320,7 +311,7 @@ def reconstruct(
                     f"{level.weights[j, 0]:.3e} is too small to invert (|w| = {norm[j]:.3e})"
                 )
         t, P = _predict_level(C, level, transform.columns[m - 1], variant)
-        A_e = (details[m - 1] + P) / t
+        A_e = (merged[:, N >> m : N >> (m - 1)] + P) / t
         A_o = 2.0 * C - A_e
         C = interleave(A_o, A_e)
     return C
@@ -332,19 +323,11 @@ def base_vectors(transform: FittedTransform) -> BaseVectors:
     eye = np.eye(N)
     analysis = apply(transform, eye).merged.T
     synthesis = reconstruct(transform, eye).T
-    a_sup = tuple(
-        tuple((np.flatnonzero(np.abs(row) > SUPPORT_ATOL) + 1).tolist())
-        for row in analysis
-    )
-    s_sup = tuple(
-        tuple((np.flatnonzero(np.abs(col) > SUPPORT_ATOL) + 1).tolist())
-        for col in synthesis.T
-    )
     return BaseVectors(
         analysis=analysis,
         synthesis=synthesis,
-        analysis_supports=a_sup,
-        synthesis_supports=s_sup,
+        analysis_supports=supports(analysis),
+        synthesis_supports=supports(synthesis.T),
     )
 
 
@@ -356,8 +339,8 @@ def constraint_residual(transform: FittedTransform) -> Optional[float]:
     e1 = np.zeros(p)
     e1[0] = 1.0
     worst = 0.0
-    for level, windows in zip(transform.levels, transform.windows):
-        which, B, _, _ = solver.constraint_patterns(windows, p)
+    for level, columns in zip(transform.levels, transform.columns):
+        which, B, _, _ = solver.constraint_patterns(columns, p)
         Bw = np.matmul(B[which], level.weights[:, :, None])[..., 0]
         worst = max(worst, float(np.max(np.abs(Bw - e1))))
     return worst
@@ -371,10 +354,13 @@ def save_model(transform: FittedTransform, path) -> None:
         "effective_levels": transform.effective_levels,
         "levels": [
             [
-                {"k": window.k, "indices": list(window.indices), "weights": w, "gamma": g}
-                for window, w, g in zip(windows, level.weights.tolist(), level.gamma.tolist())
+                {"k": k, "indices": indices, "weights": w, "gamma": g}
+                for k, (indices, w, g) in enumerate(
+                    zip((columns + 1).tolist(), level.weights.tolist(), level.gamma.tolist()),
+                    start=1,
+                )
             ]
-            for level, windows in zip(transform.levels, transform.windows)
+            for level, columns in zip(transform.levels, transform.columns)
         ],
     }
     write_json(path, doc)
@@ -396,10 +382,10 @@ def load_model(path) -> FittedTransform:
                 for records in doc["levels"]
             ),
         )
-        for m, (records, windows) in enumerate(zip(doc["levels"], transform.windows), start=1):
-            for rec, window in zip(records, windows):
-                if rec["k"] != window.k or rec["indices"] != list(window.indices):
-                    raise DataError(f"malformed predictor at level {m}, k={window.k}")
+        for m, (records, columns) in enumerate(zip(doc["levels"], transform.columns), start=1):
+            for k, (rec, indices) in enumerate(zip(records, (columns + 1).tolist()), start=1):
+                if rec["k"] != k or rec["indices"] != indices:
+                    raise DataError(f"malformed predictor at level {m}, k={k}")
         if transform.effective_levels != int(doc["effective_levels"]):
             raise DataError(
                 f"effective_levels {doc['effective_levels']} does not "
@@ -412,15 +398,7 @@ def load_model(path) -> FittedTransform:
 
 def save_features(table: CoefficientTable, path) -> None:
     """Merged-coefficient CSV: named columns plus a trailing label column."""
-    ids = table.class_ids
-    if ids is None and table.labels is not None:
-        ids = table.labels.astype(int)
-    names = table.column_names() + ([] if ids is None else ["label"])
-    rows = (
-        table.merged[i].tolist() + ([] if ids is None else [int(ids[i])])
-        for i in range(table.n_examples)
-    )
-    write_csv(path, names, rows)
+    write_table(path, table.column_names(), table.merged, table.class_ids, table.labels)
 
 
 def load_features(path, labeled: bool = True):

@@ -15,6 +15,7 @@ from discwave import (
     split,
     validate_labels,
 )
+from discwave.core import window_columns
 
 
 def test_split_row_example():
@@ -79,6 +80,31 @@ def test_index_window_every_position_contiguous():
         assert list(win.indices) == list(range(win.indices[0], win.indices[0] + L))
         assert win.indices[0] >= prev_lo  # monotone in k
         prev_lo = win.indices[0]
+
+
+def three_case_window_start(k, half, L):
+    """The window rule as three cases, first match wins (1-based start)."""
+    if k < L // 2:
+        return 1
+    if k < half - L // 2:
+        return k - L // 2 + 1
+    return half - L + 1
+
+
+def test_window_columns_match_three_case_rule():
+    for half in range(2, 65):
+        for L in range(2, min(half, 16) + 1):
+            columns = window_columns(half, L)
+            assert columns.shape == (half, L)
+            for k in range(1, half + 1):
+                lo = three_case_window_start(k, half, L)
+                assert columns[k - 1].tolist() == list(range(lo - 1, lo - 1 + L)), (half, L, k)
+                assert index_window(k, half, L).indices == tuple(columns[k - 1] + 1)
+
+
+def test_window_columns_rejects_oversized_window():
+    with pytest.raises(ConfigError, match="does not fit"):
+        window_columns(4, 8)
 
 
 def test_index_window_rejects_oversized_window():

@@ -46,11 +46,9 @@ def brute_force_threshold(values, labels):
 
 def fake_table(detail_matrix, labels=None):
     D = np.asarray(detail_matrix, dtype=float)
-    coarse = np.zeros((D.shape[0], D.shape[1]))
     return tf.CoefficientTable(
-        coarse=coarse,
-        details=(D,),
-        merged=np.hstack([coarse, D]),
+        merged=np.hstack([np.zeros_like(D), D]),
+        n_levels=1,
         labels=None if labels is None else np.asarray(labels, dtype=float),
     )
 
@@ -145,8 +143,6 @@ def test_rank_classifiers_order_and_ties():
         (0.9, 2, 1),
         (0.9, 2, 2),
     ]
-    with pytest.raises(ConfigError):
-        ev.rank_classifiers(clfs, criterion="test_accuracy")
 
 
 def test_evaluate_classifiers_sets_test_accuracy():

@@ -19,6 +19,7 @@ from discwave.core import (
     NumericalError,
     SignalDataset,
     TransformConfig,
+    index_window,
     interleave,
     split,
 )
@@ -60,7 +61,7 @@ def test_hand_solved_tiny_fixture():
     t, table = tf.fit(tiny_dataset(), cfg)
     assert t.effective_levels == 1
     level = t.levels[0]
-    assert [w.indices for w in t.windows[0]] == [(1, 2), (1, 2)]
+    assert t.columns[0].tolist() == [[0, 1], [0, 1]]
     expected_w = np.array([[293.0, -43.0], [69.0, 181.0]]) / 280.0
     assert level.weights.shape == (2, 2)
     assert np.allclose(level.weights, expected_w, atol=1e-12)
@@ -291,6 +292,9 @@ def test_merged_layout_and_column_names():
         t.column_index(1, 9)
     with pytest.raises(ConfigError):
         table.detail(3)
+    # Level m's block starts at column N/2^m, so the width must split M times.
+    with pytest.raises(ConfigError, match="multiple of 4"):
+        tf.CoefficientTable(merged=np.zeros((2, 6)), n_levels=2)
 
 
 def test_model_json_round_trip_is_exact(tmp_path):
@@ -305,7 +309,7 @@ def test_model_json_round_trip_is_exact(tmp_path):
     loaded = tf.load_model(path)
     assert loaded.signal_length == t.signal_length
     assert loaded.config.to_dict() == t.config.to_dict()
-    assert loaded.windows == t.windows
+    assert [c.tolist() for c in loaded.columns] == [c.tolist() for c in t.columns]
     assert len(loaded.levels) == len(t.levels)
     for a, b in zip(t.levels, loaded.levels):
         assert np.array_equal(a.weights, b.weights)
@@ -315,7 +319,7 @@ def test_model_json_round_trip_is_exact(tmp_path):
     # The file still spells each position's k and window indices.
     doc = json.loads(path.read_text())
     assert [[(r["k"], tuple(r["indices"])) for r in recs] for recs in doc["levels"]] == [
-        [(w.k, w.indices) for w in windows] for windows in t.windows
+        list(enumerate(map(tuple, (columns + 1).tolist()), start=1)) for columns in t.columns
     ]
     # Saving the loaded model reproduces the file byte for byte.
     path2 = tmp_path / "model2.json"
@@ -460,7 +464,6 @@ def test_detail_columns_match_direct_assembly():
     # position's problem matrix from split + window directly, solve with the
     # dense oracle, and apply the detail formula by hand.
     from discwave import solver
-    from discwave.core import index_window
 
     rng = np.random.default_rng(19)
     ds = random_dataset(rng, 16, 16)
@@ -515,6 +518,15 @@ def test_fitted_levels_are_arrays_that_round_trip(
     x = scale * rng.normal(size=(8, 32))
     back = tf.reconstruct(t, tf.apply(t, x))
     assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
+    # apply is linear, and a table's blocks are views of its one matrix.
+    y = scale * rng.normal(size=(8, 32))
+    a, b = rng.normal(size=2)
+    ax, by = a * tf.apply(t, x).merged, b * tf.apply(t, y).merged
+    error = np.max(np.abs(tf.apply(t, a * x + b * y).merged - (ax + by)))
+    assert error <= 1e-10 * np.max(np.abs(ax) + np.abs(by))
+    for m in range(1, levels + 1):
+        assert np.shares_memory(table.detail(m), table.merged)
+    assert np.shares_memory(table.coarse, table.merged)
 
 
 def stack_budget(l, window, size):
@@ -560,11 +572,11 @@ def test_level_stacks_match_solve_bit_for_bit(
         t, _ = tf.fit(ds, cfg)
     assert max(stacks) == size and len(stacks) > 3 and min(stacks) < size, stacks
     y, A = ds.labels, ds.signals
-    for m, (level, windows) in enumerate(zip(t.levels, t.windows), start=1):
+    for m, level in enumerate(t.levels, start=1):
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
-        for window_k, w, gamma in zip(windows, level.weights, level.gamma):
-            k = window_k.k
+        for k, (w, gamma) in enumerate(zip(level.weights, level.gamma), start=1):
+            window_k = index_window(k, len(level), window)
             problem = solver.PredictProblem(
                 A=np.column_stack([A_e[:, k - 1], -C[:, window_k.as_zero_based()]]),
                 labels=y, nu=nu, variant=variant,
