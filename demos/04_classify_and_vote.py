@@ -3,7 +3,8 @@ Local classifiers, voting ensembles, and the raw baseline
 =========================================================
 
 Every detail coefficient is a cheap classifier: threshold one column of the
-training table. Rank them, let the top few vote, and compare against a PSVM
+training table. One ClassifierSet holds them all as arrays, one row per
+coefficient. Rank them, let the top few vote, and compare against a PSVM
 trained on the raw samples.
 """
 
@@ -21,15 +22,17 @@ train, test = train3.restrict_pair(1, 2), test3.restrict_pair(1, 2)
 
 fitted, coeffs = tf.fit(train, cfg)
 ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))
-print("top five coefficients by training accuracy:")
-for clf in ranked[:5]:
-    print(f"  {clf.name}: train acc {clf.train_accuracy:.3f}, threshold {clf.b:+.3f}, "
-          f"side {clf.s:+d}, support {clf.support[0]}..{clf.support[-1]}")
+print(f"{len(ranked)} coefficients; top five by training accuracy:")
+top = ranked[:5]
+for name, acc, b, s, support in zip(top.names, top.train_accuracy, top.b, top.s, top.support):
+    samples = np.flatnonzero(support) + 1
+    print(f"  {name}: train acc {acc:.3f}, threshold {b:+.3f}, "
+          f"side {s:+d}, support {samples[0]}..{samples[-1]}")
 
 test_table = tf.apply(fitted, test.signals, labels=test.labels)
-ev.evaluate_classifiers(ranked, test_table)
-best = ranked[0]
-print(f"best single coefficient {best.name}: test error {1 - best.test_accuracy:.3f}")
+ranked = ev.evaluate_classifiers(ranked, test_table)
+print(f"best single coefficient {ranked.names[0]}: "
+      f"test error {1 - ranked.test_accuracy[0]:.3f}")
 
 for t in (3, 15):
     rep = ev.vote(ranked[:t], test_table)

@@ -9,6 +9,8 @@ well. Coefficients that survive the test (and a minimum accuracy) make up
 the significant set.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from discwave import evaluation as ev
@@ -23,26 +25,26 @@ ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))
 
 B = 999  # drawn once and shared by every coefficient of the call
 p_values = ev.permutation_test(ranked, coeffs, train.labels, B=B, seed=5000)
-for clf, p in zip(ranked, p_values):
-    clf.p_value = p
+ranked = replace(ranked, p_value=p_values)
 
 print(f"permutation p-values with B = {B}, strongest and weakest coefficients:")
-for clf in ranked[:3] + ranked[-3:]:
-    print(f"  {clf.name}: train acc {clf.train_accuracy:.3f}, p = {clf.p_value:.4f}")
+ends = ranked[np.r_[0:3, -3:0]]
+for name, acc, p in zip(ends.names, ends.train_accuracy, ends.p_value):
+    print(f"  {name}: train acc {acc:.3f}, p = {p:.4f}")
 
-kept = ev.select_significant(ranked, min_accuracy=0.75, alpha=0.1)
+kept = ranked[ev.select_significant(ranked, min_accuracy=0.75, alpha=0.1)]
 print(f"significant at alpha 0.1 with train acc >= 0.75: {len(kept)} of {len(ranked)}")
-print(f"  {[clf.name for clf in kept[:10]]}{' ...' if len(kept) > 10 else ''}")
+print(f"  {kept.names[:10]}{' ...' if len(kept) > 10 else ''}")
 
 # Sanity check the test itself: a coefficient of pure noise should only be
 # flagged at the nominal rate. One draw here; the test suite repeats this
 # two hundred times and checks the rate lands near alpha.
 rng = make_rng(2718)
 noise = rng.standard_normal(train.n_examples)
-[p_noise] = ev.permutation_test([ranked[0]], noise[:, None], train.labels, B=B, seed=5001)
+[p_noise] = ev.permutation_test(ranked[:1], noise[:, None], train.labels, B=B, seed=5001)
 print(f"same test on a pure-noise column: p = {p_noise:.3f}")
 
-hist = ev.support_histogram(kept, train.signal_length)
+hist = ev.support_histogram(kept)
 total = sum(hist.values())
 peak = int(np.argmax(total)) + 1
 print(f"supports of the significant set pile up around sample {peak} "

@@ -15,6 +15,7 @@ import argparse
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,24 +53,29 @@ def _manifest_beside(out_path: str) -> Path:
     return Path(out_path).with_suffix(".manifest.json")
 
 
-def _load_dataset(path: str) -> SignalDataset:
+def _read(load, path: str):
+    """load(path), with an unreadable file as a DataError."""
     try:
-        return datasets.load_csv(path)
+        return load(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_model(path: str) -> tf.FittedTransform:
-    try:
-        return tf.load_model(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+def _read_labelled(path: str, fitted: tf.FittedTransform) -> SignalDataset:
+    """A labelled signal CSV whose signals fit the model."""
+    ds = _read(datasets.load_csv, path)
+    if ds.class_ids is None:
+        raise DataError(f"{path} has no label column")
+    if ds.signal_length != fitted.signal_length:
+        raise DataError(
+            f"{path}: signals have length {ds.signal_length}, "
+            f"model expects {fitted.signal_length}"
+        )
+    return ds
 
 
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
-    if args.per_class < 1:
-        raise ConfigError(f"--per-class must be >= 1, got {args.per_class}")
     if args.generator == "waveform":
         ds = datasets.generate_waveform(
             datasets.WaveformSpec(per_class_count=args.per_class, seed=args.seed)
@@ -103,7 +109,6 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    train = _load_dataset(args.train)
     config = TransformConfig(
         levels=args.levels,
         window=args.window,
@@ -111,6 +116,7 @@ def cmd_fit(args) -> int:
         variant=args.variant,
         constraint_degree=args.constraint_degree,
     )
+    train = _read(datasets.load_csv, args.train)
 
     def progress(level, n_positions, seconds):
         print(f"level {level}: {n_positions} positions, {seconds:.3f}s")
@@ -162,11 +168,7 @@ def _parse_top_t(text: str):
         raise ConfigError(f"--top-t must be comma-separated integers, got {text!r}") from exc
     if not values or any(v < 1 for v in values):
         raise ConfigError(f"--top-t entries must be >= 1, got {text!r}")
-    seen = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
-    return seen
+    return list(dict.fromkeys(values))  # first occurrences, in order
 
 
 def _pair_labels(class_ids: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -178,60 +180,58 @@ def _pair_labels(class_ids: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.where(class_ids == lo, -1.0, 1.0)
 
 
-def _eval_binary(args, fitted, train, test, out_dir, top_t):
+COEFFICIENT_COLUMNS = [
+    "name", "level", "position", "mode", "b", "s",
+    "train_accuracy", "test_accuracy", "p_value",
+    "support_first", "support_last", "support_size",
+]
+
+
+def _coefficient_rows(c: evaluation.ClassifierSet):
+    """One coefficients.csv row per classifier of the set, in its order."""
+    blank = [""] * len(c)
+    return zip(
+        c.names, c.level.tolist(), c.k.tolist(), [c.mode] * len(c), c.b.tolist(),
+        c.s.tolist(), c.train_accuracy.tolist(),
+        blank if c.test_accuracy is None else c.test_accuracy.tolist(),
+        blank if c.p_value is None else c.p_value.tolist(),
+        (c.support.argmax(axis=1) + 1).tolist(),
+        (c.support.shape[1] - c.support[:, ::-1].argmax(axis=1)).tolist(),
+        c.support.sum(axis=1).tolist(),
+    )
+
+
+def _eval_binary(args, fitted, train, test, out_dir):
     lo, hi = train.classes
     train_table = tf.apply(
         fitted, train.signals, labels=train.labels, class_ids=train.class_ids
     )
     classifiers = evaluation.make_local_classifiers(train_table, fitted, args.mode)
 
-    evaluated_on = "train"
-    eval_table = train_table
+    evaluated_on, eval_table = "train", train_table
     if test is not None:
         y_test = _pair_labels(test.class_ids, lo, hi)
         eval_table = tf.apply(fitted, test.signals, labels=y_test, class_ids=test.class_ids)
-        evaluation.evaluate_classifiers(classifiers, eval_table)
+        classifiers = evaluation.evaluate_classifiers(classifiers, eval_table)
         evaluated_on = "test"
 
     if args.permutations > 0:
-        if args.seed is None:
-            raise ConfigError("--seed is required when permutation tests run")
         p_values = evaluation.permutation_test(
             classifiers, train_table, train_table.labels, args.permutations, args.seed
         )
-        for c, p in zip(classifiers, p_values):
-            c.p_value = p
+        classifiers = replace(classifiers, p_value=p_values)
 
     ranked = evaluation.rank_classifiers(classifiers)
-    columns = [
-        "name", "level", "position", "mode", "b", "s",
-        "train_accuracy", "test_accuracy", "p_value",
-        "support_first", "support_last", "support_size",
+    selected = ranked[
+        evaluation.select_significant(ranked, min_accuracy=args.min_accuracy, alpha=args.alpha)
     ]
+    write_csv(out_dir / "coefficients.csv", COEFFICIENT_COLUMNS, _coefficient_rows(ranked))
+    write_csv(out_dir / "selected.csv", COEFFICIENT_COLUMNS, _coefficient_rows(selected))
 
-    def row(c):
-        return [
-            c.name, c.level, c.k, c.mode, c.b, c.s, c.train_accuracy,
-            "" if c.test_accuracy is None else c.test_accuracy,
-            "" if c.p_value is None else c.p_value,
-            c.support[0], c.support[-1], len(c.support),
-        ]
-
-    write_csv(out_dir / "coefficients.csv", columns, [row(c) for c in ranked])
-
-    selected = evaluation.select_significant(
-        classifiers, min_accuracy=args.min_accuracy, alpha=args.alpha
-    )
-    selected = evaluation.rank_classifiers(selected)
-    write_csv(out_dir / "selected.csv", columns, [row(c) for c in selected])
-
-    hist = evaluation.support_histogram(selected, fitted.signal_length)
-    levels_present = sorted(hist)
-    header = ["sample"] + [f"level_{m}" for m in levels_present] + ["total"]
-    rows = []
-    for i in range(fitted.signal_length):
-        per = [int(hist[m][i]) for m in levels_present]
-        rows.append([i + 1] + per + [sum(per)])
+    hist = evaluation.support_histogram(selected)  # levels ascending
+    per_sample = np.reshape(list(hist.values()), (len(hist), fitted.signal_length)).T
+    header = ["sample", *(f"level_{m}" for m in hist), "total"]
+    rows = [[i, *per, sum(per)] for i, per in enumerate(per_sample.tolist(), start=1)]
     write_csv(out_dir / "support_histogram.csv", header, rows)
 
     ensembles = {}
@@ -240,19 +240,17 @@ def _eval_binary(args, fitted, train, test, out_dir, top_t):
         "selected": str(out_dir / "selected.csv"),
         "support_histogram": str(out_dir / "support_histogram.csv"),
     }
-    for t in top_t:
-        members = ranked[: min(t, len(ranked))]
-        report = evaluation.vote(members, eval_table)
+    for t in args.top_t:
+        report = evaluation.vote(ranked[:t], eval_table)
         profile = evaluation.vote_profile(report)
         prof_path = out_dir / f"profile_t{t}.csv"
-        prof_rows = []
-        for i, (value, group) in enumerate(profile):
-            prof_rows.append([i + 1, value, group, int(report.outcome[i])])
+        outcomes = report.outcome.astype(int).tolist()
+        prof_rows = [[i, v, g, o] for i, ((v, g), o) in enumerate(zip(profile, outcomes), 1)]
         write_csv(prof_path, ["example", "mean_vote", "group", "outcome"], prof_rows)
         ens_path = out_dir / f"ensemble_t{t}.json"
         payload = {
             "t": t,
-            "members": [c.name for c in members],
+            "members": report.members.names,
             "evaluated_on": evaluated_on,
             "misclassification": report.misclassification,
             "n_unclassified": report.n_unclassified,
@@ -288,14 +286,12 @@ def _eval_binary(args, fitted, train, test, out_dir, top_t):
     return outputs
 
 
-def _eval_multiclass(args, fitted, train, test, out_dir, top_t):
-    evaluated_on = "test"
-    if test is None:
-        test = train
-        evaluated_on = "train"
+def _eval_multiclass(args, fitted, train, test, out_dir):
+    evaluated_on = "train" if test is None else "test"
+    test = train if test is None else test
     summary_ovo = {}
     outputs = {}
-    reports = evaluation.one_against_one(train, test, fitted.config, top_t, mode=args.mode)
+    reports = evaluation.one_against_one(train, test, fitted.config, args.top_t, mode=args.mode)
     for t, report in reports.items():
         pair_rows = [
             [lo, hi, "" if err is None else err]
@@ -340,41 +336,25 @@ def _eval_multiclass(args, fitted, train, test, out_dir, top_t):
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
-    if args.permutations < 0:
-        raise ConfigError(f"--permutations must be >= 0, got {args.permutations}")
-    if 0 < args.permutations < evaluation.MIN_PERMUTATIONS:
+    fitted = _read(tf.load_model, args.model)
+    train = _read_labelled(args.train, fitted)
+    test = _read_labelled(args.test, fitted) if args.test else None
+    binary = len(train.classes) == 2
+    if binary and args.permutations > 0 and args.seed is None:
+        raise ConfigError("--seed is required when permutation tests run")
+    # Class-pair fits share the model's config and length, so K holds for them too.
+    n_details = fitted.signal_length - (fitted.signal_length >> fitted.effective_levels)
+    if max(args.top_t) > n_details:
         raise ConfigError(
-            f"--permutations must be 0 or >= {evaluation.MIN_PERMUTATIONS}, "
-            f"got {args.permutations}"
+            f"--top-t {max(args.top_t)} exceeds the model's {n_details} detail coefficients"
         )
-    fitted = _load_model(args.model)
-    train = _load_dataset(args.train)
-    if train.class_ids is None:
-        raise DataError(f"{args.train} has no label column")
-    if train.signal_length != fitted.signal_length:
-        raise DataError(
-            f"training signals have length {train.signal_length}, "
-            f"model expects {fitted.signal_length}"
-        )
-    test = None
-    if args.test:
-        test = _load_dataset(args.test)
-        if test.class_ids is None:
-            raise DataError(f"{args.test} has no label column")
-        if test.signal_length != fitted.signal_length:
-            raise DataError(
-                f"test signals have length {test.signal_length}, "
-                f"model expects {fitted.signal_length}"
-            )
-    top_t = _parse_top_t(args.top_t)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    binary = len(train.classes) == 2
     if binary:
-        outputs = _eval_binary(args, fitted, train, test, out_dir, top_t)
+        outputs = _eval_binary(args, fitted, train, test, out_dir)
     else:
-        outputs = _eval_multiclass(args, fitted, train, test, out_dir, top_t)
+        outputs = _eval_multiclass(args, fitted, train, test, out_dir)
 
     inputs = {"model": args.model, "train": args.train}
     if args.test:
@@ -384,7 +364,7 @@ def cmd_eval(args) -> int:
         "eval",
         {
             "mode": args.mode,
-            "top_t": top_t,
+            "top_t": args.top_t,
             "permutations": args.permutations if binary else 0,  # no tests on 3+ classes
             "alpha": args.alpha,
             "min_accuracy": args.min_accuracy,
@@ -400,7 +380,7 @@ def cmd_eval(args) -> int:
 
 def cmd_basis(args) -> int:
     t0 = time.perf_counter()
-    fitted = _load_model(args.model)
+    fitted = _read(tf.load_model, args.model)
     bv = tf.base_vectors(fitted)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -418,17 +398,12 @@ def cmd_basis(args) -> int:
         ["coefficient"] + sample_cols,
         [[names[i]] + list(bv.synthesis[:, i]) for i in range(len(names))],
     )
-    support_rows = []
-    for i, (name, kind, level, position) in enumerate(layout):
-        a_sup = bv.analysis_supports[i]
-        s_sup = bv.synthesis_supports[i]
-        support_rows.append(
-            [
-                name, kind, level, position,
-                a_sup[0], a_sup[-1], len(a_sup),
-                s_sup[0], s_sup[-1], len(s_sup),
-            ]
+    support_rows = [
+        [name, kind, level, position, a[0], a[-1], len(a), s[0], s[-1], len(s)]
+        for (name, kind, level, position), a, s in zip(
+            layout, bv.analysis_supports, bv.synthesis_supports
         )
+    ]
     write_csv(
         out_dir / "supports.csv",
         [
@@ -538,10 +513,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_arguments(args) -> None:
+    """Range checks of the numeric flags, made before any file is read (NaN
+    fails every range); replaces the --top-t text by its parsed list."""
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.command == "generate" and args.per_class < 1:
+        raise ConfigError(f"--per-class must be >= 1, got {args.per_class}")
+    if args.command != "eval":
+        return
+    if args.permutations < 0:
+        raise ConfigError(f"--permutations must be >= 0, got {args.permutations}")
+    if 0 < args.permutations < evaluation.MIN_PERMUTATIONS:
+        raise ConfigError(
+            f"--permutations must be 0 or >= {evaluation.MIN_PERMUTATIONS}, "
+            f"got {args.permutations}"
+        )
+    if not 0 < args.alpha <= 1:
+        raise ConfigError(f"--alpha must lie in (0, 1], got {args.alpha}")
+    if not 0 <= args.min_accuracy <= 1:
+        raise ConfigError(f"--min-accuracy must lie in [0, 1], got {args.min_accuracy}")
+    args.top_t = _parse_top_t(args.top_t)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_arguments(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,20 @@
 """Coefficients as classifiers: thresholds, ranking, ensembles, significance.
 
 Every detail coefficient doubles as a one-feature classifier
-s * sign(d - b) with sign(0) fixed to +1. Thresholds come either from the
-window solve's own bias (psvm_bias) or from an exhaustive midpoint scan
-maximising training accuracy (optimal_threshold). Ranking and selection use
-training accuracy only; test error is reported, never selected on.
+s * sign(d - b) with sign(0) fixed to +1. A ClassifierSet holds K of them
+as arrays, one row per coefficient: level, position k, threshold b,
+orientation s, exact training count and support mask. make_local_classifiers
+builds one row per detail column of a table, in merged-column order; a
+ranking or a subset is the set indexed by rows. Thresholds come either from
+the window solve's own bias (psvm_bias) or from an exhaustive midpoint scan
+maximising training accuracy (optimal_threshold), which `fit_thresholds`
+runs for every column at once. Ranking and selection use training accuracy
+only; test error is reported, never selected on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -31,60 +36,52 @@ PSVM_BIAS = "psvm_bias"
 OPTIMAL_THRESHOLD = "optimal_threshold"
 MODES = (PSVM_BIAS, OPTIMAL_THRESHOLD)
 MIN_PERMUTATIONS = 100  # fewer cannot give a p-value below 0.01
+FIT_BLOCK_CELLS = 2**16  # values per column block of fit_thresholds
 
 RED, BLUE, GREEN = "red", "blue", "green"  # +1 side, -1 side, unclassified
 
 
-@dataclass
-class LocalClassifier:
-    """One detail coefficient acting as a thresholded classifier."""
+@dataclass(frozen=True, eq=False)
+class ClassifierSet:
+    """K detail coefficients as classifiers s * sign(d - b), one row each.
 
-    level: int
-    k: int
-    weights: np.ndarray
-    b: float
-    s: int
+    Row j is coefficient (level[j], k[j]) of an N-sample transform, with
+    count[j] of the n_train training examples right. support[j, i] is True
+    where row j's analysis vector weights sample i + 1 by more than
+    tf.SUPPORT_ATOL. `set[index]` (a slice, index array or boolean mask) is
+    the subset or ranking of those rows.
+    """
+
+    level: np.ndarray
+    k: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
+    count: np.ndarray
+    support: np.ndarray
     mode: str
-    train_accuracy: float
-    support: tuple  # 1-based original-sample indices of the analysis vector
-    test_accuracy: Optional[float] = None
-    p_value: Optional[float] = None
+    n_train: int
+    test_accuracy: Optional[np.ndarray] = None
+    p_value: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.b.size
+
+    def __getitem__(self, index) -> "ClassifierSet":
+        rows = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{n: v[index] for n, v in rows.items() if isinstance(v, np.ndarray)})
 
     @property
-    def name(self) -> str:
-        return f"d{self.level}_{self.k}"
+    def columns(self) -> np.ndarray:
+        """Merged-table column of each row: N/2^level + k - 1."""
+        return (self.support.shape[1] >> self.level) + self.k - 1
 
+    @property
+    def train_accuracy(self) -> np.ndarray:
+        return self.count / self.n_train
 
-def predict_values(classifier: LocalClassifier, values: np.ndarray) -> np.ndarray:
-    """s * sign(d - b) with sign(0) -> +1."""
-    return classifier.s * np.where(np.asarray(values, dtype=float) >= classifier.b, 1.0, -1.0)
-
-
-def classifier_values(table: tf.CoefficientTable, classifier: LocalClassifier) -> np.ndarray:
-    return table.detail(classifier.level)[:, classifier.k - 1]
-
-
-def _scan_counts(values: np.ndarray, plus: np.ndarray):
-    """Candidate thresholds and the s = +1 correct count at each.
-
-    `plus` is the labelling as a boolean vector (True where the label is
-    +1). Candidates are the minimum value itself (nothing below the
-    threshold, everything predicted on the >= side) plus the midpoints
-    between distinct consecutive values. With c values below a candidate,
-    pos of them +1 out of P in all, the s = +1 classifier gets
-    (P - pos) + (c - pos) right.
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    boundaries = np.flatnonzero(v[1:] > v[:-1]) + 1
-    splits = np.concatenate([[0], boundaries])
-    cands = np.empty(splits.size)
-    cands[0] = v[0]
-    if boundaries.size:
-        cands[1:] = 0.5 * (v[boundaries - 1] + v[boundaries])
-    pos = np.cumsum(plus[order])
-    pos_at = np.concatenate([[0], pos[boundaries - 1]])
-    return cands, pos[-1] + splits - 2 * pos_at
+    @property
+    def names(self) -> list:
+        return [f"d{m}_{k}" for m, k in zip(self.level.tolist(), self.k.tolist())]
 
 
 def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
@@ -92,8 +89,8 @@ def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
 
     `X` is l x K (one column per coefficient) and `plus_rows` an R x l
     boolean stack of labellings (True where the label is +1); returns the
-    K x R counts, equal to fit_threshold's correct count for every column
-    and labelling. With c values below a split, pos of them +1 out of P,
+    K x R counts, equal to fit_thresholds' count for every column and
+    labelling. With c values below a split, pos of them +1 out of P,
     the s = +1 classifier gets P + W right and the s = -1 one l - P - W,
     where W = c - 2 pos. One walk serves every column and labelling: it
     steps through the sorted positions, adding +1 for a -1 label and -1 for
@@ -105,7 +102,7 @@ def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
     """
     l, K = X.shape
     R = plus_rows.shape[0]
-    dtype = np.int16 if l < 2**15 else np.int32  # |W| <= l
+    dtype = np.int16 if l < 2**15 else np.int32  # |W| <= l - 1
     order = np.argsort(X, axis=0, kind="stable")
     v = np.take_along_axis(X, order, axis=0)
     cut = v[1:] > v[:-1]  # cut[c - 1, k]: split c is a candidate of column k
@@ -129,136 +126,150 @@ def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
     return np.maximum(P + hi, l - P - lo)
 
 
-def _fixed_counts(values: np.ndarray, plus_rows: np.ndarray, b: float) -> np.ndarray:
-    """The s = +1 correct count at the fixed threshold b, per labelling."""
-    return np.sum(plus_rows == (values >= b), axis=1)
+def _fixed_counts(X: np.ndarray, plus_rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K x R: the s = +1 correct count of column k of X at threshold b[k], per
+    labelling. It is l - #above - #plus + 2 #(above and plus); the last count
+    is one float product of 0/1 matrices, exact while l < 2^53."""
+    above = X >= b
+    both = (above.T.astype(float) @ plus_rows.T.astype(float)).astype(np.int64)
+    return X.shape[0] - above.sum(axis=0)[:, None] - plus_rows.sum(axis=1) + 2 * both
 
 
-def fit_threshold(values: np.ndarray, labels: np.ndarray):
-    """Best (b, s, correct_count) over all thresholds and both orientations.
+def fit_thresholds(X: np.ndarray, labels: np.ndarray):
+    """Best (b, s, count) arrays over all thresholds and both orientations,
+    one entry per column of the l x K matrix X; counts are exact integers.
 
-    Ties in accuracy prefer the smallest |b|, then the smaller b, and +1
-    orientation over -1. Counts are exact integers so downstream comparisons
-    never hinge on float rounding.
+    Candidates are each column's minimum as it first occurs (a -0.0 keeps
+    its sign) and, between distinct consecutive sorted values, the midpoint
+    0.5 * (v[c-1] + v[c]), or v[c] where that rounds onto v[c-1] or
+    overflows, so each candidate has c values below it. With pos of them +1
+    out of P, s = +1 gets P + W right and s = -1 gets l - P - W, where
+    W = c - 2 pos is one cumsum down the sorted columns. Ties in the count
+    prefer the smallest |b|, then the smaller b (candidates strictly
+    increase, so that leaves one), then s = +1. Columns go in blocks of
+    about FIT_BLOCK_CELLS values, one sort each, so no temporary outgrows a
+    block.
     """
-    values = np.asarray(values, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    cands, plus = _scan_counts(values, y > 0)
+    X = np.asarray(X, dtype=float)
+    plus = np.asarray(labels, dtype=float) > 0
+    width = max(1, FIT_BLOCK_CELLS // len(X))
+    blocks = [_fit_block(X[:, j : j + width], plus) for j in range(0, max(X.shape[1], 1), width)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
-    def pick(counts):
-        best = int(counts.max())
-        at = np.flatnonzero(counts == best)
-        sub = np.lexsort((cands[at], np.abs(cands[at])))
-        return best, float(cands[at[sub[0]]])
 
-    best_p, b_p = pick(plus)
-    best_m, b_m = pick(y.size - plus)
-    if best_p >= best_m:
-        return b_p, 1, best_p
-    return b_m, -1, best_m
+def _fit_block(X: np.ndarray, plus: np.ndarray):
+    """fit_thresholds of the columns of X, with the labels as a +1 mask."""
+    l, K = X.shape
+    dtype = np.int16 if l < 2**15 else np.int32  # |W| <= l - 1
+    # Any order of equal values gives the same W at every split between
+    # distinct ones; only the minimum's sign needs its first occurrence.
+    order = np.argsort(X, axis=0)
+    v = np.take_along_axis(X, order, axis=0)
+    W = np.zeros((l, K), dtype)
+    np.cumsum(np.where(plus, -1, 1).astype(dtype)[order[:-1]], axis=0, dtype=dtype, out=W[1:])
+    valid = np.vstack([np.ones((1, K), dtype=bool), v[1:] > v[:-1]])
+    first_min = X[X.argmin(axis=0), np.arange(K)]
+
+    def pick(masked, best):
+        """The tie-broken b of each column's best splits (masked == best)."""
+        c, k = np.nonzero(masked == best)
+        lower, upper = v[c - 1, k], v[c, k]
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lower + upper)
+        cand = np.where(c == 0, first_min[k], np.where((lower < mid) & (mid <= upper), mid, upper))
+        ranked = np.lexsort((cand, np.abs(cand), k))
+        return cand[ranked[np.searchsorted(k[ranked], np.arange(K))]]
+
+    hi_masked = np.where(valid, W, np.iinfo(dtype).min)
+    lo_masked = np.where(valid, W, np.iinfo(dtype).max)
+    hi, lo = hi_masked.max(axis=0), lo_masked.min(axis=0)
+    P = int(plus.sum())
+    count_plus, count_minus = P + hi.astype(np.int64), l - P - lo.astype(np.int64)
+    plus_wins = count_plus >= count_minus
+    b = np.where(plus_wins, pick(hi_masked, hi), pick(lo_masked, lo))
+    return b, np.where(plus_wins, 1, -1), np.where(plus_wins, count_plus, count_minus)
 
 
 def make_local_classifiers(
-    coefficients: tf.CoefficientTable,
-    fitted: tf.FittedTransform,
-    mode: str = OPTIMAL_THRESHOLD,
-):
-    """One classifier per detail coefficient of the table (coarse columns are
-    exported features but have no trained predictor to classify with)."""
+    coefficients: tf.CoefficientTable, fitted: tf.FittedTransform, mode: str = OPTIMAL_THRESHOLD
+) -> ClassifierSet:
+    """One classifier per detail coefficient of the table, rows in merged-column
+    order (d_M first). Coarse columns are exported features but have no
+    trained predictor to classify with."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if coefficients.labels is None:
         raise DataError("coefficient table carries no binary labels")
     y = coefficients.labels
     l = y.size
-    y_plus = (y > 0)[None, :]
-    basis = tf.apply(fitted, np.eye(fitted.signal_length))
-    out = []
-    for level in range(1, fitted.effective_levels + 1):
-        D = coefficients.detail(level)
-        # Column k-1 of the level's block of apply(eye) is position k's analysis vector.
-        supports = tf.supports(basis.detail(level).T)
-        for k in range(1, D.shape[1] + 1):
-            values = D[:, k - 1]
-            rec = fitted.levels[level - 1][k - 1]
-            if mode == PSVM_BIAS:
-                b = rec.gamma
-                plus = int(_fixed_counts(values, y_plus, b)[0])
-                s, correct = (1, plus) if plus >= l - plus else (-1, l - plus)
-            else:
-                b, s, correct = fit_threshold(values, y)
-            out.append(
-                LocalClassifier(
-                    level=level,
-                    k=k,
-                    weights=rec.weights,
-                    b=float(b),
-                    s=int(s),
-                    mode=mode,
-                    train_accuracy=correct / l,
-                    support=supports[k - 1],
-                )
-            )
-    return out
+    N, M = fitted.signal_length, fitted.effective_levels
+    X = coefficients.merged[:, N >> M :]
+    levels = np.arange(M, 0, -1)
+    widths = N >> levels
+    if mode == PSVM_BIAS:
+        b = np.concatenate([fitted.levels[m - 1].gamma for m in levels])
+        plus = _fixed_counts(X, (y > 0)[None, :], b)[:, 0]
+        s, count = np.where(plus >= l - plus, 1, -1), np.maximum(plus, l - plus)
+    else:
+        b, s, count = fit_thresholds(X, y)
+    # Column j of apply(eye) is merged column j's analysis vector.
+    basis = tf.apply(fitted, np.eye(N)).merged[:, N >> M :]
+    return ClassifierSet(
+        level=np.repeat(levels, widths), k=np.arange(N >> M, N) - np.repeat(widths, widths) + 1,
+        b=b, s=s, count=count, support=np.abs(basis.T) > tf.SUPPORT_ATOL, mode=mode, n_train=l,
+    )
 
 
-def rank_classifiers(classifiers):
-    """Stable descending sort by training accuracy; ties broken by (level asc, position asc)."""
-    return sorted(classifiers, key=lambda c: (-c.train_accuracy, c.level, c.k))
+def rank_classifiers(classifiers: ClassifierSet) -> ClassifierSet:
+    """Descending training accuracy; ties broken by (level asc, position asc)."""
+    return classifiers[np.lexsort((classifiers.k, classifiers.level, -classifiers.count))]
 
 
-def evaluate_classifiers(classifiers, table: tf.CoefficientTable, labels=None):
-    """Attach test accuracy from a coefficient table; returns the same list."""
+def evaluate_classifiers(
+    classifiers: ClassifierSet, table: tf.CoefficientTable, labels=None
+) -> ClassifierSet:
+    """The set with test accuracy on a coefficient table attached."""
     y = labels if labels is not None else table.labels
     if y is None:
         raise DataError("need labels to evaluate classifiers")
-    for c in classifiers:
-        pred = predict_values(c, classifier_values(table, c))
-        c.test_accuracy = float(np.mean(pred == y))
-    return classifiers
+    # s * sign(d - b) is y exactly where (d >= b) == (y == s).
+    X = table.merged[:, classifiers.columns]
+    right = (X >= classifiers.b) == (np.asarray(y)[:, None] == classifiers.s)
+    return replace(classifiers, test_accuracy=np.mean(right, axis=0))
 
 
 @dataclass(frozen=True)
 class EnsembleReport:
-    members: tuple  # LocalClassifier, ranked order
+    members: ClassifierSet  # in ranked order
     votes: np.ndarray  # n x t of +/-1
     outcome: np.ndarray  # +1 / -1 / 0 (unclassified)
     misclassification: Optional[float]  # None when no labels supplied
     n_unclassified: int
 
 
-def vote(members, table: tf.CoefficientTable, labels=None) -> EnsembleReport:
+def vote(members: ClassifierSet, table: tf.CoefficientTable, labels=None) -> EnsembleReport:
     """Majority vote of the members on every example of the table.
 
     Exact vote ties fall back to the larger summed |d - b| margin side; a tie
     there too leaves the example unclassified, which counts as an error in
     the misclassification ratio.
     """
-    members = list(members)
-    if not members:
+    if len(members) == 0:
         raise ConfigError("ensemble needs at least one member")
-    V = np.empty((table.n_examples, len(members)))
-    margins = np.empty_like(V)
-    for j, c in enumerate(members):
-        values = classifier_values(table, c)
-        V[:, j] = predict_values(c, values)
-        margins[:, j] = np.abs(values - c.b)
+    X = table.merged[:, members.columns]
+    V = members.s * np.where(X >= members.b, 1.0, -1.0)  # sign(0) -> +1
+    margins = np.abs(X - members.b)
     sums = V.sum(axis=1)
     outcome = np.sign(sums)
     tied = outcome == 0
     if np.any(tied):
         m_plus = np.where(V > 0, margins, 0.0).sum(axis=1)
         m_minus = np.where(V < 0, margins, 0.0).sum(axis=1)
-        outcome[tied & (m_plus > m_minus)] = 1.0
-        outcome[tied & (m_plus < m_minus)] = -1.0
-    ratio = None
-    if labels is None and table.labels is not None:
-        labels = table.labels
-    if labels is not None:
-        labels = np.asarray(labels, dtype=float)
-        ratio = float(np.mean(outcome != labels))
+        outcome[tied] = np.sign(m_plus - m_minus)[tied]
+    labels = table.labels if labels is None else np.asarray(labels, dtype=float)
+    ratio = None if labels is None else float(np.mean(outcome != labels))
     return EnsembleReport(
-        members=tuple(members),
+        members=members,
         votes=V,
         outcome=outcome,
         misclassification=ratio,
@@ -419,35 +430,28 @@ def one_against_one_raw_psvm(
 
 
 def permutation_test(
-    classifiers: Sequence[LocalClassifier],
-    coefficients,
-    labels: np.ndarray,
-    B: int,
-    seed: int,
-) -> list:
-    """Permutation p-values of the classifiers, in order.
+    classifiers: ClassifierSet, coefficients, labels: np.ndarray, B: int, seed: int
+) -> np.ndarray:
+    """Permutation p-values of the classifiers, one per row.
 
     p = (1 + #{permutations with accuracy >= observed}) / (B + 1). The null
-    mirrors each classifier's own selection so p-values are never
-    anti-conservative: in optimal_threshold mode the threshold and orientation
-    are re-fit from scratch under every permuted labelling (full re-selection
-    under the null); in psvm_bias mode the bias stays fixed and only the
-    orientation is re-picked, matching how the classifier was built.
+    mirrors the set's own selection so p-values are never anti-conservative:
+    in optimal_threshold mode the threshold and orientation are fitted anew
+    under every permuted labelling (full re-selection under the null); in
+    psvm_bias mode the bias stays fixed and only the orientation is
+    re-picked, matching how the classifiers were built.
 
     `coefficients` is a CoefficientTable or an l x len(classifiers) matrix of
     values. The B permutations are drawn once per call, each from its own
     child stream make_rng(seed, replicate), and every classifier is scored
     against the same ones, so a classifier's p-value does not depend on which
-    others share the call. The optimal_threshold classifiers share one walk
-    over the sorted values (_best_counts).
+    others share the call. optimal_threshold columns share one walk over the
+    sorted values (_best_counts).
     """
     if B < MIN_PERMUTATIONS:
         raise ConfigError(f"need at least {MIN_PERMUTATIONS} permutations, got {B}")
-    classifiers = list(classifiers)
     if isinstance(coefficients, tf.CoefficientTable):
-        X = np.empty((coefficients.n_examples, len(classifiers)))
-        for j, c in enumerate(classifiers):
-            X[:, j] = classifier_values(coefficients, c)
+        X = coefficients.merged[:, classifiers.columns]
     else:
         X = np.asarray(coefficients, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(classifiers):
@@ -460,36 +464,29 @@ def permutation_test(
     plus_rows[0] = y > 0
     for b in range(B):
         plus_rows[b + 1] = plus_rows[0, make_rng(seed, b).permutation(l)]
-    best = np.empty((len(classifiers), B + 1), dtype=np.int64)
-    walked = [j for j, c in enumerate(classifiers) if c.mode != PSVM_BIAS]
-    if walked:
-        best[walked] = _best_counts(X[:, walked], plus_rows)
-    for j, c in enumerate(classifiers):
-        if c.mode == PSVM_BIAS:
-            plus = _fixed_counts(X[:, j], plus_rows, c.b)
-            best[j] = np.maximum(plus, l - plus)
-    return [float((1 + int(np.sum(row[1:] >= row[0]))) / (B + 1)) for row in best]
+    if classifiers.mode == PSVM_BIAS:
+        plus = _fixed_counts(X, plus_rows, classifiers.b)
+        best = np.maximum(plus, l - plus)
+    else:
+        best = _best_counts(X, plus_rows)
+    return (1 + np.sum(best[:, 1:] >= best[:, :1], axis=1)) / (B + 1)
 
 
-def select_significant(classifiers, min_accuracy: float = 0.75, alpha: float = 0.1):
-    """Keep classifiers with training accuracy >= min_accuracy AND p <= alpha.
+def select_significant(
+    classifiers: ClassifierSet, min_accuracy: float = 0.75, alpha: float = 0.1
+) -> np.ndarray:
+    """Row mask: training accuracy >= min_accuracy AND p <= alpha.
 
-    Classifiers without a p_value cannot be certified and are dropped.
+    A set without p-values cannot be certified and selects no row.
     """
-    return [
-        c
-        for c in classifiers
-        if c.train_accuracy >= min_accuracy
-        and c.p_value is not None
-        and c.p_value <= alpha
-    ]
+    if classifiers.p_value is None:
+        return np.zeros(len(classifiers), dtype=bool)
+    return (classifiers.train_accuracy >= min_accuracy) & (classifiers.p_value <= alpha)
 
 
-def support_histogram(classifiers, signal_length: int):
-    """Per-level coverage counts: how many classifiers' supports hit each sample."""
-    counts = {}
-    for c in classifiers:
-        arr = counts.setdefault(c.level, np.zeros(signal_length, dtype=int))
-        for i in c.support:
-            arr[i - 1] += 1
-    return dict(sorted(counts.items()))
+def support_histogram(classifiers: ClassifierSet) -> dict:
+    """Per level present: how many of its rows' supports hit each sample."""
+    return {
+        m: classifiers.support[classifiers.level == m].sum(axis=0)
+        for m in np.unique(classifiers.level).tolist()
+    }

@@ -140,10 +140,10 @@ def test_06_best_coefficient_close_to_baseline_with_plausible_support():
     for i in range(10):
         train, test = waveform_pair_split(i)
         fitted, coeffs = tf.fit(train, REG_CFG)
-        best = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))[0]
-        ev.evaluate_classifiers([best], tf.apply(fitted, test.signals, labels=test.labels))
-        errs.append(1.0 - best.test_accuracy)
-        supports_ok.append(bool(set(best.support) & set(range(9, 21))))
+        best = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))[:1]
+        best = ev.evaluate_classifiers(best, tf.apply(fitted, test.signals, labels=test.labels))
+        errs.append(1.0 - float(best.test_accuracy[0]))
+        supports_ok.append(bool(best.support[0, 8:20].any()))  # samples 9..20
     mean = float(np.mean(errs))
     ok = mean <= raw_mean + 0.10 and all(supports_ok)
     report(6, "best single coefficient", ok,
@@ -193,16 +193,17 @@ def test_09_permutation_test_calibration():
     # rejection rate at alpha = 0.1 over 200 trials must sit near 0.1.
     # Frozen seeds measure 0.090; the band allows binomial noise but fails
     # on anti-conservative selection bugs.
-    clf = ev.LocalClassifier(
-        level=1, k=1, weights=np.zeros(1), b=0.0, s=1,
-        mode=ev.OPTIMAL_THRESHOLD, train_accuracy=0.0, support=(1,),
+    clf = ev.ClassifierSet(
+        level=np.array([1]), k=np.array([1]), b=np.zeros(1), s=np.ones(1, dtype=int),
+        count=np.zeros(1, dtype=int), support=np.ones((1, 2), dtype=bool),
+        mode=ev.OPTIMAL_THRESHOLD, n_train=1000,
     )
     rejections = 0
     for i in range(200):
         rng = make_rng(911, i)
         values = rng.standard_normal(1000)
         labels = np.where(rng.random(1000) < 0.5, 1.0, -1.0)
-        [p] = ev.permutation_test([clf], values[:, None], labels, B=999, seed=200000 + i)
+        [p] = ev.permutation_test(clf, values[:, None], labels, B=999, seed=200000 + i)
         rejections += p <= 0.1
     rate = rejections / 200.0
     report(9, "permutation calibration", 0.07 <= rate <= 0.13,
@@ -222,12 +223,9 @@ def test_10_feature_export_round_trips_and_feeds_a_stump(tmp_path):
     )
     # A one-column threshold stump on the best training feature must beat
     # always-guessing the majority class on held-out data.
-    best_j, best_fit = None, (-1,)
-    for j in range(merged.shape[1]):
-        b, s, n_correct = ev.fit_threshold(merged[:, j], train.labels)
-        if n_correct > best_fit[0]:
-            best_j, best_fit = j, (n_correct, b, s)
-    n_correct, b, s = best_fit
+    b, s, n_correct = ev.fit_thresholds(merged, train.labels)
+    best_j = int(np.argmax(n_correct))  # the first column with the best count
+    b, s = b[best_j], s[best_j]
     test_vals = tf.apply(fitted, test.signals).merged[:, best_j]
     pred = s * np.where(test_vals >= b, 1.0, -1.0)
     stump_err = float(np.mean(pred != test.labels))

@@ -373,6 +373,72 @@ def test_eval_rejects_too_few_permutations_before_reading(tmp_path, capsys, clas
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--generator", "waveform", "--per-class", "3", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["eval", "--permutations", "100", "--seed", "-5"], "--seed must be >= 0, got -5"),
+        (["eval", "--alpha", "nan"], "--alpha must lie in (0, 1], got nan"),
+        (["eval", "--alpha", "2"], "--alpha must lie in (0, 1], got 2.0"),
+        (["eval", "--alpha", "0"], "--alpha must lie in (0, 1], got 0.0"),
+        (["eval", "--alpha", "-1"], "--alpha must lie in (0, 1], got -1.0"),
+        (["eval", "--min-accuracy", "nan"], "--min-accuracy must lie in [0, 1], got nan"),
+        (["eval", "--min-accuracy", "5"], "--min-accuracy must lie in [0, 1], got 5.0"),
+        (["eval", "--min-accuracy", "-0.5"], "--min-accuracy must lie in [0, 1], got -0.5"),
+    ],
+)
+def test_bad_numbers_are_config_errors_before_reading(tmp_path, capsys, argv, message):
+    # The inputs do not exist: a read would be a data error (exit 3).
+    out = tmp_path / "out"
+    if argv[0] == "generate":
+        argv = argv + ["--out", str(out / "data.csv")]
+    else:
+        argv = argv + [
+            "--model", str(tmp_path / "missing.json"), "--train", str(tmp_path / "missing.csv"),
+            "--out-dir", str(out),
+        ]
+        if "--permutations" not in argv:
+            argv += ["--permutations", "0"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_missing_seed_leaves_no_out_dir(tmp_path, capsys):
+    train, _, model = eval_setup(tmp_path, capsys)
+    out = tmp_path / "report"
+    code, _, err = run(
+        ["eval", "--model", str(model), "--train", str(train),
+         "--permutations", "100", "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: --seed is required when permutation tests run\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_eval_top_t_above_the_coefficient_count(tmp_path, capsys, classes):
+    train, _, model = eval_setup(tmp_path, capsys)  # 32 samples, 2 levels: K = 24
+    if classes == 3:
+        train = tmp_path / "train3.csv"
+        save_csv(generate_waveform(WaveformSpec(per_class_count=8, seed=3)), train)
+    out = tmp_path / "report"
+    argv = ["eval", "--model", str(model), "--train", str(train), "--permutations", "0",
+            "--out-dir", str(out)]
+    code, _, err = run(argv + ["--top-t", "3,25"], capsys)
+    assert code == 2
+    assert err == "error: --top-t 25 exceeds the model's 24 detail coefficients\n"
+    assert not out.exists()
+    code, _, _ = run(argv + ["--top-t", "24"], capsys)
+    assert code == 0
+    if classes == 2:
+        members = json.loads((out / "ensemble_t24.json").read_text())["members"]
+        assert len(members) == 24
+
+
 def test_exit_code_3_on_data_errors(tmp_path, capsys):
     code, _, err = run(
         ["fit", "--train", str(tmp_path / "missing.csv"), "--window", "4",
