@@ -171,15 +171,6 @@ def _parse_top_t(text: str):
     return list(dict.fromkeys(values))  # first occurrences, in order
 
 
-def _pair_labels(class_ids: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    extra = set(int(c) for c in np.unique(class_ids)) - {lo, hi}
-    if extra:
-        raise DataError(
-            f"test classes {sorted(extra)} absent from training classes [{lo}, {hi}]"
-        )
-    return np.where(class_ids == lo, -1.0, 1.0)
-
-
 COEFFICIENT_COLUMNS = [
     "name", "level", "position", "mode", "b", "s",
     "train_accuracy", "test_accuracy", "p_value",
@@ -210,7 +201,7 @@ def _eval_binary(args, fitted, train, test, out_dir):
 
     evaluated_on, eval_table = "train", train_table
     if test is not None:
-        y_test = _pair_labels(test.class_ids, lo, hi)
+        y_test = np.where(test.class_ids == lo, -1.0, 1.0)  # classes checked in cmd_eval
         eval_table = tf.apply(fitted, test.signals, labels=y_test, class_ids=test.class_ids)
         classifiers = evaluation.evaluate_classifiers(classifiers, eval_table)
         evaluated_on = "test"
@@ -348,6 +339,11 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"--top-t {max(args.top_t)} exceeds the model's {n_details} detail coefficients"
         )
+    if binary and test is not None:
+        lo, hi = train.classes
+        extra = sorted(set(test.classes) - {lo, hi})
+        if extra:
+            raise DataError(f"test classes {extra} absent from training classes [{lo}, {hi}]")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -343,7 +343,9 @@ def one_against_one(
     the sequence `top_t` (selection happens per pairwise problem). Pair
     reports score the ensemble on the test rows of those two classes; the
     overall prediction lets every pair vote on every test example. Returns
-    {t: MulticlassReport} in the order of `top_t`.
+    {t: MulticlassReport} in the order of `top_t`. Raises ConfigError, before
+    any vote, for a t above a pair transform's K = N - N/2^M detail
+    coefficients.
     """
     classes = _duel_classes(train, test)
     top_t = list(top_t)
@@ -354,6 +356,11 @@ def one_against_one(
     for lo, hi in combinations(classes, 2):
         fitted, coeffs = tf.fit(train.restrict_pair(lo, hi), config)
         ranked = rank_classifiers(make_local_classifiers(coeffs, fitted, mode))
+        if max(top_t) > len(ranked):
+            raise ConfigError(
+                f"top_t {max(top_t)} exceeds the {len(ranked)} detail coefficients "
+                f"of the class-pair transform ({lo}, {hi})"
+            )
         mask = np.isin(test.class_ids, (lo, hi))
         sub = None
         if np.any(mask):

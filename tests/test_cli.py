@@ -419,6 +419,21 @@ def test_eval_missing_seed_leaves_no_out_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_binary_test_class_absent_from_train_leaves_no_out_dir(tmp_path, capsys):
+    train, _, model = eval_setup(tmp_path, capsys)
+    test = tmp_path / "test3.csv"
+    save_csv(generate_waveform(WaveformSpec(per_class_count=5, seed=12)), test)
+    out = tmp_path / "report"
+    code, _, err = run(
+        ["eval", "--model", str(model), "--train", str(train), "--test", str(test),
+         "--permutations", "0", "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 3
+    assert err == "error: test classes [3] absent from training classes [1, 2]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("classes", [2, 3])
 def test_eval_top_t_above_the_coefficient_count(tmp_path, capsys, classes):
     train, _, model = eval_setup(tmp_path, capsys)  # 32 samples, 2 levels: K = 24

@@ -554,6 +554,15 @@ def test_ovo_validation_errors():
         ev.one_against_one_raw_psvm(train, extra, nu=1.0)
 
 
+def test_ovo_rejects_top_t_above_the_pair_detail_count():
+    # 32 samples, 2 levels: each pair transform has K = 32 - 32/4 = 24 details.
+    train = generate_waveform(WaveformSpec(per_class_count=10, seed=208))
+    cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
+    with pytest.raises(ConfigError, match="top_t 1000 exceeds the 24 detail coefficients"):
+        ev.one_against_one(train, train, cfg, top_t=[3, 1000])
+    assert set(ev.one_against_one(train, train, cfg, top_t=[24])) == {24}
+
+
 def test_raw_psvm_separates_offset_clouds():
     rng = make_rng(210)
     a = rng.normal(size=(30, 8)) + 4.0

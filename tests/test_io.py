@@ -6,6 +6,12 @@ every file below, read with and without a header and a label column,
 `read_csv` must give its result bit for bit or its exact error.
 """
 
+import contextlib
+import errno
+import os
+import signal
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from discwave import io
 from discwave.core import DataError
+from discwave.datasets import WaveformSpec, generate_waveform, load_csv, save_csv
 
 HEADER = "s1,s2,label\n"
 FILES = {
@@ -145,3 +152,201 @@ def test_write_then_read_is_bit_exact(tmp_path_factory, matrix, label):
     assert back.dtype == np.float64 and back.flags.c_contiguous
     assert back.tobytes() == matrix.tobytes()
     assert ids.tolist() == [label] * matrix.shape[0]
+
+
+# write_table: rows formatted in forked blocks must give the bytes of the
+# one-process write_csv, whatever the number of blocks and whatever fails.
+
+SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308)
+
+
+def serial_bytes(path, names, matrix, ids):
+    """The reference: write_csv of the same rows, one process, one row at a time."""
+    header = None if names is None else names + (["label"] if ids is not None else [])
+    if ids is None:
+        rows = (row.tolist() for row in matrix)
+    else:
+        rows = (row.tolist() + [int(i)] for row, i in zip(matrix, ids))
+    io.write_csv(path, header, rows)
+    return path.read_bytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def forced_blocks(processes, chunk_cells=io.CHUNK_CELLS):
+    """write_table with `processes` usable CPUs and any block size; yields the
+    list of (lo, hi) row ranges handed to children."""
+    forked = []
+    fork_block = io._fork_block
+
+    def spy(matrix, ids, lo, hi):
+        forked.append((lo, hi))
+        return fork_block(matrix, ids, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_max_processes", lambda: processes)
+        mp.setattr(io, "PARALLEL_MIN_CELLS", 1)
+        mp.setattr(io, "CHUNK_CELLS", chunk_cells)
+        mp.setattr(io, "_fork_block", spy)
+        yield forked
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    processes=st.integers(1, 3),
+    matrix=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 7), st.integers(1, 4)),
+        elements=st.one_of(finite, st.sampled_from(SPECIAL)),
+    ),
+    header=st.booleans(),
+    label_kind=st.sampled_from([None, "class_ids", "labels"]),
+    chunk_cells=st.sampled_from([1, 5, io.CHUNK_CELLS]),
+    data=st.data(),
+)
+def test_write_table_matches_serial_write_csv(
+    tmp_path_factory, processes, matrix, header, label_kind, chunk_cells, data
+):
+    n_rows = matrix.shape[0]
+    names = [f"s{j}" for j in range(1, matrix.shape[1] + 1)] if header else None
+    class_ids = labels = None
+    if label_kind == "class_ids":
+        class_ids = np.array(data.draw(st.lists(st.integers(1, 12), min_size=n_rows,
+                                                max_size=n_rows)))
+    elif label_kind == "labels":
+        labels = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n_rows,
+                                             max_size=n_rows)))
+    tmp = tmp_path_factory.mktemp("write_table")
+    ids = class_ids if class_ids is not None else labels
+    expected = serial_bytes(tmp / "serial.csv", names, matrix, ids)
+    with forced_blocks(processes, chunk_cells) as forked:
+        io.write_table(tmp / "table.csv", names, matrix, class_ids, labels)
+    assert (tmp / "table.csv").read_bytes() == expected
+    blocks = min(processes, n_rows)
+    assert len(forked) == blocks - 1
+    assert_no_child_left()
+
+
+def table(rows=7, cols=3):
+    rng = np.random.default_rng(rows * 100 + cols)
+    return [f"s{j}" for j in range(1, cols + 1)], rng.standard_normal((rows, cols))
+
+
+def test_write_table_formats_here_when_fork_fails(tmp_path, monkeypatch):
+    names, matrix = table()
+    ids = np.arange(7) % 3 + 1
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(io.os, "fork", no_fork)
+    with forced_blocks(3) as forked:
+        io.write_table(tmp_path / "table.csv", names, matrix, ids)
+    assert forked == [(2, 4)]  # the first failure leaves the rest to this process
+    assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
+        tmp_path / "serial.csv", names, matrix, ids)
+    assert_no_child_left()
+
+
+def test_write_table_without_fork_is_one_process(tmp_path, monkeypatch):
+    names, matrix = table()
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(io, "PARALLEL_MIN_CELLS", 1)
+    assert io._max_processes() == 1
+    io.write_table(tmp_path / "table.csv", names, matrix)
+    assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
+        tmp_path / "serial.csv", names, matrix, None)
+
+
+@pytest.mark.parametrize("failure", ["raise", "partial_then_raise", "partial_then_killed"])
+def test_write_table_formats_here_when_a_child_fails(tmp_path, monkeypatch, failure):
+    names, matrix = table(rows=40, cols=2000)  # blocks of ~0.5 MB: more than a pipe holds
+    ids = np.arange(40) % 2 + 1
+    parent = os.getpid()
+    write = os.write
+
+    def failing_write(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        if failure != "raise":
+            write(fd, b"garbage\n" + bytes(data[: len(data) // 2]))
+        if failure == "partial_then_killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("child failed")
+
+    monkeypatch.setattr(io.os, "write", failing_write)
+    with forced_blocks(3) as forked:
+        io.write_table(tmp_path / "table.csv", names, matrix, ids)
+    assert len(forked) == 2
+    assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
+        tmp_path / "serial.csv", names, matrix, ids)
+    assert_no_child_left()
+
+
+def test_write_table_reaps_children_when_interrupted(tmp_path):
+    # The target cannot be opened, so the children's pipes are never read:
+    # each child is blocked writing ~0.5 MB when the call unwinds.
+    names, matrix = table(rows=40, cols=2000)
+
+    def timeout(signum, frame):
+        raise TimeoutError("write_table did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        with forced_blocks(3) as forked, pytest.raises(FileNotFoundError):
+            io.write_table(tmp_path / "missing" / "table.csv", names, matrix)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forked) == 2
+    assert_no_child_left()
+
+
+def test_write_table_silences_only_the_fork_thread_warning(tmp_path, monkeypatch):
+    names, matrix = table()
+    fork = os.fork
+    messages = []
+
+    def warning_fork():
+        for message in messages:
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(io.os, "fork", warning_fork)
+    threaded = (f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
+                "lead to deadlocks in the child.")
+    for message, shown in ((threaded, False), ("some other deprecation", True)):
+        messages[:] = [message]
+        with warnings.catch_warnings(record=True) as caught, forced_blocks(2):
+            warnings.simplefilter("always")
+            io.write_table(tmp_path / "table.csv", names, matrix)
+        assert [str(w.message) for w in caught] == ([message] if shown else [])
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("per_class, forks", [(1323, 0), (1324, 1)])
+def test_save_then_load_is_bit_exact_on_both_sides_of_the_threshold(
+    tmp_path, monkeypatch, per_class, forks
+):
+    # 32 samples and a label: blocks of 1986 rows reach 2**16 cells, so
+    # 3 * 1324 = 3972 rows make two blocks and 3 * 1323 = 3969 rows one.
+    ds = generate_waveform(WaveformSpec(per_class_count=per_class, seed=31))
+    forked = []
+    fork_block = io._fork_block
+    monkeypatch.setattr(io, "_max_processes", lambda: 2)
+    monkeypatch.setattr(
+        io, "_fork_block", lambda *a: forked.append(a[2:]) or fork_block(*a))
+    save_csv(ds, tmp_path / "data.csv")
+    assert len(forked) == forks
+    back = load_csv(tmp_path / "data.csv")
+    assert back.signals.tobytes() == ds.signals.tobytes()
+    assert np.array_equal(back.class_ids, ds.class_ids)
+    names = [f"s{j}" for j in range(1, 33)]
+    assert (tmp_path / "data.csv").read_bytes() == serial_bytes(
+        tmp_path / "serial.csv", names, ds.signals, ds.class_ids)
+    assert_no_child_left()
