@@ -27,6 +27,7 @@ from .core import (
     NumericalError,
     SignalDataset,
     TransformConfig,
+    pair_labels,
 )
 from . import datasets, evaluation, transform as tf
 from .io import write_csv, write_json
@@ -201,7 +202,7 @@ def _eval_binary(args, fitted, train, test, out_dir):
 
     evaluated_on, eval_table = "train", train_table
     if test is not None:
-        y_test = np.where(test.class_ids == lo, -1.0, 1.0)  # classes checked in cmd_eval
+        y_test = pair_labels(test.class_ids, lo)  # classes checked in cmd_eval
         eval_table = tf.apply(fitted, test.signals, labels=y_test, class_ids=test.class_ids)
         classifiers = evaluation.evaluate_classifiers(classifiers, eval_table)
         evaluated_on = "test"
@@ -339,11 +340,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"--top-t {max(args.top_t)} exceeds the model's {n_details} detail coefficients"
         )
-    if binary and test is not None:
-        lo, hi = train.classes
-        extra = sorted(set(test.classes) - {lo, hi})
-        if extra:
-            raise DataError(f"test classes {extra} absent from training classes [{lo}, {hi}]")
+    evaluation.duel_classes(train, train if test is None else test)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

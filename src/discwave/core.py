@@ -67,6 +67,11 @@ def validate_labels(labels, n_rows: int) -> np.ndarray:
     return y
 
 
+def pair_labels(class_ids, lo) -> np.ndarray:
+    """The +/-1 labels of a class pair's rows: class lo -> -1, any other -> +1."""
+    return np.where(np.asarray(class_ids) == lo, -1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class SignalDataset:
     """Labelled sampled signals: rows are examples, columns are samples.
@@ -104,7 +109,7 @@ class SignalDataset:
         if labels is None and self.class_ids is not None:
             distinct = np.unique(self.class_ids)
             if distinct.size == 2:
-                labels = np.where(self.class_ids == distinct[0], -1.0, 1.0)
+                labels = pair_labels(self.class_ids, distinct[0])
         if labels is not None:
             labels = validate_labels(labels, sig.shape[0])
         object.__setattr__(self, "labels", labels)
@@ -146,7 +151,7 @@ class SignalDataset:
         ids = self.class_ids[mask]
         return SignalDataset(
             signals=self.signals[mask],
-            labels=np.where(ids == lo, -1.0, 1.0),
+            labels=pair_labels(ids, lo),
             class_ids=ids,
         )
 

@@ -23,26 +23,20 @@ SHAPE_KINDS = ("cylinder", "bell", "funnel")
 class WaveformSpec:
     per_class_count: int
     seed: int
-    length: int = WAVEFORM_LENGTH
 
     def __post_init__(self):
         if self.per_class_count < 1:
             raise ConfigError("per_class_count must be >= 1")
-        if self.length != WAVEFORM_LENGTH:
-            raise ConfigError(f"waveform signals are fixed at {WAVEFORM_LENGTH} samples")
 
 
 @dataclass(frozen=True)
 class ShapeSpec:
     per_class_count: int
     seed: int
-    length: int = SHAPE_LENGTH
 
     def __post_init__(self):
         if self.per_class_count < 1:
             raise ConfigError("per_class_count must be >= 1")
-        if self.length != SHAPE_LENGTH:
-            raise ConfigError(f"shape-cbf signals are fixed at {SHAPE_LENGTH} samples")
 
 
 def h1(i):

@@ -27,6 +27,7 @@ from .core import (
     SignalDataset,
     TransformConfig,
     make_rng,
+    pair_labels,
     validate_labels,
 )
 from . import transform as tf
@@ -287,46 +288,53 @@ def vote_profile(report: EnsembleReport):
 @dataclass(frozen=True)
 class MulticlassReport:
     classes: tuple
-    pair_reports: dict  # (lo, hi) -> EnsembleReport on the pair's test subset
-    pair_errors: dict  # (lo, hi) -> float or None
+    pair_errors: dict  # (lo, hi) -> error on the pair's test rows, None without any
     predictions: np.ndarray  # winning class id per test example
     classified: np.ndarray  # False where no duel produced a vote
-    overall_error: Optional[float]
+    overall_error: float
 
 
-def _aggregate_duels(classes, duel_outcomes, n_examples, true_ids):
-    """Count pairwise wins; most wins predicts, ties -> smallest class id.
-
-    An example every duel left unclassified gets no winner at all and counts
-    as an error (keeps the 2-class case identical to the binary pipeline).
-    """
-    classes = list(classes)
-    wins = np.zeros((n_examples, len(classes)), dtype=int)
-    col = {c: i for i, c in enumerate(classes)}
-    for (lo, hi), outcome in duel_outcomes.items():
-        wins[outcome < 0, col[lo]] += 1
-        wins[outcome > 0, col[hi]] += 1
-    classified = wins.max(axis=1) > 0
-    predictions = np.asarray(classes, dtype=int)[np.argmax(wins, axis=1)]
-    overall = None
-    if true_ids is not None:
-        overall = float(np.mean(~classified | (predictions != true_ids)))
-    return predictions, classified, overall
-
-
-def _duel_classes(train: SignalDataset, test: SignalDataset) -> list:
+def duel_classes(train: SignalDataset, test: SignalDataset) -> list:
     """Sorted training class ids. Raises DataError unless both sets carry
     class ids, training has two or more classes and every test class occurs
     in training."""
     if train.class_ids is None or test.class_ids is None:
         raise DataError("one_against_one needs class_ids on both datasets")
-    classes = [int(c) for c in np.unique(train.class_ids)]
+    classes = list(train.classes)
     if len(classes) < 2:
         raise DataError("need at least two classes")
-    missing = set(int(c) for c in np.unique(test.class_ids)) - set(classes)
+    missing = sorted(set(test.classes) - set(classes))
     if missing:
-        raise DataError(f"test classes {sorted(missing)} absent from training")
+        raise DataError(f"test classes {missing} absent from training classes {classes}")
     return classes
+
+
+def _duels(classes, outcomes: dict, test: SignalDataset) -> MulticlassReport:
+    """Score duels from each pair's +1 / -1 / 0 outcome on every test row.
+
+    A pair's error is its misclassification on the test rows of its own two
+    classes. Overall, most pairwise wins predicts, ties -> smallest class id;
+    an example every duel left unclassified gets no winner at all and counts
+    as an error (keeps the 2-class case identical to the binary pipeline).
+    """
+    wins = np.zeros((test.n_examples, len(classes)), dtype=int)
+    col = {c: i for i, c in enumerate(classes)}
+    pair_errors = {}
+    for (lo, hi), outcome in outcomes.items():
+        wins[outcome < 0, col[lo]] += 1
+        wins[outcome > 0, col[hi]] += 1
+        rows = np.isin(test.class_ids, (lo, hi))
+        y = pair_labels(test.class_ids[rows], lo)
+        pair_errors[(lo, hi)] = float(np.mean(outcome[rows] != y)) if rows.any() else None
+    classified = wins.max(axis=1) > 0
+    predictions = np.asarray(classes, dtype=int)[np.argmax(wins, axis=1)]
+    return MulticlassReport(
+        classes=tuple(classes),
+        pair_errors=pair_errors,
+        predictions=predictions,
+        classified=classified,
+        overall_error=float(np.mean(~classified | (predictions != test.class_ids))),
+    )
 
 
 def one_against_one(
@@ -340,19 +348,18 @@ def one_against_one(
 
     Each pair gets its own fitted transform and classifier ranking, made once;
     the top-t members of that ranking form the pair's ensemble for every t in
-    the sequence `top_t` (selection happens per pairwise problem). Pair
-    reports score the ensemble on the test rows of those two classes; the
-    overall prediction lets every pair vote on every test example. Returns
-    {t: MulticlassReport} in the order of `top_t`. Raises ConfigError, before
-    any vote, for a t above a pair transform's K = N - N/2^M detail
-    coefficients.
+    the sequence `top_t` (selection happens per pairwise problem). Every pair
+    votes on every test example; its error is scored on the rows of its own
+    two classes. Returns {t: MulticlassReport} in the order of `top_t`.
+    Raises ConfigError, before any vote, for a t above a pair transform's
+    K = N - N/2^M detail coefficients.
     """
-    classes = _duel_classes(train, test)
+    classes = duel_classes(train, test)
     top_t = list(top_t)
     if not top_t or min(top_t) < 1:
         raise ConfigError("top_t needs at least one entry, each >= 1")
 
-    pairs = {}  # (lo, hi) -> (ranked classifiers, all test rows, the pair's test rows)
+    pairs = {}  # (lo, hi) -> (ranked classifiers, the pair transform of every test row)
     for lo, hi in combinations(classes, 2):
         fitted, coeffs = tf.fit(train.restrict_pair(lo, hi), config)
         ranked = rank_classifiers(make_local_classifiers(coeffs, fitted, mode))
@@ -361,32 +368,11 @@ def one_against_one(
                 f"top_t {max(top_t)} exceeds the {len(ranked)} detail coefficients "
                 f"of the class-pair transform ({lo}, {hi})"
             )
-        mask = np.isin(test.class_ids, (lo, hi))
-        sub = None
-        if np.any(mask):
-            y = np.where(test.class_ids[mask] == lo, -1.0, 1.0)
-            sub = tf.apply(fitted, test.signals[mask], labels=y)
-        pairs[(lo, hi)] = ranked, tf.apply(fitted, test.signals), sub
-
-    reports = {}
-    for t in top_t:
-        duel_outcomes = {p: vote(r[:t], full).outcome for p, (r, full, _) in pairs.items()}
-        pair_reports = {p: vote(r[:t], sub) for p, (r, _, sub) in pairs.items() if sub is not None}
-        predictions, classified, overall = _aggregate_duels(
-            classes, duel_outcomes, test.n_examples, test.class_ids
-        )
-        reports[t] = MulticlassReport(
-            classes=tuple(classes),
-            pair_reports=pair_reports,
-            pair_errors={
-                p: pair_reports[p].misclassification if p in pair_reports else None
-                for p in pairs
-            },
-            predictions=predictions,
-            classified=classified,
-            overall_error=overall,
-        )
-    return reports
+        pairs[(lo, hi)] = ranked, tf.apply(fitted, test.signals)
+    return {
+        t: _duels(classes, {p: vote(r[:t], table).outcome for p, (r, table) in pairs.items()}, test)
+        for t in top_t
+    }
 
 
 def fit_raw_psvm(signals: np.ndarray, labels: np.ndarray, nu: float):
@@ -409,31 +395,12 @@ def one_against_one_raw_psvm(
     train: SignalDataset, test: SignalDataset, nu: float
 ) -> MulticlassReport:
     """Baseline: pairwise proximal SVMs on the raw samples, same duel rules."""
-    classes = _duel_classes(train, test)
-    duel_outcomes = {}
-    pair_errors = {}
+    classes = duel_classes(train, test)
+    outcomes = {}
     for lo, hi in combinations(classes, 2):
         tr = train.restrict_pair(lo, hi)
-        w, gamma = fit_raw_psvm(tr.signals, tr.labels, nu)
-        duel_outcomes[(lo, hi)] = psvm_predict(w, gamma, test.signals)
-        mask = np.isin(test.class_ids, (lo, hi))
-        if np.any(mask):
-            y = np.where(test.class_ids[mask] == lo, -1.0, 1.0)
-            pred = psvm_predict(w, gamma, test.signals[mask])
-            pair_errors[(lo, hi)] = float(np.mean(pred != y))
-        else:
-            pair_errors[(lo, hi)] = None
-    predictions, classified, overall = _aggregate_duels(
-        classes, duel_outcomes, test.n_examples, test.class_ids
-    )
-    return MulticlassReport(
-        classes=tuple(classes),
-        pair_reports={},
-        pair_errors=pair_errors,
-        predictions=predictions,
-        classified=classified,
-        overall_error=overall,
-    )
+        outcomes[(lo, hi)] = psvm_predict(*fit_raw_psvm(tr.signals, tr.labels, nu), test.signals)
+    return _duels(classes, outcomes, test)
 
 
 def permutation_test(

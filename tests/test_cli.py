@@ -279,6 +279,20 @@ def test_eval_multiclass(tmp_path, capsys):
     assert "3" in summary["one_against_one"]
     # One-against-one runs no permutation test, whatever --permutations says.
     assert manifest_sans_clock(out / "manifest.json")["config"]["permutations"] == 0
+    # A test set of class 1 alone leaves pair (2, 3) without rows: a blank error.
+    only_1 = tmp_path / "test1.csv"
+    ds = load_csv(full_test)
+    save_csv(SignalDataset(signals=ds.signals[:10], class_ids=ds.class_ids[:10]), only_1)
+    out = tmp_path / "ovo1"
+    code, _, _ = run(
+        ["eval", "--model", str(model), "--train", str(full_train), "--test", str(only_1),
+         "--top-t", "3", "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 0
+    pairs = [row.split(",") for row in (out / "pairs_t3.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in pairs] == [["1", "2"], ["1", "3"], ["2", "3"]]
+    assert pairs[0][2] and pairs[1][2] and pairs[2][2] == ""
 
 
 def test_basis_artifacts(tmp_path, capsys):
@@ -419,18 +433,30 @@ def test_eval_missing_seed_leaves_no_out_dir(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_eval_binary_test_class_absent_from_train_leaves_no_out_dir(tmp_path, capsys):
+@pytest.mark.parametrize("case", ["binary", "multiclass", "single-class"])
+def test_eval_class_check_leaves_no_out_dir(tmp_path, capsys, case):
     train, _, model = eval_setup(tmp_path, capsys)
     test = tmp_path / "test3.csv"
-    save_csv(generate_waveform(WaveformSpec(per_class_count=5, seed=12)), test)
+    ds = generate_waveform(WaveformSpec(per_class_count=5, seed=12))
+    message = "test classes [3] absent from training classes [1, 2]"
+    if case == "multiclass":
+        train = tmp_path / "train3.csv"
+        save_csv(generate_waveform(WaveformSpec(per_class_count=8, seed=3)), train)
+        ids = np.where(ds.class_ids == 3, 4, ds.class_ids)
+        ds = SignalDataset(signals=ds.signals, class_ids=ids)
+        message = "test classes [4] absent from training classes [1, 2, 3]"
+    save_csv(ds, test)
+    argv = ["eval", "--model", str(model), "--train", str(train), "--test", str(test)]
+    if case == "single-class":  # no --test: training is checked against itself
+        train = tmp_path / "train1.csv"
+        save_csv(SignalDataset(signals=ds.signals[:5], class_ids=ds.class_ids[:5]), train)
+        argv = ["eval", "--model", str(model), "--train", str(train)]
+        message = "need at least two classes"
     out = tmp_path / "report"
-    code, _, err = run(
-        ["eval", "--model", str(model), "--train", str(train), "--test", str(test),
-         "--permutations", "0", "--out-dir", str(out)],
-        capsys,
-    )
+    argv += ["--permutations", "0", "--top-t", "3", "--out-dir", str(out)]
+    code, _, err = run(argv, capsys)
     assert code == 3
-    assert err == "error: test classes [3] absent from training classes [1, 2]\n"
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 

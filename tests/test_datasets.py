@@ -98,11 +98,11 @@ def test_waveform_seed_determinism():
 def test_spec_validation():
     with pytest.raises(ConfigError):
         WaveformSpec(per_class_count=0, seed=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):  # signal lengths are fixed; specs take none
         WaveformSpec(per_class_count=3, seed=1, length=64)
     with pytest.raises(ConfigError):
         ShapeSpec(per_class_count=0, seed=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         ShapeSpec(per_class_count=3, seed=1, length=32)
 
 

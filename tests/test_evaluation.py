@@ -506,18 +506,17 @@ def test_ovo_two_classes_equals_binary_pipeline():
 
     report = ev.one_against_one(train, test, cfg, top_t=[top_t])[top_t]
     assert report.classes == (1, 2)
-    assert set(report.pair_reports) == {(1, 2)}
+    assert set(report.pair_errors) == {(1, 2)}
 
     fitted, coeffs = tf.fit(train, cfg)
     members = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))[:top_t]
     table = tf.apply(fitted, test.signals, labels=test.labels)
     binary = ev.vote(members, table)
-    assert np.array_equal(report.pair_reports[(1, 2)].outcome, binary.outcome)
+    # The duel's outcome, read back: unclassified rows, and -1 -> 1, +1 -> 2.
+    assert np.array_equal(report.classified, binary.outcome != 0)
+    assert np.array_equal(report.predictions, np.where(binary.outcome > 0, 2, 1))
     assert report.pair_errors[(1, 2)] == binary.misclassification
     assert report.overall_error == binary.misclassification
-    mapped = np.where(binary.outcome < 0, 1, 2)
-    classified = binary.outcome != 0
-    assert np.array_equal(report.predictions[classified], mapped[classified])
 
 
 def test_ovo_three_classes():
@@ -526,12 +525,17 @@ def test_ovo_three_classes():
     cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
     report = ev.one_against_one(train, test, cfg, top_t=[3])[3]
     assert report.classes == (1, 2, 3)
-    assert set(report.pair_reports) == {(1, 2), (1, 3), (2, 3)}
+    assert set(report.pair_errors) == {(1, 2), (1, 3), (2, 3)}
     assert set(np.unique(report.predictions)).issubset({1, 2, 3})
     assert report.predictions.shape == (45,)
     assert 0.0 <= report.overall_error <= 1.0
-    for err in report.pair_errors.values():
-        assert 0.0 <= err <= 1.0
+    # Each pair error is an independent pair fit voting on that pair's test rows.
+    for (lo, hi), err in report.pair_errors.items():
+        fitted, coeffs = tf.fit(train.restrict_pair(lo, hi), cfg)
+        ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))
+        pair = test.restrict_pair(lo, hi)
+        table = tf.apply(fitted, pair.signals, labels=pair.labels)
+        assert err == ev.vote(ranked[:3], table).misclassification
     # The ensembles should do far better than chance on this easy problem.
     assert report.overall_error < 0.5
 
@@ -578,10 +582,44 @@ def test_raw_psvm_multiclass_baseline():
     test = generate_waveform(WaveformSpec(per_class_count=30, seed=212))
     report = ev.one_against_one_raw_psvm(train, test, nu=1.0)
     assert report.classes == (1, 2, 3)
-    assert report.pair_reports == {}
-    assert len(report.pair_errors) == 3
+    assert set(report.pair_errors) == {(1, 2), (1, 3), (2, 3)}
+    for (lo, hi), err in report.pair_errors.items():
+        tr, pair = train.restrict_pair(lo, hi), test.restrict_pair(lo, hi)
+        w, gamma = ev.fit_raw_psvm(tr.signals, tr.labels, nu=1.0)
+        assert err == np.mean(ev.psvm_predict(w, gamma, pair.signals) != pair.labels)
     assert 0.0 <= report.overall_error <= 0.5
     assert np.all(report.classified)
+
+
+def test_duels_by_hand():
+    # Rows of classes 1, 2, 3, 1. Row 3 gets no vote from any duel: it
+    # predicts the smallest class, 1, which is right, yet counts as an error.
+    test = SignalDataset(signals=np.zeros((4, 2)), class_ids=np.array([1, 2, 3, 1]))
+    outcomes = {
+        (1, 2): np.array([-1.0, 1.0, 0.0, 0.0]),
+        (1, 3): np.array([-1.0, 0.0, 1.0, 0.0]),
+        (2, 3): np.array([0.0, -1.0, 1.0, 0.0]),
+    }
+    report = ev._duels([1, 2, 3], outcomes, test)
+    assert report.predictions.tolist() == [1, 2, 3, 1]
+    assert report.classified.tolist() == [True, True, True, False]
+    assert report.overall_error == 0.25
+    assert report.pair_errors == {(1, 2): 1 / 3, (1, 3): 1 / 3, (2, 3): 0.0}
+
+
+def test_duel_pair_without_test_rows_scores_none():
+    train = generate_waveform(WaveformSpec(per_class_count=10, seed=213))
+    test = generate_waveform(WaveformSpec(per_class_count=5, seed=214))
+    ones = test.class_ids == 1
+    only_1 = SignalDataset(signals=test.signals[ones], class_ids=test.class_ids[ones])
+    cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
+    for report in (
+        ev.one_against_one(train, only_1, cfg, top_t=[3])[3],
+        ev.one_against_one_raw_psvm(train, only_1, nu=1.0),
+    ):
+        assert report.pair_errors[(2, 3)] is None
+        assert report.pair_errors[(1, 2)] is not None
+        assert report.pair_errors[(1, 3)] is not None
 
 
 def test_classifier_name():

@@ -558,6 +558,44 @@ def test_apply_undoes_reconstruct_on_arbitrary_tables(fit, levels, exponent, see
     assert error <= 16 * np.finfo(float).eps * cond * np.max(np.abs(C))
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    fit=st.sampled_from(
+        [("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)]
+    ),
+    levels=st.integers(1, 3),
+    n=st.integers(1, 450),
+    data=st.data(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_apply_is_row_independent(fit, levels, n, data, seed):
+    # A row's coefficients must not depend on the rows beside it beyond
+    # rounding. The coarse block is pair averages, exact in any company. A
+    # detail is t e - <C_window, w>, and BLAS may sum that dot product in
+    # another order for a row alone or at another position of a matrix
+    # (OpenBLAS 0.3 does, for single rows and for most random subsets). Any
+    # order is within window * eps * |C| . |w| of the exact sum, so two of
+    # them, each followed by one rounded subtraction, differ by at most
+    # (2 window + 2) eps (max|x| sum|w| + |d|).
+    variant, degree = fit
+    rng = np.random.default_rng(seed)
+    cfg = TransformConfig(
+        levels=levels, window=4, nu=1.0, variant=variant, constraint_degree=degree
+    )
+    t, _ = tf.fit(random_dataset(rng, 24, 32), cfg)
+    X = rng.normal(size=(n, 32))
+    merged = tf.apply(t, X).merged
+    weight = max(float(np.abs(level.weights).sum(axis=1).max()) for level in t.levels)
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    for subset in (rows, rows[:1]):
+        alone, beside = tf.apply(t, X[subset]).merged, merged[subset]
+        coarse = 32 >> t.effective_levels
+        assert alone[:, :coarse].tobytes() == beside[:, :coarse].tobytes()
+        scale = np.abs(X[subset]).max(axis=1, keepdims=True) * weight + np.abs(beside)
+        tol = (2 * cfg.window + 2) * np.finfo(float).eps * scale
+        assert np.all(np.abs(alone - beside) <= tol), subset
+
+
 def stack_budget(l, window, size):
     """STACK_BYTES at which a level of l examples and this window stacks `size` windows."""
     return 8 * (l + window + 2) * (window + 3) * size
