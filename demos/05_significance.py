@@ -24,7 +24,8 @@ fitted, coeffs = tf.fit(train, cfg)
 ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))
 
 B = 999  # drawn once and shared by every coefficient of the call
-p_values = ev.permutation_test(ranked, coeffs, train.labels, B=B, seed=5000)
+values = coeffs.merged[:, ranked.columns]  # l x K: column j for classifier j
+p_values = ev.permutation_test(ranked, values, train.labels, B=B, seed=5000)
 ranked = replace(ranked, p_value=p_values)
 
 print(f"permutation p-values with B = {B}, strongest and weakest coefficients:")

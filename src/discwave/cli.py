@@ -65,8 +65,6 @@ def _read(load, path: str):
 def _read_labelled(path: str, fitted: tf.FittedTransform) -> SignalDataset:
     """A labelled signal CSV whose signals fit the model."""
     ds = _read(datasets.load_csv, path)
-    if ds.class_ids is None:
-        raise DataError(f"{path} has no label column")
     if ds.signal_length != fitted.signal_length:
         raise DataError(
             f"{path}: signals have length {ds.signal_length}, "
@@ -87,7 +85,7 @@ def cmd_generate(args) -> int:
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    datasets.save_csv(ds, out, header=not args.no_header)
+    datasets.save_csv(ds, out)
     print(
         f"wrote {ds.n_examples} signals of length {ds.signal_length} "
         f"({args.generator}, {args.per_class} per class) to {out}"
@@ -95,11 +93,7 @@ def cmd_generate(args) -> int:
     _write_manifest(
         _manifest_beside(args.out),
         "generate",
-        {
-            "generator": args.generator,
-            "per_class": args.per_class,
-            "header": not args.no_header,
-        },
+        {"generator": args.generator, "per_class": args.per_class},
         {"seed": args.seed},
         {},
         {"data": str(out)},
@@ -208,8 +202,9 @@ def _eval_binary(args, fitted, train, test, out_dir):
         evaluated_on = "test"
 
     if args.permutations > 0:
+        values = train_table.merged[:, classifiers.columns]
         p_values = evaluation.permutation_test(
-            classifiers, train_table, train_table.labels, args.permutations, args.seed
+            classifiers, values, train_table.labels, args.permutations, args.seed
         )
         classifiers = replace(classifiers, p_value=p_values)
 
@@ -384,12 +379,12 @@ def cmd_basis(args) -> int:
     write_csv(
         out_dir / "analysis.csv",
         ["coefficient"] + sample_cols,
-        [[names[i]] + list(bv.analysis[i]) for i in range(len(names))],
+        [[name] + row for name, row in zip(names, bv.analysis.tolist())],
     )
     write_csv(
         out_dir / "synthesis.csv",
         ["coefficient"] + sample_cols,
-        [[names[i]] + list(bv.synthesis[:, i]) for i in range(len(names))],
+        [[name] + row for name, row in zip(names, bv.synthesis.T.tolist())],
     )
     support_rows = [
         [name, kind, level, position, a[0], a[-1], len(a), s[0], s[-1], len(s)]
@@ -439,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--per-class", type=int, required=True, help="signals per class")
     g.add_argument("--seed", type=int, required=True, help="RNG seed (reruns are identical)")
     g.add_argument("--out", required=True, help="output CSV path")
-    g.add_argument("--no-header", action="store_true", help="omit the header row")
     g.set_defaults(func=cmd_generate)
 
     f = sub.add_parser("fit", help="train a transform on a labelled two-class CSV")

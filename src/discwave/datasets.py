@@ -117,24 +117,26 @@ def generate_shape(spec: ShapeSpec) -> SignalDataset:
     return SignalDataset(signals=signals, class_ids=class_ids)
 
 
-def save_csv(dataset: SignalDataset, path, header: bool = True) -> None:
-    """One row per signal: N sample columns, then one integer label column.
+def save_csv(dataset: SignalDataset, path) -> None:
+    """A header line, then one row per signal: N sample columns and one
+    integer label column. A dataset without labels is a DataError.
 
     Sample values are written with shortest round-trip precision, so
     load_csv(save_csv(d)) reproduces the values bit-for-bit.
     """
-    names = [f"s{j}" for j in range(1, dataset.signal_length + 1)] if header else None
+    names = [f"s{j}" for j in range(1, dataset.signal_length + 1)]
     write_table(path, names, dataset.signals, dataset.class_ids, dataset.labels)
 
 
-def load_csv(path, header: bool = True, labeled: bool = True) -> SignalDataset:
+def load_csv(path) -> SignalDataset:
     """Read a dataset CSV written by save_csv (or compatible).
 
-    The last column is the integer class id when `labeled`. Raises DataError
-    with 1-based row/column diagnostics on ragged rows, non-numeric cells, a
-    missing label column, or a non-power-of-two signal width.
+    The first row is the header and the last column the integer class id.
+    Raises DataError with 1-based row/column diagnostics on a missing
+    header, ragged rows, non-numeric cells, a missing label column, or a
+    non-power-of-two signal width.
     """
-    _, signals, ids = read_csv(path, header=header, labeled=labeled)
+    _, signals, ids = read_csv(path)
     n_samples = signals.shape[1]
     if not is_power_of_two(n_samples) or n_samples < 2:
         raise DataError(

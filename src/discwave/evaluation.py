@@ -226,16 +226,14 @@ def rank_classifiers(classifiers: ClassifierSet) -> ClassifierSet:
     return classifiers[np.lexsort((classifiers.k, classifiers.level, -classifiers.count))]
 
 
-def evaluate_classifiers(
-    classifiers: ClassifierSet, table: tf.CoefficientTable, labels=None
-) -> ClassifierSet:
+def evaluate_classifiers(classifiers: ClassifierSet, table: tf.CoefficientTable) -> ClassifierSet:
     """The set with test accuracy on a coefficient table attached."""
-    y = labels if labels is not None else table.labels
+    y = table.labels
     if y is None:
         raise DataError("need labels to evaluate classifiers")
     # s * sign(d - b) is y exactly where (d >= b) == (y == s).
     X = table.merged[:, classifiers.columns]
-    right = (X >= classifiers.b) == (np.asarray(y)[:, None] == classifiers.s)
+    right = (X >= classifiers.b) == (y[:, None] == classifiers.s)
     return replace(classifiers, test_accuracy=np.mean(right, axis=0))
 
 
@@ -248,7 +246,7 @@ class EnsembleReport:
     n_unclassified: int
 
 
-def vote(members: ClassifierSet, table: tf.CoefficientTable, labels=None) -> EnsembleReport:
+def vote(members: ClassifierSet, table: tf.CoefficientTable) -> EnsembleReport:
     """Majority vote of the members on every example of the table.
 
     Exact vote ties fall back to the larger summed |d - b| margin side; a tie
@@ -267,8 +265,7 @@ def vote(members: ClassifierSet, table: tf.CoefficientTable, labels=None) -> Ens
         m_plus = np.where(V > 0, margins, 0.0).sum(axis=1)
         m_minus = np.where(V < 0, margins, 0.0).sum(axis=1)
         outcome[tied] = np.sign(m_plus - m_minus)[tied]
-    labels = table.labels if labels is None else np.asarray(labels, dtype=float)
-    ratio = None if labels is None else float(np.mean(outcome != labels))
+    ratio = None if table.labels is None else float(np.mean(outcome != table.labels))
     return EnsembleReport(
         members=members,
         votes=V,
@@ -404,7 +401,7 @@ def one_against_one_raw_psvm(
 
 
 def permutation_test(
-    classifiers: ClassifierSet, coefficients, labels: np.ndarray, B: int, seed: int
+    classifiers: ClassifierSet, values, labels: np.ndarray, B: int, seed: int
 ) -> np.ndarray:
     """Permutation p-values of the classifiers, one per row.
 
@@ -415,23 +412,18 @@ def permutation_test(
     psvm_bias mode the bias stays fixed and only the orientation is
     re-picked, matching how the classifiers were built.
 
-    `coefficients` is a CoefficientTable or an l x len(classifiers) matrix of
-    values. The B permutations are drawn once per call, each from its own
-    child stream make_rng(seed, replicate), and every classifier is scored
-    against the same ones, so a classifier's p-value does not depend on which
-    others share the call. optimal_threshold columns share one walk over the
+    `values` is the l x len(classifiers) matrix of coefficient values, column
+    j for classifier j. The B permutations are drawn once per call, each from
+    its own child stream make_rng(seed, replicate), and every classifier is
+    scored against the same ones, so a classifier's p-value does not depend on
+    which others share the call. optimal_threshold columns share one walk over the
     sorted values (_best_counts).
     """
     if B < MIN_PERMUTATIONS:
         raise ConfigError(f"need at least {MIN_PERMUTATIONS} permutations, got {B}")
-    if isinstance(coefficients, tf.CoefficientTable):
-        X = coefficients.merged[:, classifiers.columns]
-    else:
-        X = np.asarray(coefficients, dtype=float)
-        if X.ndim != 2 or X.shape[1] != len(classifiers):
-            raise DataError(
-                f"coefficients must be l x {len(classifiers)}, got shape {X.shape}"
-            )
+    X = np.asarray(values, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(classifiers):
+        raise DataError(f"values must be l x {len(classifiers)}, got shape {X.shape}")
     y = validate_labels(labels, X.shape[0])
     l = y.size
     plus_rows = np.empty((B + 1, l), dtype=bool)  # row 0 observed, row b+1 replicate b

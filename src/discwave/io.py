@@ -10,6 +10,11 @@ Spelling rule, for every file the package writes:
 - NaN and infinities are rejected: JSON writing raises NumericalError and
   CSV reading raises DataError.
 
+A data or feature table has one shape, the only one write_table writes and
+read_csv reads: a header line, then one row per example of values and an
+integer label. A first row of numbers where the header belongs, or a row
+whose width differs from the header's, is a DataError.
+
 write_table formats a large table in contiguous row blocks, one per usable
 CPU, the blocks after the first in forked children (formatting holds the
 interpreter lock, so threads would not help). The spelling rule is the
@@ -25,7 +30,6 @@ defines what is accepted and words every DataError, so both are unchanged.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 import warnings
@@ -56,14 +60,13 @@ def _line(row) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write `header` (a list of names, or None for no header) and `rows`.
+    """Write the `header` line (a list of names) and then `rows`.
 
     Rows are formatted and written one at a time, so a generator of rows
     never has the whole file in memory.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header is not None:
-            fh.write(_line(header))
+        fh.write(_line(header))
         for row in rows:
             fh.write(_line(row))
 
@@ -82,9 +85,8 @@ def _max_processes() -> int:
 def _format_rows(matrix, ids, lo, hi) -> str:
     """Rows lo..hi-1 of a table as CSV text, in the spelling of write_csv."""
     rows = matrix[lo:hi].tolist()
-    if ids is not None:
-        for row, i in zip(rows, ids[lo:hi].tolist()):
-            row.append(i)
+    for row, i in zip(rows, ids[lo:hi].tolist()):
+        row.append(i)
     return "".join(map(_line, rows))
 
 
@@ -131,11 +133,12 @@ def _fork_block(matrix, ids, lo, hi):
     return pid, r
 
 
-def write_table(path, names, matrix, class_ids=None, labels=None) -> None:
-    """Write `matrix` one row per line under `names` (None: no header line).
+def write_table(path, names, matrix, class_ids, labels) -> None:
+    """Write `matrix` one row per line under the header line `names`.
 
     Rows gain a trailing integer column named "label": the class ids, else
-    the +/-1 labels, else none. The rows are split into contiguous blocks of
+    the +/-1 labels; a table with neither is a DataError, since no reader
+    would accept the file. The rows are split into contiguous blocks of
     at least PARALLEL_MIN_CELLS cells, at most one per usable CPU. A forked
     child formats each block after the first while this process formats the
     first; their text is then copied into the file in block order. A block
@@ -143,10 +146,10 @@ def write_table(path, names, matrix, class_ids=None, labels=None) -> None:
     so the bytes are those of write_csv for any number of processes.
     """
     ids = class_ids if class_ids is not None else labels
-    if ids is not None:
-        ids = np.asarray(ids).astype(np.int64)
-        names = None if names is None else names + ["label"]
-    n_rows, width = matrix.shape[0], matrix.shape[1] + (ids is not None)
+    if ids is None:
+        raise DataError(f"{path}: a table needs class ids or labels for its label column")
+    ids = np.asarray(ids).astype(np.int64)
+    n_rows, width = matrix.shape[0], matrix.shape[1] + 1
     min_rows = -(-PARALLEL_MIN_CELLS // max(1, width))
     n_blocks = max(1, min(_max_processes(), n_rows // min_rows))
     bounds = [n_rows * b // n_blocks for b in range(n_blocks + 1)]
@@ -159,8 +162,7 @@ def write_table(path, names, matrix, class_ids=None, labels=None) -> None:
             except OSError:
                 break  # this block and the rest are formatted here
         with open(path, "wb") as fh:
-            if names is not None:
-                fh.write(_line(names).encode())
+            fh.write(_line(names + ["label"]).encode())
             for b in range(n_blocks):
                 start = fh.tell()
                 if b in children:
@@ -225,86 +227,93 @@ def _integral_text(cell: str) -> bool:
     return value.is_finite() and value == value.to_integral_value()
 
 
-def read_csv(path, header: bool = True, labeled: bool = True):
-    """Read a numeric CSV: (column names or None, float matrix, int ids or None).
+def _numbers(cells) -> bool:
+    """Whether every cell reads as a number, a UTF-8 byte-order mark aside:
+    a data row, not a header."""
+    try:
+        for cell in cells:
+            float(cell.lstrip("\ufeff"))
+    except ValueError:
+        return False
+    return True
 
-    Blank rows are skipped. With `labeled`, the last column holds integer
-    class ids and is left out of the names and the matrix. The matrix is a
-    C-contiguous float64 array and the ids are int64. The body is parsed once
-    in C; the row reader runs only on inputs that parse declines, so what is
-    accepted and every message are those of the row reader. Raises DataError
-    with 1-based row/column diagnostics (rows counted from the header) on an
-    empty file, a header without data, a missing label column, ragged rows,
+
+def read_csv(path):
+    """Read a labelled numeric CSV: (column names, float matrix, int ids).
+
+    The first non-blank row is the header and every other row has its width;
+    the last column holds integer class ids and is left out of the names and
+    the matrix. Blank rows are skipped. The matrix is a C-contiguous float64
+    array and the ids are int64. The body is parsed once in C; the row reader
+    runs only on inputs that parse declines, so what is accepted and every
+    message are those of the row reader. Raises DataError with 1-based
+    row/column diagnostics (rows counted from the header) on an empty file,
+    a first row of numbers where the header belongs, a header without data,
+    a missing label column, a row whose width differs from the header's,
     non-numeric cells or labels, labels that are not integers of magnitude
     below 2**53 (each label cell's text is checked, since 1.0000000000000001
     and 4503599627370496.5 read as integer floats) and non-finite values.
     """
-    parsed = _read_c(path, header, labeled)
-    return _read_rows(path, header, labeled) if parsed is None else parsed
+    parsed = _read_c(path)
+    return _read_rows(path) if parsed is None else parsed
 
 
-def _c_lines(fh, labeled):
+def _c_lines(fh):
     """Lines of `fh` for numpy.loadtxt; ValueError where the row reader must run.
 
-    With `labeled`, each line's last cell must denote an integer as written.
+    Each line's last cell must denote an integer as written.
     """
     content = False
     for line in fh:
         if any(c in line for c in _SEPARATORS):
             raise ValueError("ASCII separator in line")
-        if labeled:
-            cell = line[line.rfind(",") + 1:]
-            if cell.strip() and not _integral_text(cell):
-                raise ValueError("label text is not an integer")
+        cell = line[line.rfind(",") + 1:]
+        if cell.strip() and not _integral_text(cell):
+            raise ValueError("label text is not an integer")
         content = content or line != "\n"
         yield line
     if not content:
         raise ValueError("no data rows")
 
 
-def _read_c(path, header, labeled):
+def _read_c(path):
     """read_csv through one numpy.loadtxt parse, or None where it declines."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            names = next(csv.reader([fh.readline()]), []) if header else None
-            if header and not any(c.strip() for c in names):
+            names = next(csv.reader([fh.readline()]), [])
+            if not any(c.strip() for c in names) or _numbers(names):
                 return None
             data = np.loadtxt(
-                _c_lines(fh, labeled), delimiter=",", comments=None, ndmin=2, dtype=float
+                _c_lines(fh), delimiter=",", comments=None, ndmin=2, dtype=float
             )
     except ValueError:  # declined by _c_lines, unparsable or not UTF-8
         return None
-    if (labeled and data.shape[1] < 2) or not np.isfinite(data).all():
+    if data.shape[1] != len(names) or data.shape[1] < 2 or not np.isfinite(data).all():
         return None
-    if not labeled:
-        return names, data, None
     labels = data[:, -1]
     if not np.all(np.abs(labels) < _LABEL_BOUND):
         return None
-    matrix = np.ascontiguousarray(data[:, :-1])
-    return None if names is None else names[:-1], matrix, labels.astype(np.int64)
+    return names[:-1], np.ascontiguousarray(data[:, :-1]), labels.astype(np.int64)
 
 
-def _read_rows(path, header, labeled):
+def _read_rows(path):
     """read_csv one csv.reader row at a time: the reference, and every DataError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = (row for row in csv.reader(fh) if any(c.strip() for c in row))
-        first = next(rows, None)
-        if first is None:
+        names = next(rows, None)
+        if names is None:
             raise DataError(f"{path}: empty file")
-        names = None
-        if header:
-            names = first
-            first = next(rows, None)
-            if first is None:
-                raise DataError(f"{path}: header only, no data rows")
-        width = len(first)
-        if labeled and width < 2:
+        if _numbers(names):
+            raise DataError(f"{path}: row 1 holds numbers, not a header")
+        width = len(names)
+        if width < 2:
             raise DataError(f"{path}: expected sample columns plus a label column")
         matrix, ids = [], []
-        for r, cells in enumerate(itertools.chain([first], rows), start=2 if header else 1):
+        for r, cells in enumerate(rows, start=2):
             if len(cells) != width:
-                raise DataError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
+                raise DataError(
+                    f"{path}: row {r} has {len(cells)} cells, expected {width} as in the header"
+                )
             try:
                 values = list(map(float, cells))
             except ValueError:
@@ -312,26 +321,25 @@ def _read_rows(path, header, labeled):
                     try:
                         float(cell)
                     except ValueError as exc:
-                        what = "label " if labeled and c == width else ""
+                        what = "label " if c == width else ""
                         raise DataError(
                             f"{path}: row {r}, column {c}: {what}{cell!r} is not numeric"
                         ) from exc
-            if labeled:
-                label = values.pop()
-                if not label.is_integer() or not _integral_text(cells[-1]):
-                    raise DataError(
-                        f"{path}: row {r}, column {width}: label {cells[-1]!r} is not an integer"
-                    )
-                if not abs(label) < _LABEL_BOUND:
-                    raise DataError(
-                        f"{path}: row {r}, column {width}: label {cells[-1]!r} "
-                        "is outside (-2**53, 2**53), where every integer reads exactly"
-                    )
-                ids.append(int(label))
+            label = values.pop()
+            if not label.is_integer() or not _integral_text(cells[-1]):
+                raise DataError(
+                    f"{path}: row {r}, column {width}: label {cells[-1]!r} is not an integer"
+                )
+            if not abs(label) < _LABEL_BOUND:
+                raise DataError(
+                    f"{path}: row {r}, column {width}: label {cells[-1]!r} "
+                    "is outside (-2**53, 2**53), where every integer reads exactly"
+                )
+            ids.append(int(label))
             matrix.append(np.array(values))
+    if not matrix:
+        raise DataError(f"{path}: header only, no data rows")
     matrix = np.vstack(matrix)
     if not np.all(np.isfinite(matrix)):
         raise DataError(f"{path}: non-finite sample values")
-    if not labeled:
-        return names, matrix, None
-    return None if names is None else names[:-1], matrix, np.asarray(ids, dtype=np.int64)
+    return names[:-1], matrix, np.asarray(ids, dtype=np.int64)

@@ -401,6 +401,6 @@ def save_features(table: CoefficientTable, path) -> None:
     write_table(path, table.column_names(), table.merged, table.class_ids, table.labels)
 
 
-def load_features(path, labeled: bool = True):
-    """Read a feature CSV back: (column_names, merged matrix, label ids or None)."""
-    return read_csv(path, labeled=labeled)
+def load_features(path):
+    """Read a feature CSV back: (column_names, merged matrix, label ids)."""
+    return read_csv(path)

@@ -79,17 +79,18 @@ def test_generate_rerun_is_byte_identical(tmp_path, capsys):
     assert ma == mb
 
 
-def test_generate_shape_and_no_header(tmp_path, capsys):
+def test_generate_shape_cbf_csv(tmp_path, capsys):
     out = tmp_path / "shape.csv"
     code, stdout, _ = run(
         ["generate", "--generator", "shape-cbf", "--per-class", "5",
-         "--seed", "6", "--out", str(out), "--no-header"],
+         "--seed", "6", "--out", str(out)],
         capsys,
     )
     assert code == 0
     assert "wrote 15 signals of length 128" in stdout
     lines = out.read_text().splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 16
+    assert lines[0].startswith("s1,s2,") and lines[0].endswith(",s128,label")
     assert all(len(line.split(",")) == 129 for line in lines)
 
 
@@ -457,6 +458,26 @@ def test_eval_class_check_leaves_no_out_dir(tmp_path, capsys, case):
     code, _, err = run(argv, capsys)
     assert code == 3
     assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_headerless_input_fails_before_any_output(tmp_path, capsys, command):
+    # Read as a header, the first signal would vanish: eval would score 19 of 20 rows.
+    train, test, model = eval_setup(tmp_path, capsys, per_class=10)
+    headerless = tmp_path / "headerless.csv"
+    lines = (train if command == "fit" else test).read_text().splitlines(keepends=True)
+    headerless.write_text("".join(lines[1:]))
+    out = tmp_path / "out"
+    if command == "fit":
+        argv = ["fit", "--train", str(headerless), "--window", "4", "--nu", "1.0",
+                "--levels", "2", "--out-model", str(out / "model.json")]
+    else:
+        argv = ["eval", "--model", str(model), "--train", str(train),
+                "--test", str(headerless), "--permutations", "0", "--out-dir", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert err == f"error: {headerless}: row 1 holds numbers, not a header\n"
     assert not out.exists()
 
 

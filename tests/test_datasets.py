@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from discwave.core import ConfigError, DataError, make_rng
+from discwave.core import ConfigError, DataError, SignalDataset, make_rng
 from discwave import datasets as dsm
 from discwave import io
 from discwave.datasets import (
@@ -168,42 +168,44 @@ def test_csv_round_trip(tmp_path):
     assert len(text) == 10
 
 
-def test_csv_round_trip_headerless(tmp_path):
+def test_csv_headerless_is_a_data_error(tmp_path):
     ds = generate_shape(ShapeSpec(per_class_count=2, seed=22))
     path = tmp_path / "shape.csv"
-    save_csv(ds, path, header=False)
-    back = load_csv(path, header=False)
-    assert np.array_equal(back.signals, ds.signals)
-    assert np.array_equal(back.class_ids, ds.class_ids)
-    assert len(path.read_text().splitlines()) == 6
+    save_csv(ds, path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(DataError, match="row 1 holds numbers, not a header"):
+        load_csv(path)
+
+
+HEADER4 = "s1,s2,s3,s4,label\n"
 
 
 def test_csv_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
-    path.write_text("1.0,2.0,3.0,4.0,1\n1.0,2.0,3.0,1\n")
-    with pytest.raises(DataError, match="row 2 has 4 cells, expected 5"):
-        load_csv(path, header=False)
+    path.write_text(HEADER4 + "1.0,2.0,3.0,4.0,1\n1.0,2.0,3.0,1\n")
+    with pytest.raises(DataError, match="row 3 has 4 cells, expected 5"):
+        load_csv(path)
 
 
 def test_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0,oops,4.0,1\n")
-    with pytest.raises(DataError, match="row 1, column 3"):
-        load_csv(path, header=False)
+    path.write_text(HEADER4 + "1.0,2.0,oops,4.0,1\n")
+    with pytest.raises(DataError, match="row 2, column 3"):
+        load_csv(path)
 
 
 def test_csv_non_integer_label(tmp_path):
     path = tmp_path / "badlabel.csv"
-    path.write_text("1.0,2.0,3.0,4.0,1.5\n")
+    path.write_text(HEADER4 + "1.0,2.0,3.0,4.0,1.5\n")
     with pytest.raises(DataError, match="column 5: label '1.5'"):
-        load_csv(path, header=False)
+        load_csv(path)
 
 
 def test_csv_nan_label_is_a_data_error(tmp_path):
     path = tmp_path / "nanlabel.csv"
-    path.write_text("1.0,2.0,3.0,4.0,nan\n")
+    path.write_text(HEADER4 + "1.0,2.0,3.0,4.0,nan\n")
     with pytest.raises(DataError, match="column 5: label 'nan' is not an integer"):
-        load_csv(path, header=False)
+        load_csv(path)
 
 
 def test_csv_label_outside_int64_is_a_data_error(tmp_path):
@@ -224,8 +226,8 @@ def test_csv_fractional_label_above_2_52_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match=message):
         load_csv(path)
     with pytest.raises(DataError, match=message):
-        io._read_rows(path, True, True)
-    assert io._read_c(path, True, True) is None
+        io._read_rows(path)
+    assert io._read_c(path) is None
 
 
 @pytest.mark.parametrize("label", ["1.0000000000000001", "-2251799813685248.25"])
@@ -238,8 +240,8 @@ def test_csv_fractional_label_below_float_resolution_is_a_data_error(tmp_path, l
     with pytest.raises(DataError, match=message):
         load_csv(path)
     with pytest.raises(DataError, match=message):
-        io._read_rows(path, True, True)
-    assert io._read_c(path, True, True) is None
+        io._read_rows(path)
+    assert io._read_c(path) is None
 
 
 def test_csv_labels_read_exactly_or_not_at_all(tmp_path):
@@ -256,9 +258,9 @@ def test_csv_labels_read_exactly_or_not_at_all(tmp_path):
 
 def test_csv_width_not_power_of_two(tmp_path):
     path = tmp_path / "width.csv"
-    path.write_text("1.0,2.0,3.0,1\n")
+    path.write_text("s1,s2,s3,label\n1.0,2.0,3.0,1\n")
     with pytest.raises(DataError, match="width 3 is not a power of two"):
-        load_csv(path, header=False)
+        load_csv(path)
 
 
 def test_csv_empty_and_header_only(tmp_path):
@@ -273,17 +275,14 @@ def test_csv_empty_and_header_only(tmp_path):
 
 def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "nolabel.csv"
-    path.write_text("1.0\n")
+    path.write_text("s1\n1.0\n")
     with pytest.raises(DataError, match="label column"):
-        load_csv(path, header=False)
+        load_csv(path)
 
 
-def test_csv_unlabeled_mode(tmp_path):
+def test_csv_save_unlabelled_dataset_is_a_data_error(tmp_path):
     path = tmp_path / "plain.csv"
-    rows = np.arange(8, dtype=float).reshape(2, 4)
-    with open(path, "w") as fh:
-        for r in rows:
-            fh.write(",".join(repr(float(x)) for x in r) + "\n")
-    back = load_csv(path, header=False, labeled=False)
-    assert np.array_equal(back.signals, rows)
-    assert back.class_ids is None
+    unlabelled = SignalDataset(signals=np.arange(8, dtype=float).reshape(2, 4))
+    with pytest.raises(DataError, match="needs class ids or labels"):
+        save_csv(unlabelled, path)
+    assert not path.exists()

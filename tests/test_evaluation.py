@@ -448,7 +448,9 @@ def test_permutation_test_coefficient_shapes():
     with pytest.raises(DataError):
         ev.permutation_test(fake_set([1, 1]), np.zeros((3, 1)), labels, B=100, seed=0)
     table = fake_table(np.zeros((3, 1)), labels=labels)
-    assert ev.permutation_test(fake_set([1])[:0], table, labels, B=100, seed=0).tolist() == []
+    empty = fake_set([1])[:0]
+    values = table.merged[:, empty.columns]
+    assert ev.permutation_test(empty, values, labels, B=100, seed=0).tolist() == []
 
 
 def test_null_calibration_both_modes():

@@ -2,8 +2,8 @@
 
 `read_csv` parses a body once with numpy.loadtxt and runs the row-by-row
 reader only where that parse declines. The row reader is the reference: on
-every file below, read with and without a header and a label column,
-`read_csv` must give its result bit for bit or its exact error.
+every file below `read_csv` must give its result bit for bit or its exact
+error.
 """
 
 import contextlib
@@ -48,6 +48,7 @@ FILES = {
     "cr_only": "s1,s2,label\r1.0,2.0,1\r3.0,4.0,2\r",
     "utf8_bom": "﻿" + HEADER + "1.0,2.0,1\n",
     "utf8_bom_no_header": "﻿1.0,2.0,1\n",
+    "utf8_bom_numeric_rows": "﻿1.0,2.0,1\n3.0,4.0,2\n",
     "invalid_utf8": HEADER.encode() + b"1.0,2.0,1\n\xff,2.0,1\n",
     "signed_zero_and_subnormals": HEADER
     + "-0.0,5e-324,1\n2.2250738585072011e-308,-1.7976931348623157e+308,2\n",
@@ -73,6 +74,8 @@ FILES = {
     "trailing_comma": HEADER + "1.0,2.0,1,\n3.0,4.0,2,\n",
     "one_data_row": HEADER + "1.0,2.0,1\n",
     "header_wider_than_rows": "a,b,c,d\n1.0,2.0,1\n",
+    "header_narrower_than_rows": "a,b\n1.0,2.0,1\n3.0,4.0,2\n",
+    "numeric_first_row": "1.0,2.0,1\n3.0,4.0,2\n5.0,6.0,1\n",
     "one_column": "x\n1.0\n2.0\n",
     "one_column_whitespace_row": "x\n1.0\n \n2.0\n",
     "empty": "",
@@ -87,12 +90,23 @@ TAKEN_IN_C = (
     "signed_zero_and_subnormals", "float_spelled_label", "one_data_row",
     "largest_exact_labels", "large_labels_spelled_as_floats",
 )
+# Files without a header line, or whose header and rows differ in width:
+# the readers agree on these by raising the row reader's DataError.
+REJECTED = {
+    "header_wider_than_rows": "row 2 has 3 cells, expected 4 as in the header",
+    "header_narrower_than_rows": "row 2 has 3 cells, expected 2 as in the header",
+    "numeric_first_row": "row 1 holds numbers, not a header",
+    "blank_line_before_numeric_rows": "row 1 holds numbers, not a header",
+    "whitespace_line_before_numeric_rows": "row 1 holds numbers, not a header",
+    "utf8_bom_no_header": "row 1 holds numbers, not a header",
+    "utf8_bom_numeric_rows": "row 1 holds numbers, not a header",
+}
 
 
-def outcome(read, path, header, labeled):
+def outcome(read, path):
     """Everything a caller can see of one read: a summary or the error."""
     try:
-        return summary(read(path, header, labeled))
+        return summary(read(path))
     except (DataError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -106,7 +120,8 @@ def summary(result):
         matrix.shape,
         matrix.flags.c_contiguous,
         matrix.tobytes(),
-        None if ids is None else (ids.dtype, ids.tobytes()),
+        ids.dtype,
+        ids.tobytes(),
     )
 
 
@@ -118,15 +133,15 @@ def test_read_csv_matches_row_reader(tmp_path, name):
         path.write_bytes(content)
     else:
         path.write_text(content, encoding="utf-8", newline="")
-    for header in (True, False):
-        for labeled in (True, False):
-            expected = outcome(io._read_rows, path, header, labeled)
-            assert outcome(io.read_csv, path, header, labeled) == expected, (header, labeled)
-            fast = io._read_c(path, header, labeled)
-            if fast is not None:
-                assert summary(fast) == expected, (header, labeled)
-            elif name in TAKEN_IN_C and header and labeled:
-                pytest.fail(f"the C parse declined {name}")
+    expected = outcome(io._read_rows, path)
+    assert outcome(io.read_csv, path) == expected
+    fast = io._read_c(path)
+    if fast is not None:
+        assert summary(fast) == expected
+    elif name in TAKEN_IN_C:
+        pytest.fail(f"the C parse declined {name}")
+    if name in REJECTED:
+        assert expected == ("DataError", f"{path}: {REJECTED[name]}")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -146,7 +161,7 @@ def test_write_then_read_is_bit_exact(tmp_path_factory, matrix, label):
     path = tmp_path_factory.mktemp("round_trip") / "data.csv"
     names = [f"s{j}" for j in range(1, matrix.shape[1] + 1)] + ["label"]
     io.write_csv(path, names, (row.tolist() + [label] for row in matrix))
-    assert io._read_c(path, True, True) is not None
+    assert io._read_c(path) is not None
     back_names, back, ids = io.read_csv(path)
     assert back_names == names[:-1]
     assert back.dtype == np.float64 and back.flags.c_contiguous
@@ -162,12 +177,8 @@ SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -
 
 def serial_bytes(path, names, matrix, ids):
     """The reference: write_csv of the same rows, one process, one row at a time."""
-    header = None if names is None else names + (["label"] if ids is not None else [])
-    if ids is None:
-        rows = (row.tolist() for row in matrix)
-    else:
-        rows = (row.tolist() + [int(i)] for row, i in zip(matrix, ids))
-    io.write_csv(path, header, rows)
+    rows = (row.tolist() + [int(i)] for row, i in zip(matrix, ids))
+    io.write_csv(path, names + ["label"], rows)
     return path.read_bytes()
 
 
@@ -203,16 +214,15 @@ def forced_blocks(processes, chunk_cells=io.CHUNK_CELLS):
         st.tuples(st.integers(1, 7), st.integers(1, 4)),
         elements=st.one_of(finite, st.sampled_from(SPECIAL)),
     ),
-    header=st.booleans(),
-    label_kind=st.sampled_from([None, "class_ids", "labels"]),
+    label_kind=st.sampled_from(["class_ids", "labels"]),
     chunk_cells=st.sampled_from([1, 5, io.CHUNK_CELLS]),
     data=st.data(),
 )
 def test_write_table_matches_serial_write_csv(
-    tmp_path_factory, processes, matrix, header, label_kind, chunk_cells, data
+    tmp_path_factory, processes, matrix, label_kind, chunk_cells, data
 ):
     n_rows = matrix.shape[0]
-    names = [f"s{j}" for j in range(1, matrix.shape[1] + 1)] if header else None
+    names = [f"s{j}" for j in range(1, matrix.shape[1] + 1)]
     class_ids = labels = None
     if label_kind == "class_ids":
         class_ids = np.array(data.draw(st.lists(st.integers(1, 12), min_size=n_rows,
@@ -232,20 +242,21 @@ def test_write_table_matches_serial_write_csv(
 
 
 def table(rows=7, cols=3):
+    """Column names, a rows x cols matrix and class ids 1, 2, 3, 1, ..."""
     rng = np.random.default_rng(rows * 100 + cols)
-    return [f"s{j}" for j in range(1, cols + 1)], rng.standard_normal((rows, cols))
+    ids = np.arange(rows) % 3 + 1
+    return [f"s{j}" for j in range(1, cols + 1)], rng.standard_normal((rows, cols)), ids
 
 
 def test_write_table_formats_here_when_fork_fails(tmp_path, monkeypatch):
-    names, matrix = table()
-    ids = np.arange(7) % 3 + 1
+    names, matrix, ids = table()
 
     def no_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(io.os, "fork", no_fork)
     with forced_blocks(3) as forked:
-        io.write_table(tmp_path / "table.csv", names, matrix, ids)
+        io.write_table(tmp_path / "table.csv", names, matrix, ids, None)
     assert forked == [(2, 4)]  # the first failure leaves the rest to this process
     assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
         tmp_path / "serial.csv", names, matrix, ids)
@@ -253,19 +264,18 @@ def test_write_table_formats_here_when_fork_fails(tmp_path, monkeypatch):
 
 
 def test_write_table_without_fork_is_one_process(tmp_path, monkeypatch):
-    names, matrix = table()
+    names, matrix, ids = table()
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(io, "PARALLEL_MIN_CELLS", 1)
     assert io._max_processes() == 1
-    io.write_table(tmp_path / "table.csv", names, matrix)
+    io.write_table(tmp_path / "table.csv", names, matrix, ids, None)
     assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
-        tmp_path / "serial.csv", names, matrix, None)
+        tmp_path / "serial.csv", names, matrix, ids)
 
 
 @pytest.mark.parametrize("failure", ["raise", "partial_then_raise", "partial_then_killed"])
 def test_write_table_formats_here_when_a_child_fails(tmp_path, monkeypatch, failure):
-    names, matrix = table(rows=40, cols=2000)  # blocks of ~0.5 MB: more than a pipe holds
-    ids = np.arange(40) % 2 + 1
+    names, matrix, ids = table(rows=40, cols=2000)  # blocks of ~0.5 MB: more than a pipe holds
     parent = os.getpid()
     write = os.write
 
@@ -280,7 +290,7 @@ def test_write_table_formats_here_when_a_child_fails(tmp_path, monkeypatch, fail
 
     monkeypatch.setattr(io.os, "write", failing_write)
     with forced_blocks(3) as forked:
-        io.write_table(tmp_path / "table.csv", names, matrix, ids)
+        io.write_table(tmp_path / "table.csv", names, matrix, ids, None)
     assert len(forked) == 2
     assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
         tmp_path / "serial.csv", names, matrix, ids)
@@ -290,7 +300,7 @@ def test_write_table_formats_here_when_a_child_fails(tmp_path, monkeypatch, fail
 def test_write_table_reaps_children_when_interrupted(tmp_path):
     # The target cannot be opened, so the children's pipes are never read:
     # each child is blocked writing ~0.5 MB when the call unwinds.
-    names, matrix = table(rows=40, cols=2000)
+    names, matrix, ids = table(rows=40, cols=2000)
 
     def timeout(signum, frame):
         raise TimeoutError("write_table did not return")
@@ -299,7 +309,7 @@ def test_write_table_reaps_children_when_interrupted(tmp_path):
     signal.alarm(30)
     try:
         with forced_blocks(3) as forked, pytest.raises(FileNotFoundError):
-            io.write_table(tmp_path / "missing" / "table.csv", names, matrix)
+            io.write_table(tmp_path / "missing" / "table.csv", names, matrix, ids, None)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -308,7 +318,7 @@ def test_write_table_reaps_children_when_interrupted(tmp_path):
 
 
 def test_write_table_silences_only_the_fork_thread_warning(tmp_path, monkeypatch):
-    names, matrix = table()
+    names, matrix, ids = table()
     fork = os.fork
     messages = []
 
@@ -324,7 +334,7 @@ def test_write_table_silences_only_the_fork_thread_warning(tmp_path, monkeypatch
         messages[:] = [message]
         with warnings.catch_warnings(record=True) as caught, forced_blocks(2):
             warnings.simplefilter("always")
-            io.write_table(tmp_path / "table.csv", names, matrix)
+            io.write_table(tmp_path / "table.csv", names, matrix, ids, None)
         assert [str(w.message) for w in caught] == ([message] if shown else [])
         assert_no_child_left()
 

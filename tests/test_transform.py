@@ -398,11 +398,9 @@ def test_features_csv_without_labels(tmp_path):
     t, _ = tf.fit(ds, cfg)
     table = tf.apply(t, ds.signals)
     path = tmp_path / "plain.csv"
-    tf.save_features(table, path)
-    names, merged, ids = tf.load_features(path, labeled=False)
-    assert names == table.column_names()
-    assert ids is None
-    assert np.array_equal(merged, table.merged)
+    with pytest.raises(DataError, match="needs class ids or labels"):
+        tf.save_features(table, path)
+    assert not path.exists()
 
 
 def test_fit_stops_early_when_window_outgrows_coarse():
