@@ -18,6 +18,7 @@ cfg = TransformConfig(levels=3, window=4, nu=1.0, variant="nonregularised")
 fitted, _ = tf.fit(train, cfg)
 
 base = tf.base_vectors(fitted)
+support = tf.support(base.analysis)  # |entry| > tf.SUPPORT_ATOL
 N = train.signal_length
 print(f"analysis {base.analysis.shape}, synthesis {base.synthesis.shape}")
 print(f"biorthogonality residual |A S - I|: {np.max(np.abs(base.analysis @ base.synthesis - np.eye(N))):.2e}")
@@ -26,7 +27,7 @@ print(f"biorthogonality residual |A S - I|: {np.max(np.abs(base.analysis @ base.
 # original samples, and the window dilates with the level.
 for m in (1, 2, 3):
     sizes = [
-        len(base.analysis_supports[j])
+        int(support[j].sum())
         for j, (_, kind, level, _) in enumerate(fitted.column_layout())
         if kind == "detail" and level == m
     ]
@@ -36,7 +37,7 @@ for m in (1, 2, 3):
 # One concrete filter: the analysis row of d1_7 and where it lives.
 j = fitted.column_index(1, 7)
 row = base.analysis[j]
-sup = base.analysis_supports[j]
+sup = np.flatnonzero(support[j]) + 1
 print(f"d1_7 support: samples {sup[0]}..{sup[-1]}, "
       f"largest weights {np.round(np.sort(np.abs(row[row != 0]))[-3:], 2)}")
 

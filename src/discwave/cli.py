@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,12 +140,8 @@ def cmd_fit(args) -> int:
         _manifest_beside(args.out_model),
         "fit",
         {
-            "window": config.window,
-            "nu": config.nu,
-            "levels": config.levels,
+            **asdict(config),
             "effective_levels": fitted.effective_levels,
-            "variant": config.variant,
-            "constraint_degree": config.constraint_degree,
             "constraint_residual": residual,
         },
         {},
@@ -173,6 +169,19 @@ COEFFICIENT_COLUMNS = [
 ]
 
 
+def _support_bounds(mask: np.ndarray):
+    """The (first, last, size) columns of the rows of a support mask, as CSV
+    cells: first and last are 1-based samples, blank for an empty support."""
+    size = mask.sum(axis=1).tolist()
+    first = (mask.argmax(axis=1) + 1).tolist()
+    last = (mask.shape[1] - mask[:, ::-1].argmax(axis=1)).tolist()
+    return (
+        [cell if n else "" for cell, n in zip(first, size)],
+        [cell if n else "" for cell, n in zip(last, size)],
+        size,
+    )
+
+
 def _coefficient_rows(c: evaluation.ClassifierSet):
     """One coefficients.csv row per classifier of the set, in its order."""
     blank = [""] * len(c)
@@ -181,9 +190,7 @@ def _coefficient_rows(c: evaluation.ClassifierSet):
         c.s.tolist(), c.train_accuracy.tolist(),
         blank if c.test_accuracy is None else c.test_accuracy.tolist(),
         blank if c.p_value is None else c.p_value.tolist(),
-        (c.support.argmax(axis=1) + 1).tolist(),
-        (c.support.shape[1] - c.support[:, ::-1].argmax(axis=1)).tolist(),
-        c.support.sum(axis=1).tolist(),
+        *_support_bounds(c.support),
     )
 
 
@@ -386,12 +393,10 @@ def cmd_basis(args) -> int:
         ["coefficient"] + sample_cols,
         [[name] + row for name, row in zip(names, bv.synthesis.T.tolist())],
     )
-    support_rows = [
-        [name, kind, level, position, a[0], a[-1], len(a), s[0], s[-1], len(s)]
-        for (name, kind, level, position), a, s in zip(
-            layout, bv.analysis_supports, bv.synthesis_supports
-        )
-    ]
+    bounds = zip(
+        *_support_bounds(tf.support(bv.analysis)), *_support_bounds(tf.support(bv.synthesis.T))
+    )
+    support_rows = [[*column, *cells] for column, cells in zip(layout, bounds)]
     write_csv(
         out_dir / "supports.csv",
         [

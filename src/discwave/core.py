@@ -7,7 +7,8 @@ array internals are 0-based as usual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -74,17 +75,15 @@ def pair_labels(class_ids, lo) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignalDataset:
-    """Labelled sampled signals: rows are examples, columns are samples.
+    """Sampled signals and their integer class ids, as a data CSV holds them:
+    rows are examples, columns are samples.
 
-    `labels` is the +/-1 vector used by binary fits. Multiclass sources carry
-    `class_ids` instead and get labels assigned on pairwise restriction
-    (smaller class id -> -1, larger -> +1). Sources with exactly two distinct
-    class ids get labels derived eagerly under the same rule.
+    `labels` is derived: the +/-1 vector of binary fits when exactly two
+    class ids are present (smaller id -> -1, larger -> +1), else None.
     """
 
     signals: np.ndarray
-    labels: Optional[np.ndarray] = None
-    class_ids: Optional[np.ndarray] = None
+    class_ids: np.ndarray
 
     def __post_init__(self):
         sig = _as_float_matrix(self.signals, "signals")
@@ -92,27 +91,18 @@ class SignalDataset:
             raise DataError(
                 f"signal length must be a power of two >= 2, got {sig.shape[1]}"
             )
+        ids = np.asarray(self.class_ids)
+        if ids.shape != (sig.shape[0],):
+            raise DataError(
+                f"class_ids must have shape ({sig.shape[0]},), got {ids.shape}"
+            )
+        if not np.issubdtype(ids.dtype, np.integer):
+            as_int = ids.astype(int)
+            if not np.array_equal(as_int, ids):
+                raise DataError("class_ids must be integers")
+            ids = as_int
         object.__setattr__(self, "signals", sig)
-        if self.class_ids is not None:
-            ids = np.asarray(self.class_ids)
-            if ids.shape != (sig.shape[0],):
-                raise DataError(
-                    f"class_ids must have shape ({sig.shape[0]},), got {ids.shape}"
-                )
-            if not np.issubdtype(ids.dtype, np.integer):
-                as_int = ids.astype(int)
-                if not np.array_equal(as_int, ids):
-                    raise DataError("class_ids must be integers")
-                ids = as_int
-            object.__setattr__(self, "class_ids", ids)
-        labels = self.labels
-        if labels is None and self.class_ids is not None:
-            distinct = np.unique(self.class_ids)
-            if distinct.size == 2:
-                labels = pair_labels(self.class_ids, distinct[0])
-        if labels is not None:
-            labels = validate_labels(labels, sig.shape[0])
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "class_ids", ids)
 
     @property
     def n_examples(self) -> int:
@@ -124,12 +114,13 @@ class SignalDataset:
 
     @property
     def classes(self) -> tuple:
-        """Sorted distinct class ids (falls back to +/-1 labels)."""
-        if self.class_ids is not None:
-            return tuple(int(c) for c in np.unique(self.class_ids))
-        if self.labels is not None:
-            return tuple(int(v) for v in np.unique(self.labels))
-        return ()
+        """Sorted distinct class ids."""
+        return tuple(int(c) for c in np.unique(self.class_ids))
+
+    @cached_property
+    def labels(self) -> Optional[np.ndarray]:
+        classes = self.classes
+        return pair_labels(self.class_ids, classes[0]) if len(classes) == 2 else None
 
     def require_labels(self) -> np.ndarray:
         if self.labels is None:
@@ -140,20 +131,13 @@ class SignalDataset:
 
     def restrict_pair(self, a: int, b: int) -> "SignalDataset":
         """Binary view of classes {a, b}: smaller id -> -1, larger -> +1."""
-        if self.class_ids is None:
-            raise DataError("restrict_pair needs class_ids")
         if a == b:
             raise ConfigError("restrict_pair needs two distinct class ids")
         lo, hi = sorted((int(a), int(b)))
         mask = np.isin(self.class_ids, (lo, hi))
         if not np.any(self.class_ids == lo) or not np.any(self.class_ids == hi):
             raise DataError(f"class pair ({lo}, {hi}) not fully present in dataset")
-        ids = self.class_ids[mask]
-        return SignalDataset(
-            signals=self.signals[mask],
-            labels=pair_labels(ids, lo),
-            class_ids=ids,
-        )
+        return SignalDataset(signals=self.signals[mask], class_ids=self.class_ids[mask])
 
 
 @dataclass(frozen=True)
@@ -165,7 +149,8 @@ class TransformConfig:
     whether the prediction target enters the weight vector ("regularised")
     or carries a fixed unit weight ("nonregularised"); constraint_degree p
     adds p polynomial-reproduction constraints (nonregularised only).
-    seed is carried for provenance; fitting itself is deterministic.
+    `dataclasses.asdict` is its model-file form, and `TransformConfig(**d)`
+    reads it back.
     """
 
     levels: int
@@ -173,7 +158,6 @@ class TransformConfig:
     nu: float
     variant: str = NONREGULARISED
     constraint_degree: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if int(self.levels) < 1:
@@ -198,28 +182,6 @@ class TransformConfig:
         object.__setattr__(self, "window", int(self.window))
         object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "constraint_degree", p)
-        object.__setattr__(self, "seed", int(self.seed))
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "window": self.window,
-            "nu": self.nu,
-            "variant": self.variant,
-            "constraint_degree": self.constraint_degree,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TransformConfig":
-        return TransformConfig(
-            levels=d["levels"],
-            window=d["window"],
-            nu=d["nu"],
-            variant=d["variant"],
-            constraint_degree=d.get("constraint_degree", 0),
-            seed=d.get("seed", 0),
-        )
 
 
 @dataclass(frozen=True)

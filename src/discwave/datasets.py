@@ -118,14 +118,14 @@ def generate_shape(spec: ShapeSpec) -> SignalDataset:
 
 
 def save_csv(dataset: SignalDataset, path) -> None:
-    """A header line, then one row per signal: N sample columns and one
-    integer label column. A dataset without labels is a DataError.
+    """A header line, then one row per signal: N sample columns and the
+    integer class id in a label column.
 
     Sample values are written with shortest round-trip precision, so
     load_csv(save_csv(d)) reproduces the values bit-for-bit.
     """
     names = [f"s{j}" for j in range(1, dataset.signal_length + 1)]
-    write_table(path, names, dataset.signals, dataset.class_ids, dataset.labels)
+    write_table(path, names, dataset.signals, dataset.class_ids)
 
 
 def load_csv(path) -> SignalDataset:

@@ -217,7 +217,7 @@ def make_local_classifiers(
     basis = tf.apply(fitted, np.eye(N)).merged[:, N >> M :]
     return ClassifierSet(
         level=np.repeat(levels, widths), k=np.arange(N >> M, N) - np.repeat(widths, widths) + 1,
-        b=b, s=s, count=count, support=np.abs(basis.T) > tf.SUPPORT_ATOL, mode=mode, n_train=l,
+        b=b, s=s, count=count, support=tf.support(basis.T), mode=mode, n_train=l,
     )
 
 
@@ -292,11 +292,8 @@ class MulticlassReport:
 
 
 def duel_classes(train: SignalDataset, test: SignalDataset) -> list:
-    """Sorted training class ids. Raises DataError unless both sets carry
-    class ids, training has two or more classes and every test class occurs
-    in training."""
-    if train.class_ids is None or test.class_ids is None:
-        raise DataError("one_against_one needs class_ids on both datasets")
+    """Sorted training class ids. Raises DataError unless training has two
+    or more classes and every test class occurs in training."""
     classes = list(train.classes)
     if len(classes) < 2:
         raise DataError("need at least two classes")

@@ -133,22 +133,21 @@ def _fork_block(matrix, ids, lo, hi):
     return pid, r
 
 
-def write_table(path, names, matrix, class_ids, labels) -> None:
+def write_table(path, names, matrix, class_ids) -> None:
     """Write `matrix` one row per line under the header line `names`.
 
-    Rows gain a trailing integer column named "label": the class ids, else
-    the +/-1 labels; a table with neither is a DataError, since no reader
-    would accept the file. The rows are split into contiguous blocks of
+    Rows gain a trailing integer column named "label" holding `class_ids`;
+    a table without them is a DataError, since no reader would accept the
+    file. The rows are split into contiguous blocks of
     at least PARALLEL_MIN_CELLS cells, at most one per usable CPU. A forked
     child formats each block after the first while this process formats the
     first; their text is then copied into the file in block order. A block
     whose fork fails or whose child exits nonzero is formatted here instead,
     so the bytes are those of write_csv for any number of processes.
     """
-    ids = class_ids if class_ids is not None else labels
-    if ids is None:
-        raise DataError(f"{path}: a table needs class ids or labels for its label column")
-    ids = np.asarray(ids).astype(np.int64)
+    if class_ids is None:
+        raise DataError(f"{path}: a table needs class ids for its label column")
+    ids = np.asarray(class_ids).astype(np.int64)
     n_rows, width = matrix.shape[0], matrix.shape[1] + 1
     min_rows = -(-PARALLEL_MIN_CELLS // max(1, width))
     n_blocks = max(1, min(_max_processes(), n_rows // min_rows))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -49,6 +49,7 @@ INVERTIBILITY_RTOL = 1e-12  # least |w0| / ||w|| of an invertible regularised pr
 # signal is off by O(1).
 ROUND_TRIP_RTOL = 1e-3
 ROUND_TRIP_ROWS = 256
+MODEL_KEYS = ("signal_length", "config", "effective_levels", "levels")  # save_model order
 
 
 def _level(weights, gamma) -> np.recarray:
@@ -71,9 +72,9 @@ def _layout(N: int, M: int) -> list:
     return out
 
 
-def supports(vectors) -> tuple:
-    """Per row of `vectors`: the 1-based indices of its entries larger than SUPPORT_ATOL."""
-    return tuple(tuple((np.flatnonzero(np.abs(v) > SUPPORT_ATOL) + 1).tolist()) for v in vectors)
+def support(vectors) -> np.ndarray:
+    """The support mask of each row of `vectors`: its entries larger than SUPPORT_ATOL."""
+    return np.abs(vectors) > SUPPORT_ATOL
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,6 @@ class BaseVectors:
 
     analysis: np.ndarray
     synthesis: np.ndarray
-    analysis_supports: tuple  # per coefficient: 1-based sample indices, |entry| > 1e-10
-    synthesis_supports: tuple
 
 
 def _predict_level(C, level, columns, variant):
@@ -319,15 +318,9 @@ def reconstruct(
 
 def base_vectors(transform: FittedTransform) -> BaseVectors:
     """Materialise analysis rows and synthesis columns of the linear map."""
-    N = transform.signal_length
-    eye = np.eye(N)
-    analysis = apply(transform, eye).merged.T
-    synthesis = reconstruct(transform, eye).T
+    eye = np.eye(transform.signal_length)
     return BaseVectors(
-        analysis=analysis,
-        synthesis=synthesis,
-        analysis_supports=supports(analysis),
-        synthesis_supports=supports(synthesis.T),
+        analysis=apply(transform, eye).merged.T, synthesis=reconstruct(transform, eye).T
     )
 
 
@@ -347,45 +340,41 @@ def constraint_residual(transform: FittedTransform) -> Optional[float]:
 
 
 def save_model(transform: FittedTransform, path) -> None:
-    """Model JSON: signal_length, config, effective_levels, per-level records."""
-    doc = {
+    """Model JSON: signal_length, config, effective_levels and, per level, its
+    weight matrix and offset vector. The windows behind the weight rows
+    follow from the config and are not stored."""
+    write_json(path, {
         "signal_length": transform.signal_length,
-        "config": transform.config.to_dict(),
+        "config": asdict(transform.config),
         "effective_levels": transform.effective_levels,
         "levels": [
-            [
-                {"k": k, "indices": indices, "weights": w, "gamma": g}
-                for k, (indices, w, g) in enumerate(
-                    zip((columns + 1).tolist(), level.weights.tolist(), level.gamma.tolist()),
-                    start=1,
-                )
-            ]
-            for level, columns in zip(transform.levels, transform.columns)
+            {"weights": level.weights.tolist(), "gamma": level.gamma.tolist()}
+            for level in transform.levels
         ],
-    }
-    write_json(path, doc)
+    })
 
 
 def load_model(path) -> FittedTransform:
+    """Read a save_model file. Raises DataError for invalid JSON, a missing or
+    unknown key, a shape the config and signal length do not give, a
+    non-finite weight or offset, and an effective_levels that differs from
+    the number of stored levels."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        config = TransformConfig.from_dict(doc["config"])
+        if set(doc) != set(MODEL_KEYS):
+            raise DataError(f"keys must be {list(MODEL_KEYS)}, got {list(doc)}")
         transform = FittedTransform(
-            config=config,
+            config=TransformConfig(**doc["config"]),
             signal_length=doc["signal_length"],
-            levels=tuple(
-                _level([rec["weights"] for rec in records], [rec["gamma"] for rec in records])
-                for records in doc["levels"]
-            ),
+            levels=tuple(_level(**level) for level in doc["levels"]),
         )
-        for m, (records, columns) in enumerate(zip(doc["levels"], transform.columns), start=1):
-            for k, (rec, indices) in enumerate(zip(records, (columns + 1).tolist()), start=1):
-                if rec["k"] != k or rec["indices"] != indices:
-                    raise DataError(f"malformed predictor at level {m}, k={k}")
+        for m, level in enumerate(transform.levels, start=1):
+            if not (np.isfinite(level.weights).all() and np.isfinite(level.gamma).all()):
+                raise DataError(f"level {m} holds a non-finite weight or offset")
         if transform.effective_levels != int(doc["effective_levels"]):
             raise DataError(
                 f"effective_levels {doc['effective_levels']} does not "
@@ -398,7 +387,7 @@ def load_model(path) -> FittedTransform:
 
 def save_features(table: CoefficientTable, path) -> None:
     """Merged-coefficient CSV: named columns plus a trailing label column."""
-    write_table(path, table.column_names(), table.merged, table.class_ids, table.labels)
+    write_table(path, table.column_names(), table.merged, table.class_ids)
 
 
 def load_features(path):

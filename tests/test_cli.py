@@ -116,8 +116,10 @@ def test_fit_reports_levels_and_saves_model(tmp_path, capsys):
     assert merged.shape == (40, 32)
     assert names[0] == "c3_1"
     doc = manifest_sans_clock(tmp_path / "model.manifest.json")
-    assert doc["config"]["effective_levels"] == 3
-    assert doc["config"]["constraint_residual"] is None
+    assert doc["config"] == {
+        "levels": 3, "window": 4, "nu": 1.0, "variant": "nonregularised",
+        "constraint_degree": 0, "effective_levels": 3, "constraint_residual": None,
+    }
     assert doc["outputs"] == {"model": str(model), "features": str(features)}
 
 
@@ -530,13 +532,10 @@ def test_exit_code_4_on_numerical_error(tmp_path, capsys):
         "signal_length": 4,
         "config": {
             "levels": 1, "window": 2, "nu": 1.0, "variant": "regularised",
-            "constraint_degree": 0, "seed": 0,
+            "constraint_degree": 0,
         },
         "effective_levels": 1,
-        "levels": [[
-            {"k": 1, "indices": [1, 2], "weights": [0.0, 0.5, 0.5], "gamma": 0.0},
-            {"k": 2, "indices": [1, 2], "weights": [1.0, 0.5, 0.5], "gamma": 0.0},
-        ]],
+        "levels": [{"weights": [[0.0, 0.5, 0.5], [1.0, 0.5, 0.5]], "gamma": [0.0, 0.0]}],
     }
     model.write_text(json.dumps(doc))
     code, _, err = run(
@@ -561,6 +560,58 @@ def test_exit_code_4_on_numerical_error(tmp_path, capsys):
     )
     assert code == 4
     assert "does not invert its training signals" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "basis"])
+def test_non_finite_model_weight_fails_before_any_output(tmp_path, capsys, command):
+    # json.load reads NaN and Infinity, which save_model never writes.
+    train, _, model = eval_setup(tmp_path, capsys, per_class=10)
+    doc = json.loads(model.read_text())
+    doc["levels"][1]["weights"][2][1] = float("nan")
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["basis", "--model", str(model)]
+    if command == "eval":
+        argv = ["eval", "--model", str(model), "--train", str(train), "--permutations", "0"]
+    code, _, err = run(argv + ["--out-dir", str(out)], capsys)
+    assert code == 3
+    assert err == (
+        f"error: {model}: malformed model file (level 2 holds a non-finite weight or offset)\n"
+    )
+    assert not out.exists()
+
+
+def test_empty_supports_are_blank_bounds(tmp_path, capsys):
+    # Regularised weights of data x1e-20 leave every detail's analysis row
+    # below SUPPORT_ATOL: an empty support.
+    ds = generate_waveform(WaveformSpec(per_class_count=10, seed=11)).restrict_pair(1, 2)
+    train = tmp_path / "tiny.csv"
+    save_csv(SignalDataset(signals=1e-20 * ds.signals, class_ids=ds.class_ids), train)
+    model = tmp_path / "model.json"
+    code, _, _ = run(
+        ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+         "--variant", "regularised", "--out-model", str(model)],
+        capsys,
+    )
+    assert code == 0
+    code, _, _ = run(["basis", "--model", str(model), "--out-dir", str(tmp_path / "b")], capsys)
+    assert code == 0
+    rows = [row.split(",") for row in (tmp_path / "b" / "supports.csv").read_text().splitlines()]
+    assert rows[0][4:7] == ["analysis_first", "analysis_last", "analysis_size"]
+    details = [row for row in rows[1:] if row[1] == "detail"]
+    assert len(details) == 24
+    assert all(row[4:7] == ["", "", "0"] and int(row[9]) > 0 for row in details)
+    out = tmp_path / "ev"
+    code, _, _ = run(
+        ["eval", "--model", str(model), "--train", str(train), "--permutations", "0",
+         "--top-t", "3", "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 0
+    rows = [row.split(",") for row in (out / "coefficients.csv").read_text().splitlines()]
+    assert rows[0][-3:] == ["support_first", "support_last", "support_size"]
+    assert len(rows) == 1 + 24
+    assert all(row[-3:] == ["", "", "0"] for row in rows[1:])
 
 
 def test_console_script_and_version():

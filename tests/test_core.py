@@ -1,5 +1,7 @@
 """Core types: datasets, configs, split/interleave, window selection."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from discwave import (
     split,
     validate_labels,
 )
-from discwave.core import window_columns
+from discwave.core import pair_labels, window_columns
 
 
 def test_split_row_example():
@@ -131,19 +133,33 @@ def test_dataset_derives_binary_labels():
     assert ds.classes == (2, 5)
 
 
+def test_dataset_labels_are_the_pair_labels_of_exactly_two_classes():
+    signals = np.zeros((6, 4))
+    two = np.array([7, 3, 3, 7, 7, 3])
+    assert np.array_equal(SignalDataset(signals, two).labels, pair_labels(two, 3))
+    assert SignalDataset(signals, np.full(6, 3)).labels is None
+    assert SignalDataset(signals, np.array([1, 2, 3, 1, 2, 3])).labels is None
+
+
 def test_dataset_rejects_non_power_of_two_width():
     with pytest.raises(DataError):
-        SignalDataset(signals=np.zeros((2, 6)), labels=np.array([1.0, -1.0]))
+        SignalDataset(signals=np.zeros((2, 6)), class_ids=np.array([1, 2]))
 
 
 def test_dataset_rejects_single_class_labels():
-    with pytest.raises(DataError):
-        SignalDataset(signals=np.zeros((2, 4)), labels=np.array([1.0, 1.0]))
+    ds = SignalDataset(signals=np.zeros((2, 4)), class_ids=np.array([1, 1]))
+    assert ds.classes == (1,)
+    with pytest.raises(DataError, match="no binary labels"):
+        ds.require_labels()
 
 
 def test_dataset_rejects_bad_label_values():
-    with pytest.raises(DataError):
-        SignalDataset(signals=np.zeros((2, 4)), labels=np.array([1.0, 0.5]))
+    with pytest.raises(DataError, match="integers"):
+        SignalDataset(signals=np.zeros((2, 4)), class_ids=np.array([1.0, 0.5]))
+    with pytest.raises(DataError, match="shape"):
+        SignalDataset(signals=np.zeros((2, 4)), class_ids=np.array([1, 2, 1]))
+    with pytest.raises(TypeError):
+        SignalDataset(signals=np.zeros((2, 4)))  # class ids are required
 
 
 def test_restrict_pair_orientation_and_content():
@@ -190,9 +206,13 @@ def test_config_validation():
 
 def test_config_round_trips_through_dict():
     cfg = TransformConfig(
-        levels=2, window=6, nu=0.5, variant="nonregularised", constraint_degree=2, seed=9
+        levels=2, window=6, nu=0.5, variant="nonregularised", constraint_degree=2
     )
-    assert TransformConfig.from_dict(cfg.to_dict()) == cfg
+    assert TransformConfig(**asdict(cfg)) == cfg
+    assert asdict(cfg) == {
+        "levels": 2, "window": 6, "nu": 0.5, "variant": "nonregularised",
+        "constraint_degree": 2,
+    }
 
 
 def test_validate_labels_shape_mismatch():

@@ -281,8 +281,12 @@ def test_csv_missing_label_column(tmp_path):
 
 
 def test_csv_save_unlabelled_dataset_is_a_data_error(tmp_path):
+    # A dataset cannot be built without class ids, and the writer it saves
+    # through refuses a table without them.
     path = tmp_path / "plain.csv"
-    unlabelled = SignalDataset(signals=np.arange(8, dtype=float).reshape(2, 4))
-    with pytest.raises(DataError, match="needs class ids or labels"):
-        save_csv(unlabelled, path)
+    signals = np.arange(8, dtype=float).reshape(2, 4)
+    with pytest.raises(TypeError):
+        SignalDataset(signals=signals)
+    with pytest.raises(DataError, match="needs class ids"):
+        io.write_table(path, ["s1", "s2", "s3", "s4"], signals, None)
     assert not path.exists()

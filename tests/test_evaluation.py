@@ -215,8 +215,8 @@ def test_make_local_classifiers_rows_follow_merged_columns():
     assert np.array_equal(clfs.b, b) and np.array_equal(clfs.s, s)
     assert np.array_equal(clfs.count, count)
     assert np.array_equal(clfs.train_accuracy, count / ds.n_examples)
-    analysis = tf.base_vectors(fitted).analysis_supports[4:]
-    assert [tuple(np.flatnonzero(row) + 1) for row in clfs.support] == list(analysis)
+    analysis = tf.base_vectors(fitted).analysis[4:]
+    assert np.array_equal(clfs.support, np.abs(analysis) > tf.SUPPORT_ATOL)
 
 
 def test_rank_classifiers_order_and_ties():
@@ -548,9 +548,9 @@ def test_ovo_validation_errors():
     cfg = TransformConfig(levels=1, window=4, nu=1.0, variant="nonregularised")
     with pytest.raises(ConfigError):
         ev.one_against_one(train, test, cfg, top_t=[0])
-    unlabeled = SignalDataset(signals=train.signals)
-    with pytest.raises(DataError):
-        ev.one_against_one(unlabeled, test, cfg, top_t=[3])
+    one_class = SignalDataset(signals=train.signals, class_ids=np.ones(train.n_examples, int))
+    with pytest.raises(DataError, match="at least two classes"):
+        ev.one_against_one(one_class, test, cfg, top_t=[3])
     extra = SignalDataset(
         signals=test.signals, class_ids=np.where(test.class_ids == 3, 4, test.class_ids)
     )

@@ -214,27 +214,21 @@ def forced_blocks(processes, chunk_cells=io.CHUNK_CELLS):
         st.tuples(st.integers(1, 7), st.integers(1, 4)),
         elements=st.one_of(finite, st.sampled_from(SPECIAL)),
     ),
-    label_kind=st.sampled_from(["class_ids", "labels"]),
+    id_range=st.sampled_from([(1, 12), (-1, 1)]),
     chunk_cells=st.sampled_from([1, 5, io.CHUNK_CELLS]),
     data=st.data(),
 )
 def test_write_table_matches_serial_write_csv(
-    tmp_path_factory, processes, matrix, label_kind, chunk_cells, data
+    tmp_path_factory, processes, matrix, id_range, chunk_cells, data
 ):
     n_rows = matrix.shape[0]
     names = [f"s{j}" for j in range(1, matrix.shape[1] + 1)]
-    class_ids = labels = None
-    if label_kind == "class_ids":
-        class_ids = np.array(data.draw(st.lists(st.integers(1, 12), min_size=n_rows,
-                                                max_size=n_rows)))
-    elif label_kind == "labels":
-        labels = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n_rows,
-                                             max_size=n_rows)))
+    ids = np.array(data.draw(st.lists(st.integers(*id_range), min_size=n_rows,
+                                      max_size=n_rows)))
     tmp = tmp_path_factory.mktemp("write_table")
-    ids = class_ids if class_ids is not None else labels
     expected = serial_bytes(tmp / "serial.csv", names, matrix, ids)
     with forced_blocks(processes, chunk_cells) as forked:
-        io.write_table(tmp / "table.csv", names, matrix, class_ids, labels)
+        io.write_table(tmp / "table.csv", names, matrix, ids)
     assert (tmp / "table.csv").read_bytes() == expected
     blocks = min(processes, n_rows)
     assert len(forked) == blocks - 1
@@ -256,7 +250,7 @@ def test_write_table_formats_here_when_fork_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io.os, "fork", no_fork)
     with forced_blocks(3) as forked:
-        io.write_table(tmp_path / "table.csv", names, matrix, ids, None)
+        io.write_table(tmp_path / "table.csv", names, matrix, ids)
     assert forked == [(2, 4)]  # the first failure leaves the rest to this process
     assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
         tmp_path / "serial.csv", names, matrix, ids)
@@ -268,7 +262,7 @@ def test_write_table_without_fork_is_one_process(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(io, "PARALLEL_MIN_CELLS", 1)
     assert io._max_processes() == 1
-    io.write_table(tmp_path / "table.csv", names, matrix, ids, None)
+    io.write_table(tmp_path / "table.csv", names, matrix, ids)
     assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
         tmp_path / "serial.csv", names, matrix, ids)
 
@@ -290,7 +284,7 @@ def test_write_table_formats_here_when_a_child_fails(tmp_path, monkeypatch, fail
 
     monkeypatch.setattr(io.os, "write", failing_write)
     with forced_blocks(3) as forked:
-        io.write_table(tmp_path / "table.csv", names, matrix, ids, None)
+        io.write_table(tmp_path / "table.csv", names, matrix, ids)
     assert len(forked) == 2
     assert (tmp_path / "table.csv").read_bytes() == serial_bytes(
         tmp_path / "serial.csv", names, matrix, ids)
@@ -309,7 +303,7 @@ def test_write_table_reaps_children_when_interrupted(tmp_path):
     signal.alarm(30)
     try:
         with forced_blocks(3) as forked, pytest.raises(FileNotFoundError):
-            io.write_table(tmp_path / "missing" / "table.csv", names, matrix, ids, None)
+            io.write_table(tmp_path / "missing" / "table.csv", names, matrix, ids)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -334,7 +328,7 @@ def test_write_table_silences_only_the_fork_thread_warning(tmp_path, monkeypatch
         messages[:] = [message]
         with warnings.catch_warnings(record=True) as caught, forced_blocks(2):
             warnings.simplefilter("always")
-            io.write_table(tmp_path / "table.csv", names, matrix, ids, None)
+            io.write_table(tmp_path / "table.csv", names, matrix, ids)
         assert [str(w.message) for w in caught] == ([message] if shown else [])
         assert_no_child_left()
 

@@ -29,14 +29,14 @@ from discwave.datasets import WaveformSpec, generate_waveform
 
 def tiny_dataset():
     signals = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]])
-    return SignalDataset(signals=signals, labels=np.array([1.0, -1.0]))
+    return SignalDataset(signals=signals, class_ids=np.array([2, 1]))  # labels +1, -1
 
 
 def random_dataset(rng, n, N):
     signals = rng.normal(size=(n, N))
-    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    labels[0], labels[1] = 1.0, -1.0
-    return SignalDataset(signals=signals, labels=labels)
+    class_ids = np.where(rng.random(n) < 0.5, 2, 1)
+    class_ids[0], class_ids[1] = 2, 1
+    return SignalDataset(signals=signals, class_ids=class_ids)
 
 
 def test_update_step_pair_average():
@@ -141,7 +141,7 @@ def test_fit_and_round_trip_far_from_unit_scale(variant, degree, scale):
     # well invertible relative to its own weights.
     rng = np.random.default_rng(20)
     ds = random_dataset(rng, 30, 32)
-    ds = SignalDataset(signals=scale * ds.signals, labels=ds.labels)
+    ds = SignalDataset(signals=scale * ds.signals, class_ids=ds.class_ids)
     cfg = TransformConfig(
         levels=3, window=4, nu=1.0, variant=variant, constraint_degree=degree
     )
@@ -157,7 +157,7 @@ def test_fit_rejects_details_that_underflow():
     # details are 0 and the transform cannot give the signals back.
     rng = np.random.default_rng(21)
     ds = random_dataset(rng, 20, 16)
-    ds = SignalDataset(signals=1e-200 * ds.signals, labels=ds.labels)
+    ds = SignalDataset(signals=1e-200 * ds.signals, class_ids=ds.class_ids)
     cfg = TransformConfig(levels=2, window=2, nu=1.0, variant="regularised")
     with pytest.raises(NumericalError, match="does not invert its training signals"):
         tf.fit(ds, cfg)
@@ -168,7 +168,7 @@ def test_fit_overflow_is_a_typed_error_without_runtime_warnings():
     # NaN residual fails the tolerance test, and numpy stays silent.
     rng = np.random.default_rng(0)
     ds = random_dataset(rng, 20, 16)
-    ds = SignalDataset(signals=1e200 * ds.signals, labels=ds.labels)
+    ds = SignalDataset(signals=1e200 * ds.signals, class_ids=ds.class_ids)
     cfg = TransformConfig(levels=2, window=2, nu=1.0, variant="nonregularised")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -245,12 +245,12 @@ def test_analysis_support_bounds_and_growth():
     L, M = 2, 3
     cfg = TransformConfig(levels=M, window=L, nu=1.0, variant="nonregularised")
     t, _ = tf.fit(ds, cfg)
-    base = tf.base_vectors(t)
+    support = tf.support(tf.base_vectors(t).analysis)
     sizes = {m: [] for m in range(1, M + 1)}
     for m in range(1, M + 1):
         for k in range(1, 32 // 2 ** m + 1):
-            sup = base.analysis_supports[t.column_index(m, k)]
-            assert len(sup) <= (L + 1) * 2 ** m
+            sup = np.flatnonzero(support[t.column_index(m, k)]) + 1
+            assert 1 <= len(sup) <= (L + 1) * 2 ** m
             assert 1 <= min(sup) and max(sup) <= 32
             sizes[m].append(len(sup))
     assert np.mean(sizes[2]) > np.mean(sizes[1])
@@ -263,9 +263,9 @@ def test_first_level_detail_depends_on_few_samples():
     ds = random_dataset(rng, 10, 32)
     cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="nonregularised")
     t, _ = tf.fit(ds, cfg)
-    base = tf.base_vectors(t)
+    support = tf.support(tf.base_vectors(t).analysis)
     for k in range(1, 17):
-        assert len(base.analysis_supports[t.column_index(1, k)]) <= 2 * 2 + 1
+        assert 1 <= support[t.column_index(1, k)].sum() <= 2 * 2 + 1
 
 
 def test_merged_layout_and_column_names():
@@ -308,7 +308,7 @@ def test_model_json_round_trip_is_exact(tmp_path):
     tf.save_model(t, path)
     loaded = tf.load_model(path)
     assert loaded.signal_length == t.signal_length
-    assert loaded.config.to_dict() == t.config.to_dict()
+    assert loaded.config == t.config
     assert [c.tolist() for c in loaded.columns] == [c.tolist() for c in t.columns]
     assert len(loaded.levels) == len(t.levels)
     for a, b in zip(t.levels, loaded.levels):
@@ -316,10 +316,15 @@ def test_model_json_round_trip_is_exact(tmp_path):
         assert np.array_equal(a.gamma, b.gamma)
     x = rng.normal(size=(4, 16))
     assert np.array_equal(tf.apply(t, x).merged, tf.apply(loaded, x).merged)
-    # The file still spells each position's k and window indices.
+    # The file holds the configuration and two arrays per level, no windows.
     doc = json.loads(path.read_text())
-    assert [[(r["k"], tuple(r["indices"])) for r in recs] for recs in doc["levels"]] == [
-        list(enumerate(map(tuple, (columns + 1).tolist()), start=1)) for columns in t.columns
+    assert list(doc) == ["signal_length", "config", "effective_levels", "levels"]
+    assert doc["config"] == {
+        "levels": 2, "window": 2, "nu": 0.3, "variant": "nonregularised",
+        "constraint_degree": 1,
+    }
+    assert doc["levels"] == [
+        {"weights": level.weights.tolist(), "gamma": level.gamma.tolist()} for level in t.levels
     ]
     # Saving the loaded model reproduces the file byte for byte.
     path2 = tmp_path / "model2.json"
@@ -335,15 +340,57 @@ def test_model_file_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"signal_length": 8}))
     with pytest.raises(DataError):
         tf.load_model(path)
-    # Window indices off the index_window rule would index past the signal.
+    # Weight rows one entry short of the config's window.
     t, _ = tf.fit(random_dataset(np.random.default_rng(19), 12, 16), TransformConfig(
         levels=1, window=4, nu=1.0, variant="nonregularised"
     ))
     tf.save_model(t, path)
     doc = json.loads(path.read_text())
-    doc["levels"][0][5]["indices"] = [100, 101, 102, 103]
+    doc["levels"][0]["weights"] = [w[:-1] for w in doc["levels"][0]["weights"]]
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match="bad.json.*level 1, k=6"):
+    with pytest.raises(DataError, match="bad.json.*level 1 must hold a 8 x 4 weight matrix"):
+        tf.load_model(path)
+
+
+def per_position_records(doc):
+    """The levels of `doc` in the earlier file form: one record per position."""
+    doc["levels"] = [
+        [
+            {"k": k, "indices": [k], "weights": w, "gamma": g}
+            for k, (w, g) in enumerate(zip(level["weights"], level["gamma"]), start=1)
+        ]
+        for level in doc["levels"]
+    ]
+
+
+MALFORMED_MODELS = {
+    "per-position records": (per_position_records, "must be a mapping"),
+    "unknown config key": (lambda d: d["config"].update(seed=0), "'seed'"),
+    "unknown level key": (lambda d: d["levels"][0].update(k=[1]), "'k'"),
+    "unknown file key": (lambda d: d.update(extra=1), "keys must be"),
+    "missing file key": (lambda d: d.pop("effective_levels"), "keys must be"),
+    "short gamma": (lambda d: d["levels"][1]["gamma"].pop(), "shape mismatch"),
+    "dropped last level": (lambda d: d["levels"].pop(), "effective_levels 2 does not match 1"),
+    "dropped first level": (lambda d: d["levels"].pop(0), "level 1 must hold"),
+    "nan weight": (lambda d: d["levels"][0]["weights"][3].__setitem__(1, float("nan")),
+                   "level 1 holds a non-finite"),
+    "infinite gamma": (lambda d: d["levels"][1]["gamma"].__setitem__(0, float("inf")),
+                       "level 2 holds a non-finite"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_load_model_rejects_a_malformed_file(tmp_path, case):
+    edit, message = MALFORMED_MODELS[case]
+    t, _ = tf.fit(random_dataset(np.random.default_rng(20), 12, 16), TransformConfig(
+        levels=2, window=2, nu=1.0, variant="nonregularised"
+    ))
+    path = tmp_path / "bad.json"
+    tf.save_model(t, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"bad.json: malformed model file .*{message}"):
         tf.load_model(path)
 
 
@@ -355,7 +402,7 @@ def test_features_csv_round_trip(tmp_path):
     t, _ = tf.fit(
         SignalDataset(
             signals=signals[:4],
-            labels=np.array([1.0, -1.0, 1.0, -1.0]),
+            class_ids=np.array([2, 1, 2, 1]),
         ),
         cfg,
     )
@@ -398,7 +445,7 @@ def test_features_csv_without_labels(tmp_path):
     t, _ = tf.fit(ds, cfg)
     table = tf.apply(t, ds.signals)
     path = tmp_path / "plain.csv"
-    with pytest.raises(DataError, match="needs class ids or labels"):
+    with pytest.raises(DataError, match="needs class ids"):
         tf.save_features(table, path)
     assert not path.exists()
 
@@ -497,7 +544,7 @@ def test_fitted_levels_are_arrays_that_round_trip(
         degree = 0  # constraints are defined for the nonregularised predictor only
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, n, 32)
-    ds = SignalDataset(signals=scale * ds.signals, labels=ds.labels)
+    ds = SignalDataset(signals=scale * ds.signals, class_ids=ds.class_ids)
     cfg = TransformConfig(
         levels=levels, window=window, nu=1.0, variant=variant, constraint_degree=degree
     )
@@ -620,7 +667,7 @@ def test_level_stacks_match_solve_bit_for_bit(
     degree = 0 if variant == "regularised" else int(degree_share * window // 2)
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, n, 64)
-    ds = SignalDataset(signals=scale * ds.signals, labels=ds.labels)
+    ds = SignalDataset(signals=scale * ds.signals, class_ids=ds.class_ids)
     cfg = TransformConfig(
         levels=3, window=window, nu=nu, variant=variant, constraint_degree=degree
     )
