@@ -24,7 +24,7 @@ train = generate_waveform(WaveformSpec(per_class_count=100, seed=3)).restrict_pa
 cfg = TransformConfig(levels=3, window=4, nu=1.0, variant="nonregularised")
 fitted, table = tf.fit(train, cfg)
 
-print(f"fitted {fitted.effective_levels} levels on {train.n_examples} signals")
+print(f"fitted {fitted.config.levels} levels on {train.n_examples} signals")
 print(f"coarse lengths per level: {[32 // 2 ** m for m in range(1, 4)]}")
 print(f"merged feature matrix: {table.merged.shape}, columns "
       f"{table.column_names()[:3]} ... {table.column_names()[-2:]}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -116,13 +115,7 @@ def cmd_fit(args) -> int:
     def progress(level, n_positions, seconds):
         print(f"level {level}: {n_positions} positions, {seconds:.3f}s")
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fitted, table = tf.fit(train, config, progress=progress)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-
-    print(f"fitted {fitted.effective_levels} of {config.levels} requested levels")
+    fitted, table = tf.fit(train, config, progress=progress)
     residual = tf.constraint_residual(fitted)
     if residual is not None:
         print(f"constraint residual: {residual:.3e}")
@@ -139,11 +132,7 @@ def cmd_fit(args) -> int:
     _write_manifest(
         _manifest_beside(args.out_model),
         "fit",
-        {
-            **asdict(config),
-            "effective_levels": fitted.effective_levels,
-            "constraint_residual": residual,
-        },
+        {**asdict(config), "constraint_residual": residual},
         {},
         {"train": args.train},
         outputs,
@@ -336,8 +325,10 @@ def cmd_eval(args) -> int:
     binary = len(train.classes) == 2
     if binary and args.permutations > 0 and args.seed is None:
         raise ConfigError("--seed is required when permutation tests run")
+    if binary and args.raw_baseline:
+        raise ConfigError("--raw-baseline scores class pairs: it needs 3+ classes in --train")
     # Class-pair fits share the model's config and length, so K holds for them too.
-    n_details = fitted.signal_length - (fitted.signal_length >> fitted.effective_levels)
+    n_details = fitted.signal_length - (fitted.signal_length >> fitted.config.levels)
     if max(args.top_t) > n_details:
         raise ConfigError(
             f"--top-t {max(args.top_t)} exceeds the model's {n_details} detail coefficients"
@@ -377,11 +368,20 @@ def cmd_basis(args) -> int:
     t0 = time.perf_counter()
     fitted = _read(tf.load_model, args.model)
     bv = tf.base_vectors(fitted)
+    N = fitted.signal_length
+    residual = float(np.max(np.abs(bv.analysis @ bv.synthesis - np.eye(N))))
+    # fit's round-trip bound, here on unit inputs: far from unit scale a fit
+    # can pass its own check and still leave a synthesis that does not invert.
+    if not residual <= tf.ROUND_TRIP_RTOL:
+        raise NumericalError(
+            f"synthesis does not invert analysis: biorthogonality residual "
+            f"{residual:.3e} exceeds {tf.ROUND_TRIP_RTOL:g}"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     layout = fitted.column_layout()
     names = [name for name, _, _, _ in layout]
-    sample_cols = [f"s{i + 1}" for i in range(fitted.signal_length)]
+    sample_cols = [f"s{i + 1}" for i in range(N)]
 
     write_csv(
         out_dir / "analysis.csv",
@@ -405,9 +405,6 @@ def cmd_basis(args) -> int:
             "synthesis_first", "synthesis_last", "synthesis_size",
         ],
         support_rows,
-    )
-    residual = float(
-        np.max(np.abs(bv.analysis @ bv.synthesis - np.eye(fitted.signal_length)))
     )
     print(f"biorthogonality residual: {residual:.3e}")
     _write_manifest(
@@ -445,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--train", required=True, help="training CSV (binary labels)")
     f.add_argument("--window", type=int, required=True, help="prediction window length (even)")
     f.add_argument("--nu", type=float, required=True, help="error weight of the window solver")
-    f.add_argument("--levels", type=int, required=True, help="requested decomposition levels")
+    f.add_argument("--levels", type=int, required=True, help="levels M (window <= N/2^M)")
     f.add_argument(
         "--variant",
         choices=(tf.REGULARISED, tf.NONREGULARISED),
@@ -493,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument(
         "--raw-baseline",
         action="store_true",
-        help="also score pairwise proximal SVMs on the raw samples (3+ classes)",
+        help="also score pairwise proximal SVMs on the raw samples (3+ classes only)",
     )
     e.add_argument("--out-dir", required=True, help="directory for reports")
     e.set_defaults(func=cmd_eval)

@@ -160,28 +160,30 @@ class TransformConfig:
     constraint_degree: int = 0
 
     def __post_init__(self):
-        if int(self.levels) < 1:
+        for name in ("levels", "window", "constraint_degree"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.levels < 1:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if int(self.window) < 2 or int(self.window) % 2:
+        if self.window < 2 or self.window % 2:
             raise ConfigError(f"window must be even and >= 2, got {self.window}")
         if not (float(self.nu) > 0 and np.isfinite(self.nu)):
             raise ConfigError(f"nu must be a positive finite real, got {self.nu}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        p = int(self.constraint_degree)
+        p = self.constraint_degree
         if p < 0:
             raise ConfigError("constraint_degree must be >= 0")
-        if p > int(self.window):
+        if p > self.window:
             raise ConfigError(
                 f"constraint_degree {p} exceeds window {self.window} "
                 "(constraint rows would be rank deficient)"
             )
         if p > 0 and self.variant != NONREGULARISED:
             raise ConfigError("constraints are only supported with the nonregularised variant")
-        object.__setattr__(self, "levels", int(self.levels))
-        object.__setattr__(self, "window", int(self.window))
         object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "constraint_degree", p)
 
 
 @dataclass(frozen=True)

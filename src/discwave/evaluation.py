@@ -203,7 +203,7 @@ def make_local_classifiers(
         raise DataError("coefficient table carries no binary labels")
     y = coefficients.labels
     l = y.size
-    N, M = fitted.signal_length, fitted.effective_levels
+    N, M = fitted.signal_length, fitted.config.levels
     X = coefficients.merged[:, N >> M :]
     levels = np.arange(M, 0, -1)
     widths = N >> levels

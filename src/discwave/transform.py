@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -49,7 +48,7 @@ INVERTIBILITY_RTOL = 1e-12  # least |w0| / ||w|| of an invertible regularised pr
 # signal is off by O(1).
 ROUND_TRIP_RTOL = 1e-3
 ROUND_TRIP_ROWS = 256
-MODEL_KEYS = ("signal_length", "config", "effective_levels", "levels")  # save_model order
+MODEL_KEYS = ("config", "levels")  # save_model order
 
 
 def _level(weights, gamma) -> np.recarray:
@@ -79,23 +78,28 @@ def support(vectors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FittedTransform:
+    """A fitted transform: its configuration and exactly `config.levels`
+    levels, levels[m-1] the record array of level m (fields weights and
+    gamma) with N/2^m rows. The signal length N is derived from level 1."""
+
     config: TransformConfig
-    signal_length: int
-    levels: tuple  # levels[m-1]: record array of level m, fields weights and gamma
+    levels: tuple
 
     def __post_init__(self):
-        N = int(self.signal_length)
+        levels = tuple(self.levels)
+        if len(levels) != self.config.levels:
+            raise ConfigError(f"need {self.config.levels} levels, got {len(levels)}")
+        N = 2 * len(levels[0])
         L = self.config.window
         w_len = L + 1 if self.config.variant == REGULARISED else L
-        for m, level in enumerate(self.levels, start=1):
-            shape = (N // (2 ** m), w_len)
+        for m, level in enumerate(levels, start=1):
+            shape = (N / 2 ** m, w_len)  # a fractional row count matches no level
             if level.weights.shape != shape:
                 raise ConfigError(
-                    f"level {m} must hold a {shape[0]} x {shape[1]} weight matrix, "
+                    f"level {m} must hold a {shape[0]:g} x {w_len} weight matrix, "
                     f"got {level.weights.shape}"
                 )
-        object.__setattr__(self, "signal_length", N)
-        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "levels", levels)
         self.columns  # a window wider than its level raises ConfigError here
 
     @cached_property
@@ -104,16 +108,16 @@ class FittedTransform:
         return tuple(window_columns(len(level), self.config.window) for level in self.levels)
 
     @property
-    def effective_levels(self) -> int:
-        return len(self.levels)
+    def signal_length(self) -> int:
+        return 2 * len(self.levels[0])
 
     def column_layout(self):
         """Merged-column metadata: list of (name, kind, level, position), 1-based."""
-        return _layout(self.signal_length, self.effective_levels)
+        return _layout(self.signal_length, self.config.levels)
 
     def column_index(self, level: int, k: int) -> int:
         """0-based merged column of detail coefficient (level, k): N/2^level + k - 1."""
-        M = self.effective_levels
+        M = self.config.levels
         if not 1 <= level <= M:
             raise ConfigError(f"level must lie in 1..{M}, got {level}")
         if not 1 <= k <= self.signal_length >> level:
@@ -194,34 +198,29 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
 
     Levels run in order, each consuming the previous coarse signal, and the
     positions of a level are solved in stacks by `solver.solve_windows`; the
-    labels were checked once, when the dataset was built. Stops early with a
-    warning once the window no longer fits the coarse signal, recording the
-    effective number of levels. `progress`, if given, is called as
+    labels were checked once, when the dataset was built. Fits exactly
+    `config.levels` levels: a window wider than level M's coarse length
+    N/2^M is a ConfigError raised before any solve, naming the deepest depth
+    the window fits. `progress`, if given, is called as
     progress(level, n_positions, seconds) after each level. Raises
     NumericalError when the fitted transform does not reconstruct its own
     training signals to ROUND_TRIP_RTOL of their largest magnitude.
     """
     y = train.require_labels()
-    N = train.signal_length
-    if config.window > N // 2:
+    N, L, M = train.signal_length, config.window, config.levels
+    if L > N >> M:
         raise ConfigError(
-            f"window {config.window} does not fit level 1 (coarse length {N // 2})"
+            f"window {L} does not fit level {M} (coarse length {N >> M}); "
+            f"length-{N} signals allow at most {(N // L).bit_length() - 1} levels"
         )
     levels = []
     A = train.signals
-    for m in range(1, config.levels + 1):
+    for m in range(1, M + 1):
         half = A.shape[1] // 2
-        if half < config.window:
-            warnings.warn(
-                f"stopping at {m - 1} levels: window {config.window} does not fit "
-                f"coarse length {half}; requested {config.levels}",
-                stacklevel=2,
-            )
-            break
         t0 = time.perf_counter()
         A_o, A_e = split(A)
         C = 0.5 * (A_o + A_e)
-        columns = window_columns(half, config.window)
+        columns = window_columns(half, L)
         try:
             weights, gamma = solver.solve_windows(
                 A_e, C, columns, y, config.nu, config.variant, config.constraint_degree
@@ -232,7 +231,7 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
         A = C
         if progress is not None:
             progress(m, half, time.perf_counter() - t0)
-    transform = FittedTransform(config=config, signal_length=N, levels=tuple(levels))
+    transform = FittedTransform(config=config, levels=tuple(levels))
     table = apply(transform, train.signals, labels=train.labels, class_ids=train.class_ids)
     # Details can lose the signal without any solve failing: regularised
     # weights of tiny data times the data underflow to zero. Such a transform
@@ -261,7 +260,7 @@ def apply(
     Each level writes its details straight into its block of the table.
     """
     A = np.asarray(signals, dtype=float)
-    N, M = transform.signal_length, transform.effective_levels
+    N, M = transform.signal_length, transform.config.levels
     if A.ndim != 2 or A.shape[1] != N:
         raise DataError(f"signals must be 2-D with {N} columns, got {A.shape}")
     variant = transform.config.variant
@@ -293,7 +292,7 @@ def reconstruct(
         merged = np.asarray(coefficients, dtype=float)
         if merged.ndim != 2:
             raise DataError(f"coefficients must be 2-D, got shape {merged.shape}")
-    N, M = transform.signal_length, transform.effective_levels
+    N, M = transform.signal_length, transform.config.levels
     if merged.shape[1] != N:
         raise DataError(f"merged width {merged.shape[1]} does not match transform ({N})")
     variant = transform.config.variant
@@ -340,13 +339,11 @@ def constraint_residual(transform: FittedTransform) -> Optional[float]:
 
 
 def save_model(transform: FittedTransform, path) -> None:
-    """Model JSON: signal_length, config, effective_levels and, per level, its
-    weight matrix and offset vector. The windows behind the weight rows
-    follow from the config and are not stored."""
+    """Model JSON: the config and, per level, its weight matrix and offset
+    vector. The signal length and the windows behind the weight rows follow
+    from these and are not stored."""
     write_json(path, {
-        "signal_length": transform.signal_length,
         "config": asdict(transform.config),
-        "effective_levels": transform.effective_levels,
         "levels": [
             {"weights": level.weights.tolist(), "gamma": level.gamma.tolist()}
             for level in transform.levels
@@ -356,9 +353,9 @@ def save_model(transform: FittedTransform, path) -> None:
 
 def load_model(path) -> FittedTransform:
     """Read a save_model file. Raises DataError for invalid JSON, a missing or
-    unknown key, a shape the config and signal length do not give, a
-    non-finite weight or offset, and an effective_levels that differs from
-    the number of stored levels."""
+    unknown key, an invalid config, a level count other than config.levels,
+    a shape the config and level 1 do not give, and a non-finite weight or
+    offset."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -369,17 +366,11 @@ def load_model(path) -> FittedTransform:
             raise DataError(f"keys must be {list(MODEL_KEYS)}, got {list(doc)}")
         transform = FittedTransform(
             config=TransformConfig(**doc["config"]),
-            signal_length=doc["signal_length"],
             levels=tuple(_level(**level) for level in doc["levels"]),
         )
         for m, level in enumerate(transform.levels, start=1):
             if not (np.isfinite(level.weights).all() and np.isfinite(level.gamma).all()):
                 raise DataError(f"level {m} holds a non-finite weight or offset")
-        if transform.effective_levels != int(doc["effective_levels"]):
-            raise DataError(
-                f"effective_levels {doc['effective_levels']} does not "
-                f"match {transform.effective_levels} stored levels"
-            )
     except (LookupError, TypeError, ValueError) as exc:  # ConfigError, DataError too
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     return transform

@@ -113,7 +113,7 @@ def test_04_constraints_annihilate_affine_signals():
     table = tf.apply(fitted, np.vstack(lines))
     worst = max(
         float(np.max(np.abs(table.detail(m))))
-        for m in range(1, fitted.effective_levels + 1)
+        for m in range(1, fitted.config.levels + 1)
     )
     report(4, "affine signals vanish", worst < 1e-8,
            f"{len(lines)} degree<=1 signals, 3 levels, max |detail| {worst:.3e}, tol 1e-08")

@@ -108,7 +108,7 @@ def test_fit_reports_levels_and_saves_model(tmp_path, capsys):
     assert "level 1: 16 positions" in stdout
     assert "level 2: 8 positions" in stdout
     assert "level 3: 4 positions" in stdout
-    assert "fitted 3 of 3 requested levels" in stdout
+    assert "level 4" not in stdout
     assert stderr == ""
     fitted = tf.load_model(model)
     assert [len(records) for records in fitted.levels] == [16, 8, 4]
@@ -118,7 +118,7 @@ def test_fit_reports_levels_and_saves_model(tmp_path, capsys):
     doc = manifest_sans_clock(tmp_path / "model.manifest.json")
     assert doc["config"] == {
         "levels": 3, "window": 4, "nu": 1.0, "variant": "nonregularised",
-        "constraint_degree": 0, "effective_levels": 3, "constraint_residual": None,
+        "constraint_degree": 0, "constraint_residual": None,
     }
     assert doc["outputs"] == {"model": str(model), "features": str(features)}
 
@@ -138,7 +138,8 @@ def test_fit_constrained_reports_residual(tmp_path, capsys):
     assert doc["config"]["constraint_residual"] <= 1e-10
 
 
-def test_fit_early_stop_warns_on_stderr(tmp_path, capsys):
+def test_fit_deeper_than_the_window_allows_exits_2(tmp_path, capsys):
+    # Level 4 of a 32-sample signal has 2 coarse samples, fewer than window 4.
     train = write_pair_csv(tmp_path / "train.csv", 10, 9)
     model = tmp_path / "model.json"
     code, stdout, stderr = run(
@@ -146,10 +147,14 @@ def test_fit_early_stop_warns_on_stderr(tmp_path, capsys):
          "--levels", "4", "--out-model", str(model)],
         capsys,
     )
-    assert code == 0
-    assert "fitted 3 of 4 requested levels" in stdout
-    assert "stopping at 3 levels" in stderr
-    assert tf.load_model(model).effective_levels == 3
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "error: window 4 does not fit level 4 (coarse length 2); "
+        "length-32 signals allow at most 3 levels\n"
+    )
+    assert not model.exists()
+    assert not model.with_suffix(".manifest.json").exists()
 
 
 def eval_setup(tmp_path, capsys, per_class=15, seed_train=11, seed_test=12):
@@ -463,6 +468,21 @@ def test_eval_class_check_leaves_no_out_dir(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_eval_binary_raw_baseline_leaves_no_out_dir(tmp_path, capsys):
+    # The raw-PSVM baseline scores the class pairs of a 3+ class eval; a
+    # binary eval has none, so the flag is a usage error.
+    train, test, model = eval_setup(tmp_path, capsys)
+    out = tmp_path / "report"
+    code, _, err = run(
+        ["eval", "--model", str(model), "--train", str(train), "--test", str(test),
+         "--permutations", "0", "--top-t", "3", "--raw-baseline", "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: --raw-baseline scores class pairs: it needs 3+ classes in --train\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "eval"])
 def test_headerless_input_fails_before_any_output(tmp_path, capsys, command):
     # Read as a header, the first signal would vanish: eval would score 19 of 20 rows.
@@ -529,12 +549,10 @@ def test_exit_code_4_on_numerical_error(tmp_path, capsys):
     # base-vector synthesis must fail as non-invertible.
     model = tmp_path / "degenerate.json"
     doc = {
-        "signal_length": 4,
         "config": {
             "levels": 1, "window": 2, "nu": 1.0, "variant": "regularised",
             "constraint_degree": 0,
         },
-        "effective_levels": 1,
         "levels": [{"weights": [[0.0, 0.5, 0.5], [1.0, 0.5, 0.5]], "gamma": [0.0, 0.0]}],
     }
     model.write_text(json.dumps(doc))
@@ -583,7 +601,9 @@ def test_non_finite_model_weight_fails_before_any_output(tmp_path, capsys, comma
 
 def test_empty_supports_are_blank_bounds(tmp_path, capsys):
     # Regularised weights of data x1e-20 leave every detail's analysis row
-    # below SUPPORT_ATOL: an empty support.
+    # below SUPPORT_ATOL: an empty support. Such a model passes fit's
+    # round-trip check, which is relative to the data's scale, but its
+    # synthesis does not invert its analysis on unit inputs, so basis fails.
     ds = generate_waveform(WaveformSpec(per_class_count=10, seed=11)).restrict_pair(1, 2)
     train = tmp_path / "tiny.csv"
     save_csv(SignalDataset(signals=1e-20 * ds.signals, class_ids=ds.class_ids), train)
@@ -594,13 +614,13 @@ def test_empty_supports_are_blank_bounds(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    code, _, _ = run(["basis", "--model", str(model), "--out-dir", str(tmp_path / "b")], capsys)
-    assert code == 0
-    rows = [row.split(",") for row in (tmp_path / "b" / "supports.csv").read_text().splitlines()]
-    assert rows[0][4:7] == ["analysis_first", "analysis_last", "analysis_size"]
-    details = [row for row in rows[1:] if row[1] == "detail"]
-    assert len(details) == 24
-    assert all(row[4:7] == ["", "", "0"] and int(row[9]) > 0 for row in details)
+    basis = tmp_path / "b"
+    code, stdout, err = run(["basis", "--model", str(model), "--out-dir", str(basis)], capsys)
+    assert code == 4
+    assert stdout == ""
+    assert err.startswith("error: synthesis does not invert analysis: biorthogonality residual ")
+    assert err.endswith(" exceeds 0.001\n") and err.count("\n") == 1
+    assert not basis.exists()
     out = tmp_path / "ev"
     code, _, _ = run(
         ["eval", "--model", str(model), "--train", str(train), "--permutations", "0",

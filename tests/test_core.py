@@ -202,6 +202,18 @@ def test_config_validation():
         TransformConfig(
             levels=1, window=4, nu=1.0, variant="regularised", constraint_degree=1
         )
+    # Sizes are exact integers: no float or bool is truncated to one.
+    for field, value in [
+        ("levels", 2.5), ("levels", 2.0), ("levels", True), ("window", 4.9),
+        ("window", "4"), ("constraint_degree", 1.5), ("constraint_degree", False),
+    ]:
+        sizes = {"levels": 2, "window": 4, "constraint_degree": 1, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            TransformConfig(nu=1.0, **sizes)
+    cfg = TransformConfig(levels=np.int64(2), window=np.int32(4), nu=1.0,
+                          constraint_degree=np.uint8(1))
+    assert (cfg.levels, cfg.window, cfg.constraint_degree) == (2, 4, 1)
+    assert all(type(v) is int for v in (cfg.levels, cfg.window, cfg.constraint_degree))
 
 
 def test_config_round_trips_through_dict():

@@ -59,7 +59,7 @@ def test_hand_solved_tiny_fixture():
     # and detail rows 280*d = [[271, 383], [-121, -233]].
     cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="nonregularised")
     t, table = tf.fit(tiny_dataset(), cfg)
-    assert t.effective_levels == 1
+    assert t.config.levels == len(t.levels) == 1 and t.signal_length == 4
     level = t.levels[0]
     assert t.columns[0].tolist() == [[0, 1], [0, 1]]
     expected_w = np.array([[293.0, -43.0], [69.0, 181.0]]) / 280.0
@@ -318,7 +318,7 @@ def test_model_json_round_trip_is_exact(tmp_path):
     assert np.array_equal(tf.apply(t, x).merged, tf.apply(loaded, x).merged)
     # The file holds the configuration and two arrays per level, no windows.
     doc = json.loads(path.read_text())
-    assert list(doc) == ["signal_length", "config", "effective_levels", "levels"]
+    assert list(doc) == ["config", "levels"]
     assert doc["config"] == {
         "levels": 2, "window": 2, "nu": 0.3, "variant": "nonregularised",
         "constraint_degree": 1,
@@ -368,10 +368,17 @@ MALFORMED_MODELS = {
     "unknown config key": (lambda d: d["config"].update(seed=0), "'seed'"),
     "unknown level key": (lambda d: d["levels"][0].update(k=[1]), "'k'"),
     "unknown file key": (lambda d: d.update(extra=1), "keys must be"),
-    "missing file key": (lambda d: d.pop("effective_levels"), "keys must be"),
+    "missing file key": (lambda d: d.pop("levels"), "keys must be"),
+    "earlier file keys": (lambda d: d.update(signal_length=16, effective_levels=2),
+                          "keys must be"),
+    "config deeper than its levels": (lambda d: d["config"].update(levels=5),
+                                      "need 5 levels, got 2"),
+    "fractional sizes": (lambda d: d["config"].update(levels=2.5, window=4.9),
+                         "levels must be an integer, got 2.5"),
+    "float window": (lambda d: d["config"].update(window=2.0), "window must be an integer"),
     "short gamma": (lambda d: d["levels"][1]["gamma"].pop(), "shape mismatch"),
-    "dropped last level": (lambda d: d["levels"].pop(), "effective_levels 2 does not match 1"),
-    "dropped first level": (lambda d: d["levels"].pop(0), "level 1 must hold"),
+    "dropped last level": (lambda d: d["levels"].pop(), "need 2 levels, got 1"),
+    "dropped first level": (lambda d: d["levels"].pop(0), "need 2 levels, got 1"),
     "nan weight": (lambda d: d["levels"][0]["weights"][3].__setitem__(1, float("nan")),
                    "level 1 holds a non-finite"),
     "infinite gamma": (lambda d: d["levels"][1]["gamma"].__setitem__(0, float("inf")),
@@ -429,9 +436,7 @@ def test_save_model_rejects_nan_weight_and_writes_nothing(tmp_path):
     ))
     bad = t.levels[0].copy()
     bad.weights[0] = [np.nan, 0.0]
-    broken = tf.FittedTransform(
-        config=t.config, signal_length=t.signal_length, levels=(bad,)
-    )
+    broken = tf.FittedTransform(config=t.config, levels=(bad,))
     path = tmp_path / "model.json"
     with pytest.raises(NumericalError, match="non-finite"):
         tf.save_model(broken, path)
@@ -450,13 +455,18 @@ def test_features_csv_without_labels(tmp_path):
     assert not path.exists()
 
 
-def test_fit_stops_early_when_window_outgrows_coarse():
+def test_fit_rejects_a_depth_the_window_cannot_reach():
+    # Level 3 of a length-8 signal has 1 coarse sample, fewer than window 2:
+    # a usage error before any level is solved, naming the deepest depth.
     rng = np.random.default_rng(14)
     ds = random_dataset(rng, 8, 8)
     cfg = TransformConfig(levels=3, window=2, nu=1.0, variant="nonregularised")
-    with pytest.warns(UserWarning, match="stopping at 2 levels"):
-        t, table = tf.fit(ds, cfg)
-    assert t.effective_levels == 2
+    calls = []
+    with pytest.raises(ConfigError, match="at most 2 levels"):
+        tf.fit(ds, cfg, progress=lambda *a: calls.append(a))
+    assert calls == []
+    t, table = tf.fit(ds, TransformConfig(levels=2, window=2, nu=1.0))
+    assert t.config.levels == len(t.levels) == 2
     assert table.merged.shape == (8, 8)
 
 
@@ -470,7 +480,22 @@ def test_fit_rejects_oversized_window():
     cfg = TransformConfig(levels=1, window=4, nu=1.0, variant="nonregularised")
     level = tf._level(np.zeros((2, 4)), np.zeros(2))
     with pytest.raises(ConfigError, match="window"):
-        tf.FittedTransform(config=cfg, signal_length=4, levels=(level,))
+        tf.FittedTransform(config=cfg, levels=(level,))
+
+
+def test_fitted_transform_holds_exactly_config_levels():
+    cfg = TransformConfig(levels=2, window=2, nu=1.0, variant="nonregularised")
+    level1 = tf._level(np.zeros((4, 2)), np.zeros(4))
+    level2 = tf._level(np.zeros((2, 2)), np.zeros(2))
+    t = tf.FittedTransform(config=cfg, levels=(level1, level2))
+    assert t.signal_length == 8 and t.column_index(2, 1) == 2
+    for levels in [(level1,), (level2,), (level1, level2, level2)]:
+        with pytest.raises(ConfigError, match=f"need 2 levels, got {len(levels)}"):
+            tf.FittedTransform(config=cfg, levels=levels)
+    # Level 3 of a length-20 signal would hold 2.5 rows; 2 rows are no match.
+    rows = [tf._level(np.zeros((n, 2)), np.zeros(n)) for n in (10, 5, 2)]
+    with pytest.raises(ConfigError, match="level 3 must hold a 2.5 x 2 weight matrix"):
+        tf.FittedTransform(config=TransformConfig(levels=3, window=2, nu=1.0), levels=rows)
 
 
 def test_progress_callback_reports_each_level():
@@ -486,7 +511,7 @@ def test_progress_callback_reports_each_level():
 def test_reconstruct_rejects_tiny_regularised_target_weight():
     cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="regularised")
     level = tf._level([[0.0, 0.5, 0.5], [1.0, 0.5, 0.5]], [0.0, 0.0])
-    t = tf.FittedTransform(config=cfg, signal_length=4, levels=(level,))
+    t = tf.FittedTransform(config=cfg, levels=(level,))
     with pytest.raises(NumericalError, match="k=1: target weight"):
         tf.reconstruct(t, np.zeros((1, 4)))
 
@@ -551,7 +576,7 @@ def test_fitted_levels_are_arrays_that_round_trip(
     t, table = tf.fit(ds, cfg)
     assert table.merged.tobytes() == tf.apply(t, ds.signals).merged.tobytes()
     w_len = window + 1 if variant == "regularised" else window
-    assert t.effective_levels == levels
+    assert len(t.levels) == t.config.levels == levels
     for m, level in enumerate(t.levels, start=1):
         assert level.weights.shape == (32 // 2 ** m, w_len)
         assert level.gamma.shape == (32 // 2 ** m,)
@@ -634,7 +659,7 @@ def test_apply_is_row_independent(fit, levels, n, data, seed):
     rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     for subset in (rows, rows[:1]):
         alone, beside = tf.apply(t, X[subset]).merged, merged[subset]
-        coarse = 32 >> t.effective_levels
+        coarse = 32 >> t.config.levels
         assert alone[:, :coarse].tobytes() == beside[:, :coarse].tobytes()
         scale = np.abs(X[subset]).max(axis=1, keepdims=True) * weight + np.abs(beside)
         tol = (2 * cfg.window + 2) * np.finfo(float).eps * scale
