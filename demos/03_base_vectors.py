@@ -43,6 +43,6 @@ print(f"d1_7 support: samples {sup[0]}..{sup[-1]}, "
 
 # Any signal is the coefficient-weighted sum of synthesis vectors.
 x = train.signals[:5]
-coeffs = tf.apply(fitted, x).merged
+coeffs = tf.apply(fitted, x)
 rebuilt = coeffs @ base.synthesis.T
 print(f"rebuild from synthesis vectors, max abs error: {np.max(np.abs(rebuilt - x)):.2e}")

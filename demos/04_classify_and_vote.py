@@ -21,7 +21,7 @@ test3 = generate_waveform(WaveformSpec(per_class_count=500, seed=22))
 train, test = train3.restrict_pair(1, 2), test3.restrict_pair(1, 2)
 
 fitted, coeffs = tf.fit(train, cfg)
-ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))
+ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, train.labels, fitted))
 print(f"{len(ranked)} coefficients; top five by training accuracy:")
 top = ranked[:5]
 for name, acc, b, s, support in zip(top.names, top.train_accuracy, top.b, top.s, top.support):
@@ -29,14 +29,14 @@ for name, acc, b, s, support in zip(top.names, top.train_accuracy, top.b, top.s,
     print(f"  {name}: train acc {acc:.3f}, threshold {b:+.3f}, "
           f"side {s:+d}, support {samples[0]}..{samples[-1]}")
 
-test_table = tf.apply(fitted, test.signals, labels=test.labels)
-ranked = ev.evaluate_classifiers(ranked, test_table)
+test_coeffs = tf.apply(fitted, test.signals)
+ranked = ev.evaluate_classifiers(ranked, test_coeffs, test.labels)
 print(f"best single coefficient {ranked.names[0]}: "
       f"test error {1 - ranked.test_accuracy[0]:.3f}")
 
 for t in (3, 15):
-    rep = ev.vote(ranked[:t], test_table)
-    print(f"majority vote of top {t}: test error {rep.misclassification:.3f}, "
+    rep = ev.vote(ranked[:t], test_coeffs)
+    print(f"majority vote of top {t}: test error {np.mean(rep.outcome != test.labels):.3f}, "
           f"unclassified {rep.n_unclassified}")
 
 w, g = ev.fit_raw_psvm(train.signals, train.labels, nu=1.0)

@@ -21,10 +21,10 @@ from discwave.datasets import WaveformSpec, generate_waveform
 cfg = TransformConfig(levels=3, window=4, nu=1.0, variant="regularised")
 train = generate_waveform(WaveformSpec(per_class_count=100, seed=21)).restrict_pair(1, 2)
 fitted, coeffs = tf.fit(train, cfg)
-ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))
+ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, train.labels, fitted))
 
 B = 999  # drawn once and shared by every coefficient of the call
-values = coeffs.merged[:, ranked.columns]  # l x K: column j for classifier j
+values = coeffs[:, ranked.columns]  # l x K: column j for classifier j
 p_values = ev.permutation_test(ranked, values, train.labels, B=B, seed=5000)
 ranked = replace(ranked, p_value=p_values)
 

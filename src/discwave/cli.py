@@ -5,8 +5,9 @@ resolved configuration, seeds, input and output paths, tool version, and wall
 clock time. Reruns with the same arguments reproduce every output byte for
 byte; only the timing fields of the manifest vary.
 
-Exit codes: 0 success, 2 configuration error (bad flags or parameters),
-3 data error (missing or malformed input files), 4 numerical failure.
+Exit codes: 0 success, 2 configuration error (bad flags or parameters, or
+an output path that cannot be written), 3 data error (missing or malformed
+input files), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def cmd_fit(args) -> int:
     def progress(level, n_positions, seconds):
         print(f"level {level}: {n_positions} positions, {seconds:.3f}s")
 
-    fitted, table = tf.fit(train, config, progress=progress)
+    fitted, merged = tf.fit(train, config, progress=progress)
     residual = tf.constraint_residual(fitted)
     if residual is not None:
         print(f"constraint residual: {residual:.3e}")
@@ -127,7 +128,7 @@ def cmd_fit(args) -> int:
     if args.out_features:
         out_features = Path(args.out_features)
         out_features.parent.mkdir(parents=True, exist_ok=True)
-        tf.save_features(table, out_features)
+        tf.save_features(fitted, merged, train.class_ids, out_features)
         outputs["features"] = str(out_features)
     _write_manifest(
         _manifest_beside(args.out_model),
@@ -185,22 +186,20 @@ def _coefficient_rows(c: evaluation.ClassifierSet):
 
 def _eval_binary(args, fitted, train, test, out_dir):
     lo, hi = train.classes
-    train_table = tf.apply(
-        fitted, train.signals, labels=train.labels, class_ids=train.class_ids
-    )
-    classifiers = evaluation.make_local_classifiers(train_table, fitted, args.mode)
+    train_coeffs = tf.apply(fitted, train.signals)
+    classifiers = evaluation.make_local_classifiers(train_coeffs, train.labels, fitted, args.mode)
 
-    evaluated_on, eval_table = "train", train_table
+    evaluated_on, eval_coeffs, y_eval = "train", train_coeffs, train.labels
     if test is not None:
-        y_test = pair_labels(test.class_ids, lo)  # classes checked in cmd_eval
-        eval_table = tf.apply(fitted, test.signals, labels=y_test, class_ids=test.class_ids)
-        classifiers = evaluation.evaluate_classifiers(classifiers, eval_table)
+        y_eval = pair_labels(test.class_ids, lo)  # classes checked in cmd_eval
+        eval_coeffs = tf.apply(fitted, test.signals)
+        classifiers = evaluation.evaluate_classifiers(classifiers, eval_coeffs, y_eval)
         evaluated_on = "test"
 
     if args.permutations > 0:
-        values = train_table.merged[:, classifiers.columns]
+        values = train_coeffs[:, classifiers.columns]
         p_values = evaluation.permutation_test(
-            classifiers, values, train_table.labels, args.permutations, args.seed
+            classifiers, values, train.labels, args.permutations, args.seed
         )
         classifiers = replace(classifiers, p_value=p_values)
 
@@ -224,7 +223,8 @@ def _eval_binary(args, fitted, train, test, out_dir):
         "support_histogram": str(out_dir / "support_histogram.csv"),
     }
     for t in args.top_t:
-        report = evaluation.vote(ranked[:t], eval_table)
+        report = evaluation.vote(ranked[:t], eval_coeffs)
+        misclassification = float(np.mean(report.outcome != y_eval))
         profile = evaluation.vote_profile(report)
         prof_path = out_dir / f"profile_t{t}.csv"
         outcomes = report.outcome.astype(int).tolist()
@@ -235,7 +235,7 @@ def _eval_binary(args, fitted, train, test, out_dir):
             "t": t,
             "members": report.members.names,
             "evaluated_on": evaluated_on,
-            "misclassification": report.misclassification,
+            "misclassification": misclassification,
             "n_unclassified": report.n_unclassified,
         }
         write_json(ens_path, payload)
@@ -243,7 +243,7 @@ def _eval_binary(args, fitted, train, test, out_dir):
         outputs[f"ensemble_t{t}"] = str(ens_path)
         outputs[f"profile_t{t}"] = str(prof_path)
         print(
-            f"t={t}: misclassification {report.misclassification:.4f} "
+            f"t={t}: misclassification {misclassification:.4f} "
             f"({report.n_unclassified} unclassified, on {evaluated_on})"
         )
 
@@ -540,6 +540,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # _read makes every failed read a DataError: this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

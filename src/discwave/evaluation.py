@@ -4,12 +4,14 @@ Every detail coefficient doubles as a one-feature classifier
 s * sign(d - b) with sign(0) fixed to +1. A ClassifierSet holds K of them
 as arrays, one row per coefficient: level, position k, threshold b,
 orientation s, exact training count and support mask. make_local_classifiers
-builds one row per detail column of a table, in merged-column order; a
-ranking or a subset is the set indexed by rows. Thresholds come either from
-the window solve's own bias (psvm_bias) or from an exhaustive midpoint scan
-maximising training accuracy (optimal_threshold), which `fit_thresholds`
-runs for every column at once. Ranking and selection use training accuracy
-only; test error is reported, never selected on.
+builds one row per detail column of an l x N merged coefficient matrix, as
+`transform.apply` returns it, in merged-column order; a ranking or a subset
+is the set indexed by rows. Labels come from the dataset and are passed
+beside the matrix. Thresholds come either from the window solve's own bias
+(psvm_bias) or from an exhaustive midpoint scan maximising training accuracy
+(optimal_threshold), which `fit_thresholds` runs for every column at once.
+Ranking and selection use training accuracy only; test error is reported,
+never selected on.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class ClassifierSet:
 
     @property
     def columns(self) -> np.ndarray:
-        """Merged-table column of each row: N/2^level + k - 1."""
+        """Merged column of each row: N/2^level + k - 1."""
         return (self.support.shape[1] >> self.level) + self.k - 1
 
     @property
@@ -192,19 +194,24 @@ def _fit_block(X: np.ndarray, plus: np.ndarray):
 
 
 def make_local_classifiers(
-    coefficients: tf.CoefficientTable, fitted: tf.FittedTransform, mode: str = OPTIMAL_THRESHOLD
+    merged: np.ndarray,
+    labels: np.ndarray,
+    fitted: tf.FittedTransform,
+    mode: str = OPTIMAL_THRESHOLD,
 ) -> ClassifierSet:
-    """One classifier per detail coefficient of the table, rows in merged-column
-    order (d_M first). Coarse columns are exported features but have no
-    trained predictor to classify with."""
+    """One classifier per detail coefficient of `fitted`, trained on the l x N
+    coefficients `merged` and their +/-1 `labels` (validate_labels: one per
+    row, both classes present); a matrix of another width is a DataError.
+    Rows are in merged-column order (d_M first).
+    Coarse columns are exported features but have no trained predictor to
+    classify with."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if coefficients.labels is None:
-        raise DataError("coefficient table carries no binary labels")
-    y = coefficients.labels
+    merged = fitted.check_coefficients(merged)
+    y = validate_labels(labels, len(merged))
     l = y.size
     N, M = fitted.signal_length, fitted.config.levels
-    X = coefficients.merged[:, N >> M :]
+    X = merged[:, N >> M :]
     levels = np.arange(M, 0, -1)
     widths = N >> levels
     if mode == PSVM_BIAS:
@@ -214,7 +221,7 @@ def make_local_classifiers(
     else:
         b, s, count = fit_thresholds(X, y)
     # Column j of apply(eye) is merged column j's analysis vector.
-    basis = tf.apply(fitted, np.eye(N)).merged[:, N >> M :]
+    basis = tf.apply(fitted, np.eye(N))[:, N >> M :]
     return ClassifierSet(
         level=np.repeat(levels, widths), k=np.arange(N >> M, N) - np.repeat(widths, widths) + 1,
         b=b, s=s, count=count, support=tf.support(basis.T), mode=mode, n_train=l,
@@ -226,13 +233,17 @@ def rank_classifiers(classifiers: ClassifierSet) -> ClassifierSet:
     return classifiers[np.lexsort((classifiers.k, classifiers.level, -classifiers.count))]
 
 
-def evaluate_classifiers(classifiers: ClassifierSet, table: tf.CoefficientTable) -> ClassifierSet:
-    """The set with test accuracy on a coefficient table attached."""
-    y = table.labels
-    if y is None:
-        raise DataError("need labels to evaluate classifiers")
+def evaluate_classifiers(
+    classifiers: ClassifierSet, merged: np.ndarray, labels: np.ndarray
+) -> ClassifierSet:
+    """The set with its test accuracy on the l x N coefficients `merged`
+    attached, scored against `labels`, one +/-1 label per row. A single
+    class is allowed: a test set may hold only one."""
+    y = np.asarray(labels, dtype=float)
+    if y.shape != (len(merged),):
+        raise DataError(f"labels must have shape ({len(merged)},), got {y.shape}")
     # s * sign(d - b) is y exactly where (d >= b) == (y == s).
-    X = table.merged[:, classifiers.columns]
+    X = merged[:, classifiers.columns]
     right = (X >= classifiers.b) == (y[:, None] == classifiers.s)
     return replace(classifiers, test_accuracy=np.mean(right, axis=0))
 
@@ -242,20 +253,21 @@ class EnsembleReport:
     members: ClassifierSet  # in ranked order
     votes: np.ndarray  # n x t of +/-1
     outcome: np.ndarray  # +1 / -1 / 0 (unclassified)
-    misclassification: Optional[float]  # None when no labels supplied
     n_unclassified: int
 
 
-def vote(members: ClassifierSet, table: tf.CoefficientTable) -> EnsembleReport:
-    """Majority vote of the members on every example of the table.
+def vote(members: ClassifierSet, merged: np.ndarray) -> EnsembleReport:
+    """Majority vote of the members on every row of the l x N coefficients
+    `merged`. Scores nothing: a caller with labels y takes the
+    misclassification as mean(outcome != y).
 
     Exact vote ties fall back to the larger summed |d - b| margin side; a tie
-    there too leaves the example unclassified, which counts as an error in
-    the misclassification ratio.
+    there too leaves the example unclassified (outcome 0), which never
+    equals a label and so counts as an error.
     """
     if len(members) == 0:
         raise ConfigError("ensemble needs at least one member")
-    X = table.merged[:, members.columns]
+    X = merged[:, members.columns]
     V = members.s * np.where(X >= members.b, 1.0, -1.0)  # sign(0) -> +1
     margins = np.abs(X - members.b)
     sums = V.sum(axis=1)
@@ -265,13 +277,8 @@ def vote(members: ClassifierSet, table: tf.CoefficientTable) -> EnsembleReport:
         m_plus = np.where(V > 0, margins, 0.0).sum(axis=1)
         m_minus = np.where(V < 0, margins, 0.0).sum(axis=1)
         outcome[tied] = np.sign(m_plus - m_minus)[tied]
-    ratio = None if table.labels is None else float(np.mean(outcome != table.labels))
     return EnsembleReport(
-        members=members,
-        votes=V,
-        outcome=outcome,
-        misclassification=ratio,
-        n_unclassified=int(np.sum(outcome == 0)),
+        members=members, votes=V, outcome=outcome, n_unclassified=int(np.sum(outcome == 0))
     )
 
 
@@ -345,26 +352,28 @@ def one_against_one(
     the sequence `top_t` (selection happens per pairwise problem). Every pair
     votes on every test example; its error is scored on the rows of its own
     two classes. Returns {t: MulticlassReport} in the order of `top_t`.
-    Raises ConfigError, before any vote, for a t above a pair transform's
-    K = N - N/2^M detail coefficients.
+    Raises ConfigError, before any fit, for a t above the K = N - N/2^M
+    detail coefficients every pair transform has.
     """
     classes = duel_classes(train, test)
     top_t = list(top_t)
     if not top_t or min(top_t) < 1:
         raise ConfigError("top_t needs at least one entry, each >= 1")
+    N = train.signal_length
+    K = N - (N >> config.levels)
+    if max(top_t) > K:
+        raise ConfigError(
+            f"top_t {max(top_t)} exceeds the {K} detail coefficients of a class-pair transform"
+        )
 
     pairs = {}  # (lo, hi) -> (ranked classifiers, the pair transform of every test row)
     for lo, hi in combinations(classes, 2):
-        fitted, coeffs = tf.fit(train.restrict_pair(lo, hi), config)
-        ranked = rank_classifiers(make_local_classifiers(coeffs, fitted, mode))
-        if max(top_t) > len(ranked):
-            raise ConfigError(
-                f"top_t {max(top_t)} exceeds the {len(ranked)} detail coefficients "
-                f"of the class-pair transform ({lo}, {hi})"
-            )
+        pair = train.restrict_pair(lo, hi)
+        fitted, merged = tf.fit(pair, config)
+        ranked = rank_classifiers(make_local_classifiers(merged, pair.labels, fitted, mode))
         pairs[(lo, hi)] = ranked, tf.apply(fitted, test.signals)
     return {
-        t: _duels(classes, {p: vote(r[:t], table).outcome for p, (r, table) in pairs.items()}, test)
+        t: _duels(classes, {p: vote(r[:t], X).outcome for p, (r, X) in pairs.items()}, test)
         for t in top_t
     }
 

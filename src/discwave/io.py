@@ -137,8 +137,9 @@ def write_table(path, names, matrix, class_ids) -> None:
     """Write `matrix` one row per line under the header line `names`.
 
     Rows gain a trailing integer column named "label" holding `class_ids`;
-    a table without them is a DataError, since no reader would accept the
-    file. The rows are split into contiguous blocks of
+    a table without them, or with another number of them than rows, is a
+    DataError, raised before the file is opened, since no reader would
+    accept the file. The rows are split into contiguous blocks of
     at least PARALLEL_MIN_CELLS cells, at most one per usable CPU. A forked
     child formats each block after the first while this process formats the
     first; their text is then copied into the file in block order. A block
@@ -148,6 +149,8 @@ def write_table(path, names, matrix, class_ids) -> None:
     if class_ids is None:
         raise DataError(f"{path}: a table needs class ids for its label column")
     ids = np.asarray(class_ids).astype(np.int64)
+    if ids.shape != matrix.shape[:1]:
+        raise DataError(f"{path}: class ids of shape {ids.shape} for {matrix.shape[0]} rows")
     n_rows, width = matrix.shape[0], matrix.shape[1] + 1
     min_rows = -(-PARALLEL_MIN_CELLS // max(1, width))
     n_blocks = max(1, min(_max_processes(), n_rows // min_rows))

@@ -1,10 +1,11 @@
 """Multi-level split/update/predict pipeline over trained window predictors.
 
-A fitted transform is a linear map from length-N signals to N coefficients,
-which a CoefficientTable holds as one matrix merged coarsest-first as
+A fitted transform is a linear map from length-N signals to N coefficients:
+`apply` turns l signals into one l x N matrix merged coarsest-first as
 (c_M | d_M | ... | d_1): the final coarse approximation in columns
 0..N/2^M - 1 and level m's details in columns N/2^m..N/2^(m-1) - 1, so every
-block's place is arithmetic in (N, M). Fitting
+block's place is arithmetic in (N, M). Labels stay with the dataset the
+signals came from; the matrix holds coefficients only. Fitting
 trains one window predictor per even position per level, and a fitted level
 is two arrays over its positions k: a weight matrix and an offset vector. The
 window of coarse samples behind each weight row is row k-1 of
@@ -21,7 +22,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,11 +39,11 @@ from .core import (
     window_columns,
 )
 from . import solver
-from .io import read_csv, write_json, write_table
+from .io import write_json, write_table
 
 SUPPORT_ATOL = 1e-10
 INVERTIBILITY_RTOL = 1e-12  # least |w0| / ||w|| of an invertible regularised predictor
-# Most max|reconstruct(fit table) - train| / max|train| a fit may leave. Loose
+# Most max|reconstruct(fit coefficients) - train| / max|train| a fit may leave. Loose
 # on purpose: a small regularised target weight amplifies rounding (1.8e-7 on
 # shape data with |w0|/||w|| = 1.9e-7), while a fit whose details lost the
 # signal is off by O(1).
@@ -124,47 +125,13 @@ class FittedTransform:
             raise ConfigError(f"position {k} out of range at level {level}")
         return (self.signal_length >> level) + k - 1
 
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Per-example coefficients of an `n_levels`-level transform: one l x N
-    matrix laid out as the transform's merged columns. `coarse`, `detail(m)`
-    and `details` are views into it."""
-
-    merged: np.ndarray
-    n_levels: int
-    labels: Optional[np.ndarray] = None
-    class_ids: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.merged.ndim != 2 or self.merged.shape[1] % (1 << self.n_levels):
-            raise ConfigError(
-                f"a {self.n_levels}-level table needs a 2-D matrix whose width is a "
-                f"multiple of {1 << self.n_levels}, got shape {self.merged.shape}"
-            )
-
-    @property
-    def n_examples(self) -> int:
-        return self.merged.shape[0]
-
-    @property
-    def coarse(self) -> np.ndarray:
-        return self.merged[:, : self.merged.shape[1] >> self.n_levels]
-
-    def detail(self, level: int) -> np.ndarray:
-        """Level `level`'s l x N/2^level details: merged columns N/2^level..N/2^(level-1) - 1."""
-        if not 1 <= level <= self.n_levels:
-            raise ConfigError(f"level must lie in 1..{self.n_levels}, got {level}")
-        N = self.merged.shape[1]
-        return self.merged[:, N >> level : N >> (level - 1)]
-
-    @property
-    def details(self) -> tuple:
-        """details[m-1] = detail(m)."""
-        return tuple(self.detail(m) for m in range(1, self.n_levels + 1))
-
-    def column_names(self):
-        return [name for name, _, _, _ in _layout(self.merged.shape[1], self.n_levels)]
+    def check_coefficients(self, coefficients) -> np.ndarray:
+        """`coefficients` as a float l x N merged matrix; any other shape is a DataError."""
+        merged = np.asarray(coefficients, dtype=float)
+        N = self.signal_length
+        if merged.shape[1:] != (N,):
+            raise DataError(f"coefficients must be an l x {N} matrix, got shape {merged.shape}")
+        return merged
 
 
 @dataclass(frozen=True)
@@ -194,7 +161,8 @@ def _predict_level(C, level, columns, variant):
 
 
 def fit(train: SignalDataset, config: TransformConfig, progress=None):
-    """Train all window predictors; returns (FittedTransform, CoefficientTable).
+    """Train all window predictors; returns (FittedTransform, merged), where
+    merged is apply(transform, train.signals), the l x N training coefficients.
 
     Levels run in order, each consuming the previous coarse signal, and the
     positions of a level are solved in stacks by `solver.solve_windows`; the
@@ -232,32 +200,28 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
         if progress is not None:
             progress(m, half, time.perf_counter() - t0)
     transform = FittedTransform(config=config, levels=tuple(levels))
-    table = apply(transform, train.signals, labels=train.labels, class_ids=train.class_ids)
+    merged = apply(transform, train.signals)
     # Details can lose the signal without any solve failing: regularised
     # weights of tiny data times the data underflow to zero. Such a transform
     # no longer inverts its own training signals. Checked in row blocks, so
-    # reconstruct's temporaries stay small next to the table.
+    # reconstruct's temporaries stay small next to the coefficients.
     scale = max(np.max(train.signals), -np.min(train.signals))
     for i in range(0, train.n_examples, ROUND_TRIP_ROWS):
         rows = slice(i, i + ROUND_TRIP_ROWS)
-        error = np.max(np.abs(reconstruct(transform, table.merged[rows]) - train.signals[rows]))
+        error = np.max(np.abs(reconstruct(transform, merged[rows]) - train.signals[rows]))
         if not error <= ROUND_TRIP_RTOL * scale:
             raise NumericalError(
                 f"fitted transform does not invert its training signals: error "
                 f"{error:.3e} against max |signal| {scale:.3e}"
             )
-    return transform, table
+    return transform, merged
 
 
-def apply(
-    transform: FittedTransform,
-    signals: np.ndarray,
-    labels: Optional[np.ndarray] = None,
-    class_ids: Optional[np.ndarray] = None,
-) -> CoefficientTable:
-    """Run the frozen transform over rows of `signals` (no re-fitting).
+def apply(transform: FittedTransform, signals: np.ndarray) -> np.ndarray:
+    """Run the frozen transform over the l rows of `signals` (no re-fitting):
+    the l x N merged coefficients, one row per signal.
 
-    Each level writes its details straight into its block of the table.
+    Each level writes its details straight into its block of the matrix.
     """
     A = np.asarray(signals, dtype=float)
     N, M = transform.signal_length, transform.config.levels
@@ -272,29 +236,20 @@ def apply(
         np.subtract(t * A_e, P, out=merged[:, N >> m : N >> (m - 1)])
         A = C
     merged[:, : N >> M] = A
-    return CoefficientTable(merged=merged, n_levels=M, labels=labels, class_ids=class_ids)
+    return merged
 
 
-def reconstruct(
-    transform: FittedTransform,
-    coefficients: Union[CoefficientTable, np.ndarray],
-) -> np.ndarray:
-    """Invert the transform: coefficients back to signals, top level first.
+def reconstruct(transform: FittedTransform, coefficients: np.ndarray) -> np.ndarray:
+    """Invert the transform: an l x N merged coefficient matrix back to its l
+    signals, top level first.
 
     Nonregularised predictors invert directly (even = detail + prediction);
     regularised ones divide by the target's own weight, which must be
     nonnegligible against the predictor's weight norm for the map to be
     invertible.
     """
-    if isinstance(coefficients, CoefficientTable):
-        merged = coefficients.merged
-    else:
-        merged = np.asarray(coefficients, dtype=float)
-        if merged.ndim != 2:
-            raise DataError(f"coefficients must be 2-D, got shape {merged.shape}")
+    merged = transform.check_coefficients(coefficients)
     N, M = transform.signal_length, transform.config.levels
-    if merged.shape[1] != N:
-        raise DataError(f"merged width {merged.shape[1]} does not match transform ({N})")
     variant = transform.config.variant
     C = np.array(merged[:, : N >> M], dtype=float)
     for m in range(M, 0, -1):
@@ -318,9 +273,7 @@ def reconstruct(
 def base_vectors(transform: FittedTransform) -> BaseVectors:
     """Materialise analysis rows and synthesis columns of the linear map."""
     eye = np.eye(transform.signal_length)
-    return BaseVectors(
-        analysis=apply(transform, eye).merged.T, synthesis=reconstruct(transform, eye).T
-    )
+    return BaseVectors(analysis=apply(transform, eye).T, synthesis=reconstruct(transform, eye).T)
 
 
 def constraint_residual(transform: FittedTransform) -> Optional[float]:
@@ -376,11 +329,10 @@ def load_model(path) -> FittedTransform:
     return transform
 
 
-def save_features(table: CoefficientTable, path) -> None:
-    """Merged-coefficient CSV: named columns plus a trailing label column."""
-    write_table(path, table.column_names(), table.merged, table.class_ids)
-
-
-def load_features(path):
-    """Read a feature CSV back: (column_names, merged matrix, label ids)."""
-    return read_csv(path)
+def save_features(transform: FittedTransform, merged: np.ndarray, class_ids, path) -> None:
+    """Feature CSV of the l x N coefficients `merged` of `transform`: one column
+    per merged column, named by `column_layout`, plus a trailing label column
+    holding `class_ids`. A matrix of another width is a DataError, raised
+    before the file is opened."""
+    merged = transform.check_coefficients(merged)
+    write_table(path, [name for name, _, _, _ in transform.column_layout()], merged, class_ids)

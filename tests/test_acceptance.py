@@ -14,6 +14,7 @@ import numpy as np
 from discwave import evaluation as ev
 from discwave import transform as tf
 from discwave.core import IndexWindow, TransformConfig, make_rng
+from discwave.io import read_csv
 from discwave.datasets import (
     ShapeSpec,
     WaveformSpec,
@@ -110,9 +111,10 @@ def test_04_constraints_annihilate_affine_signals():
     rng = np.random.default_rng(404)
     lines = [a + b * t for a in (-2.0, 0.0, 1.5) for b in (-0.75, 0.0, 0.5)]
     lines += [rng.normal() + rng.normal() * t for _ in range(11)]
-    table = tf.apply(fitted, np.vstack(lines))
+    merged = tf.apply(fitted, np.vstack(lines))
+    N = ds.signal_length
     worst = max(
-        float(np.max(np.abs(table.detail(m))))
+        float(np.max(np.abs(merged[:, N >> m : N >> (m - 1)])))
         for m in range(1, fitted.config.levels + 1)
     )
     report(4, "affine signals vanish", worst < 1e-8,
@@ -140,8 +142,8 @@ def test_06_best_coefficient_close_to_baseline_with_plausible_support():
     for i in range(10):
         train, test = waveform_pair_split(i)
         fitted, coeffs = tf.fit(train, REG_CFG)
-        best = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))[:1]
-        best = ev.evaluate_classifiers(best, tf.apply(fitted, test.signals, labels=test.labels))
+        best = ev.rank_classifiers(ev.make_local_classifiers(coeffs, train.labels, fitted))[:1]
+        best = ev.evaluate_classifiers(best, tf.apply(fitted, test.signals), test.labels)
         errs.append(1.0 - float(best.test_accuracy[0]))
         supports_ok.append(bool(best.support[0, 8:20].any()))  # samples 9..20
     mean = float(np.mean(errs))
@@ -212,13 +214,13 @@ def test_09_permutation_test_calibration():
 
 def test_10_feature_export_round_trips_and_feeds_a_stump(tmp_path):
     train, test = waveform_pair_split(0)
-    fitted, table = tf.fit(train, REG_CFG)
+    fitted, coeffs = tf.fit(train, REG_CFG)
     path = tmp_path / "features.csv"
-    tf.save_features(table, path)
-    names, merged, ids = tf.load_features(path)
+    tf.save_features(fitted, coeffs, train.class_ids, path)
+    names, merged, ids = read_csv(path)
     lossless = (
-        np.array_equal(merged, table.merged)
-        and names == table.column_names()
+        np.array_equal(merged, coeffs)
+        and names == [name for name, _, _, _ in fitted.column_layout()]
         and np.array_equal(ids, train.class_ids)
     )
     # A one-column threshold stump on the best training feature must beat
@@ -226,7 +228,7 @@ def test_10_feature_export_round_trips_and_feeds_a_stump(tmp_path):
     b, s, n_correct = ev.fit_thresholds(merged, train.labels)
     best_j = int(np.argmax(n_correct))  # the first column with the best count
     b, s = b[best_j], s[best_j]
-    test_vals = tf.apply(fitted, test.signals).merged[:, best_j]
+    test_vals = tf.apply(fitted, test.signals)[:, best_j]
     pred = s * np.where(test_vals >= b, 1.0, -1.0)
     stump_err = float(np.mean(pred != test.labels))
     counts = np.unique(test.labels, return_counts=True)[1]

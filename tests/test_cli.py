@@ -16,6 +16,7 @@ from discwave.cli import main
 from discwave.core import SignalDataset
 from discwave.datasets import WaveformSpec, generate_waveform, load_csv, save_csv
 from discwave import transform as tf
+from discwave.io import read_csv
 
 MANIFEST_KEYS = {
     "command", "config", "seeds", "inputs", "outputs", "tool_version",
@@ -112,7 +113,7 @@ def test_fit_reports_levels_and_saves_model(tmp_path, capsys):
     assert stderr == ""
     fitted = tf.load_model(model)
     assert [len(records) for records in fitted.levels] == [16, 8, 4]
-    names, merged, ids = tf.load_features(features)
+    names, merged, ids = read_csv(features)
     assert merged.shape == (40, 32)
     assert names[0] == "c3_1"
     doc = manifest_sans_clock(tmp_path / "model.manifest.json")
@@ -632,6 +633,32 @@ def test_empty_supports_are_blank_bounds(tmp_path, capsys):
     assert rows[0][-3:] == ["support_first", "support_last", "support_size"]
     assert len(rows) == 1 + 24
     assert all(row[-3:] == ["", "", "0"] for row in rows[1:])
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "eval", "basis"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    # The output lies under a regular file, so its directory cannot be made.
+    train, _, model = eval_setup(tmp_path, capsys, per_class=10)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out"
+    argv = {
+        "generate": ["generate", "--generator", "waveform", "--per-class", "2", "--seed", "1",
+                     "--out", str(out / "data.csv")],
+        "fit": ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+                "--out-model", str(out / "model.json")],
+        "eval": ["eval", "--model", str(model), "--train", str(train), "--permutations", "0",
+                 "--top-t", "3", "--out-dir", str(out)],
+        "basis": ["basis", "--model", str(model), "--out-dir", str(out)],
+    }[command]
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    # fit reports each level as it is solved, before it writes anything.
+    expected = ["level 1", "level 2"] if command == "fit" else []
+    assert [line.split(":")[0] for line in stdout.splitlines()] == expected
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(blocker) in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_console_script_and_version():

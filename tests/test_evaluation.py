@@ -52,20 +52,17 @@ def brute_force_threshold(values, labels):
     return best[-1][1], -1, best[-1][0]
 
 
-def fake_table(detail_matrix, labels=None):
+def fake_merged(detail_matrix):
+    """The merged matrix of a 1-level transform with these details."""
     D = np.asarray(detail_matrix, dtype=float)
-    return tf.CoefficientTable(
-        merged=np.hstack([np.zeros_like(D), D]),
-        n_levels=1,
-        labels=None if labels is None else np.asarray(labels, dtype=float),
-    )
+    return np.hstack([np.zeros_like(D), D])
 
 
 def fake_set(k, b=0.0, s=1, level=1, count=0, mode=ev.OPTIMAL_THRESHOLD,
              p_value=None, support=None, n_train=1):
     """Classifiers at positions `k` (a list); a scalar field is the same for
     every row. The default support is sample 1 of a 2 * max(k)-sample
-    transform, as wide as fake_table's for level 1."""
+    transform, as wide as fake_merged's for level 1."""
     k = np.asarray(k, dtype=int)
 
     def rows(value, dtype):
@@ -148,7 +145,7 @@ def test_threshold_simple_separation():
     b, s, c = ev.fit_thresholds(values[:, None], labels)
     assert (b.tolist(), s.tolist(), c.tolist()) == ([0.0], [1], [4])
     # A value exactly at b is predicted +1.
-    at_b = ev.evaluate_classifiers(fake_set([1], b=0.0, s=1), fake_table([[0.0]], labels=[1.0]))
+    at_b = ev.evaluate_classifiers(fake_set([1], b=0.0, s=1), fake_merged([[0.0]]), [1.0])
     assert at_b.test_accuracy.tolist() == [1.0]
 
 
@@ -172,8 +169,8 @@ def test_optimal_threshold_dominates_psvm_bias():
     ds = waveform_pair(30, 201)
     cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
     fitted, coeffs = tf.fit(ds, cfg)
-    by_psvm = ev.make_local_classifiers(coeffs, fitted, mode=ev.PSVM_BIAS)
-    by_scan = ev.make_local_classifiers(coeffs, fitted, mode=ev.OPTIMAL_THRESHOLD)
+    by_psvm = ev.make_local_classifiers(coeffs, ds.labels, fitted, mode=ev.PSVM_BIAS)
+    by_scan = ev.make_local_classifiers(coeffs, ds.labels, fitted, mode=ev.OPTIMAL_THRESHOLD)
     assert len(by_psvm) == len(by_scan) == 16 + 8
     assert np.array_equal(by_scan.level, by_psvm.level)
     assert np.array_equal(by_scan.k, by_psvm.k)
@@ -181,8 +178,8 @@ def test_optimal_threshold_dominates_psvm_bias():
     gamma = [fitted.levels[m - 1][k - 1].gamma for m, k in zip(by_psvm.level, by_psvm.k)]
     assert by_psvm.b.tolist() == gamma
     # The psvm_bias count is the explicit count of s * sign(d - b).
-    pred = by_psvm.s * np.where(coeffs.merged[:, by_psvm.columns] >= by_psvm.b, 1.0, -1.0)
-    assert np.array_equal(np.sum(pred == coeffs.labels[:, None], axis=0), by_psvm.count)
+    pred = by_psvm.s * np.where(coeffs[:, by_psvm.columns] >= by_psvm.b, 1.0, -1.0)
+    assert np.array_equal(np.sum(pred == ds.labels[:, None], axis=0), by_psvm.count)
 
 
 def test_make_local_classifiers_validation():
@@ -190,11 +187,23 @@ def test_make_local_classifiers_validation():
     cfg = TransformConfig(levels=1, window=4, nu=1.0, variant="nonregularised")
     fitted, coeffs = tf.fit(ds, cfg)
     with pytest.raises(ConfigError):
-        ev.make_local_classifiers(coeffs, fitted, mode="midpoint")
-    bare = tf.apply(fitted, ds.signals)
-    with pytest.raises(DataError):
-        ev.make_local_classifiers(bare, fitted)
-    clfs = ev.make_local_classifiers(coeffs, fitted)
+        ev.make_local_classifiers(coeffs, ds.labels, fitted, mode="midpoint")
+    # Labels are checked as permutation_test checks them: one +/-1 label
+    # per row and both classes present.
+    bad_labels = {
+        "labels must have shape": [None, ds.labels[:-1]],
+        "labels must be -1 or \\+1": [np.where(ds.labels > 0, 2.0, -1.0)],
+        "at least one example of each label": [np.ones(ds.n_examples)],
+    }
+    for message, cases in bad_labels.items():
+        for labels in cases:
+            with pytest.raises(DataError, match=message):
+                ev.make_local_classifiers(coeffs, labels, fitted)
+    # A matrix of another width would fit thresholds to the wrong columns.
+    for merged in (coeffs[:, :16], np.hstack([coeffs, coeffs])):
+        with pytest.raises(DataError, match="must be an l x 32 matrix"):
+            ev.make_local_classifiers(merged, ds.labels, fitted)
+    clfs = ev.make_local_classifiers(coeffs, ds.labels, fitted)
     assert clfs.names[:2] == ["d1_1", "d1_2"]
     assert clfs.support.shape == (16, 32) and np.all(clfs.support.any(axis=1))
     assert np.all((0.0 <= clfs.train_accuracy) & (clfs.train_accuracy <= 1.0))
@@ -206,12 +215,12 @@ def test_make_local_classifiers_rows_follow_merged_columns():
     ds = waveform_pair(10, 202)
     cfg = TransformConfig(levels=3, window=2, nu=1.0, variant="nonregularised")
     fitted, coeffs = tf.fit(ds, cfg)
-    clfs = ev.make_local_classifiers(coeffs, fitted)
-    names = coeffs.column_names()
+    clfs = ev.make_local_classifiers(coeffs, ds.labels, fitted)
+    names = [name for name, _, _, _ in fitted.column_layout()]
     assert clfs.names == names[4:]
     assert clfs.columns.tolist() == list(range(4, 32))
     assert [fitted.column_index(m, k) for m, k in zip(clfs.level, clfs.k)] == list(range(4, 32))
-    b, s, count = ev.fit_thresholds(coeffs.merged[:, 4:], coeffs.labels)
+    b, s, count = ev.fit_thresholds(coeffs[:, 4:], ds.labels)
     assert np.array_equal(clfs.b, b) and np.array_equal(clfs.s, s)
     assert np.array_equal(clfs.count, count)
     assert np.array_equal(clfs.train_accuracy, count / ds.n_examples)
@@ -232,27 +241,31 @@ def test_rank_classifiers_order_and_ties():
 
 
 def test_evaluate_classifiers_sets_test_accuracy():
-    table = fake_table([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0]], labels=[1.0, -1.0, -1.0])
+    merged = fake_merged([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0]])
     clfs = fake_set([1, 2], b=0.0, s=[1, -1])
-    out = ev.evaluate_classifiers(clfs, table)
+    out = ev.evaluate_classifiers(clfs, merged, [1.0, -1.0, -1.0])
     assert clfs.test_accuracy is None  # the set is frozen; the result is a new one
     assert out.test_accuracy == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
     assert np.array_equal(out.b, clfs.b)
-    with pytest.raises(DataError):
-        ev.evaluate_classifiers(clfs, fake_table([[1.0, 1.0]]))
+    # One label per row; a single class is fine, as a test set may hold one.
+    one_class = ev.evaluate_classifiers(clfs, merged, [-1.0, -1.0, -1.0])
+    assert one_class.test_accuracy == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
+    for labels in (None, [1.0, -1.0], [1.0, -1.0, -1.0, 1.0], [[1.0, -1.0, -1.0]]):
+        with pytest.raises(DataError, match="labels must have shape \\(3,\\)"):
+            ev.evaluate_classifiers(clfs, merged, labels)
 
 
 def test_vote_single_member_matches_classifier():
     ds = waveform_pair(25, 203)
     cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
     fitted, coeffs = tf.fit(ds, cfg)
-    best = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))[:1]
+    best = ev.rank_classifiers(ev.make_local_classifiers(coeffs, ds.labels, fitted))[:1]
     report = ev.vote(best, coeffs)
-    values = coeffs.detail(int(best.level[0]))[:, best.k[0] - 1]
+    values = coeffs[:, fitted.column_index(int(best.level[0]), int(best.k[0]))]
     pred = best.s[0] * np.where(values >= best.b[0], 1.0, -1.0)
     assert np.array_equal(report.outcome, pred)
-    assert report.misclassification == pytest.approx(
-        float(np.mean(pred != coeffs.labels))
+    assert float(np.mean(report.outcome != ds.labels)) == pytest.approx(
+        1.0 - float(best.train_accuracy[0])
     )
     assert report.n_unclassified == 0
     assert report.votes.shape == (ds.n_examples, 1)
@@ -261,23 +274,20 @@ def test_vote_single_member_matches_classifier():
 def test_vote_margin_tiebreak_and_unclassified():
     # Two members, three examples: margins break the first two vote ties, the
     # third stays tied and counts as an error.
-    table = fake_table(
-        [[1.0, -0.5], [-2.0, 1.0], [1.5, -1.5]], labels=[1.0, -1.0, 1.0]
-    )
-    report = ev.vote(fake_set([1, 2]), table)
+    merged = fake_merged([[1.0, -0.5], [-2.0, 1.0], [1.5, -1.5]])
+    report = ev.vote(fake_set([1, 2]), merged)
     assert np.array_equal(report.outcome, [1.0, -1.0, 0.0])
     assert report.n_unclassified == 1
-    assert report.misclassification == pytest.approx(1.0 / 3.0)
+    assert float(np.mean(report.outcome != [1.0, -1.0, 1.0])) == pytest.approx(1.0 / 3.0)
 
 
 def test_vote_empty_members_rejected():
     with pytest.raises(ConfigError):
-        ev.vote(fake_set([1])[:0], fake_table([[1.0]]))
+        ev.vote(fake_set([1])[:0], fake_merged([[1.0]]))
 
 
 def test_vote_profile_groups():
-    table = fake_table([[2.0, 3.0], [-1.0, -2.0], [1.0, -1.0]])
-    report = ev.vote(fake_set([1, 2]), table)
+    report = ev.vote(fake_set([1, 2]), fake_merged([[2.0, 3.0], [-1.0, -2.0], [1.0, -1.0]]))
     assert ev.vote_profile(report) == [
         (1.0, ev.RED),
         (-1.0, ev.BLUE),
@@ -447,9 +457,8 @@ def test_permutation_test_coefficient_shapes():
     labels = np.array([-1.0, 1.0, 1.0])
     with pytest.raises(DataError):
         ev.permutation_test(fake_set([1, 1]), np.zeros((3, 1)), labels, B=100, seed=0)
-    table = fake_table(np.zeros((3, 1)), labels=labels)
     empty = fake_set([1])[:0]
-    values = table.merged[:, empty.columns]
+    values = fake_merged(np.zeros((3, 1)))[:, empty.columns]
     assert ev.permutation_test(empty, values, labels, B=100, seed=0).tolist() == []
 
 
@@ -511,14 +520,14 @@ def test_ovo_two_classes_equals_binary_pipeline():
     assert set(report.pair_errors) == {(1, 2)}
 
     fitted, coeffs = tf.fit(train, cfg)
-    members = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))[:top_t]
-    table = tf.apply(fitted, test.signals, labels=test.labels)
-    binary = ev.vote(members, table)
+    members = ev.rank_classifiers(ev.make_local_classifiers(coeffs, train.labels, fitted))[:top_t]
+    binary = ev.vote(members, tf.apply(fitted, test.signals))
     # The duel's outcome, read back: unclassified rows, and -1 -> 1, +1 -> 2.
     assert np.array_equal(report.classified, binary.outcome != 0)
     assert np.array_equal(report.predictions, np.where(binary.outcome > 0, 2, 1))
-    assert report.pair_errors[(1, 2)] == binary.misclassification
-    assert report.overall_error == binary.misclassification
+    misclassification = float(np.mean(binary.outcome != test.labels))
+    assert report.pair_errors[(1, 2)] == misclassification
+    assert report.overall_error == misclassification
 
 
 def test_ovo_three_classes():
@@ -533,11 +542,12 @@ def test_ovo_three_classes():
     assert 0.0 <= report.overall_error <= 1.0
     # Each pair error is an independent pair fit voting on that pair's test rows.
     for (lo, hi), err in report.pair_errors.items():
-        fitted, coeffs = tf.fit(train.restrict_pair(lo, hi), cfg)
-        ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, fitted))
+        pair_train = train.restrict_pair(lo, hi)
+        fitted, coeffs = tf.fit(pair_train, cfg)
+        ranked = ev.rank_classifiers(ev.make_local_classifiers(coeffs, pair_train.labels, fitted))
         pair = test.restrict_pair(lo, hi)
-        table = tf.apply(fitted, pair.signals, labels=pair.labels)
-        assert err == ev.vote(ranked[:3], table).misclassification
+        outcome = ev.vote(ranked[:3], tf.apply(fitted, pair.signals)).outcome
+        assert err == float(np.mean(outcome != pair.labels))
     # The ensembles should do far better than chance on this easy problem.
     assert report.overall_error < 0.5
 
@@ -560,13 +570,26 @@ def test_ovo_validation_errors():
         ev.one_against_one_raw_psvm(train, extra, nu=1.0)
 
 
-def test_ovo_rejects_top_t_above_the_pair_detail_count():
-    # 32 samples, 2 levels: each pair transform has K = 32 - 32/4 = 24 details.
+def test_ovo_rejects_top_t_above_the_pair_detail_count(monkeypatch):
+    # 32 samples, 2 levels: each pair transform has K = 32 - 32/4 = 24 details,
+    # known before any pair is fit.
     train = generate_waveform(WaveformSpec(per_class_count=10, seed=208))
     cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
-    with pytest.raises(ConfigError, match="top_t 1000 exceeds the 24 detail coefficients"):
-        ev.one_against_one(train, train, cfg, top_t=[3, 1000])
+    fits = []
+    real_fit = tf.fit
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(tf, "fit", counting_fit)
+    for top_t in ([1000], [3, 1000], [25]):
+        message = f"top_t {max(top_t)} exceeds the 24 detail coefficients"
+        with pytest.raises(ConfigError, match=message):
+            ev.one_against_one(train, train, cfg, top_t=top_t)
+    assert fits == []
     assert set(ev.one_against_one(train, train, cfg, top_t=[24])) == {24}
+    assert len(fits) == 3
 
 
 def test_raw_psvm_separates_offset_clouds():

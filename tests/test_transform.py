@@ -7,6 +7,7 @@ out as exact rationals with denominator 280, frozen below.
 """
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from discwave.core import (
     split,
 )
 from discwave import solver, transform as tf
+from discwave.io import read_csv
 from discwave.datasets import WaveformSpec, generate_waveform
 
 
@@ -52,13 +54,19 @@ def test_interleave_inverts_split():
     assert np.array_equal(interleave(*split(x)), x)
 
 
+def detail(merged, m):
+    """Level m's details: merged columns N/2^m..N/2^(m-1) - 1."""
+    N = merged.shape[1]
+    return merged[:, N >> m : N >> (m - 1)]
+
+
 def test_hand_solved_tiny_fixture():
     # N=4, L=2, nu=1, one level. Both positions share the window {1,2} and the
     # coarse rows [[1.5, 3.5], [3.5, 1.5]]; eliminating the 2-entry dual by hand
     # gives 280*w = (293, -43) at k=1 and (69, 181) at k=2, gamma = 5/28 at both,
     # and detail rows 280*d = [[271, 383], [-121, -233]].
     cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="nonregularised")
-    t, table = tf.fit(tiny_dataset(), cfg)
+    t, merged = tf.fit(tiny_dataset(), cfg)
     assert t.config.levels == len(t.levels) == 1 and t.signal_length == 4
     level = t.levels[0]
     assert t.columns[0].tolist() == [[0, 1], [0, 1]]
@@ -68,22 +76,20 @@ def test_hand_solved_tiny_fixture():
     assert np.max(np.abs(level.gamma - 5.0 / 28.0)) < 1e-12
     assert np.array_equal(level[0].weights, level.weights[0]) and level[1].gamma == level.gamma[1]
     expected = np.array([[271.0, 383.0], [-121.0, -233.0]]) / 280.0
-    assert np.max(np.abs(table.details[0] - expected)) < 1e-12
-    assert np.array_equal(table.coarse, [[1.5, 3.5], [3.5, 1.5]])
-    assert np.array_equal(table.merged[:, :2], table.coarse)
-    assert np.array_equal(table.merged[:, 2:], table.details[0])
+    assert merged.shape == (2, 4)
+    assert np.max(np.abs(merged[:, 2:] - expected)) < 1e-12
+    assert np.array_equal(merged[:, :2], [[1.5, 3.5], [3.5, 1.5]])
 
 
 def test_fit_table_equals_apply():
     rng = np.random.default_rng(1)
     ds = random_dataset(rng, 12, 16)
     cfg = TransformConfig(levels=2, window=2, nu=0.5, variant="nonregularised")
-    t, table = tf.fit(ds, cfg)
-    again = tf.apply(t, ds.signals, labels=ds.labels)
-    assert np.array_equal(table.merged, again.merged)
-    assert np.array_equal(table.coarse, again.coarse)
-    for a, b in zip(table.details, again.details):
-        assert np.array_equal(a, b)
+    t, merged = tf.fit(ds, cfg)
+    again = tf.apply(t, ds.signals)
+    assert isinstance(merged, np.ndarray) and isinstance(again, np.ndarray)
+    assert merged.shape == (12, 16)
+    assert np.array_equal(merged, again)
 
 
 def test_apply_is_linear():
@@ -94,8 +100,8 @@ def test_apply_is_linear():
     x = rng.normal(size=(4, 16))
     y = rng.normal(size=(4, 16))
     a, b = 0.7, -2.3
-    lhs = tf.apply(t, a * x + b * y).merged
-    rhs = a * tf.apply(t, x).merged + b * tf.apply(t, y).merged
+    lhs = tf.apply(t, a * x + b * y)
+    rhs = a * tf.apply(t, x) + b * tf.apply(t, y)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -105,14 +111,14 @@ def test_coarse_matches_block_average_oracle():
     rng = np.random.default_rng(3)
     ds = random_dataset(rng, 8, 32)
     cfg = TransformConfig(levels=3, window=2, nu=1.0, variant="nonregularised")
-    t, table = tf.fit(ds, cfg)
+    t, merged = tf.fit(ds, cfg)
     expected = ds.signals.copy()
     for _ in range(3):
         out = np.empty((expected.shape[0], expected.shape[1] // 2))
         for j in range(out.shape[1]):
             out[:, j] = 0.5 * (expected[:, 2 * j] + expected[:, 2 * j + 1])
         expected = out
-    assert np.max(np.abs(table.coarse - expected)) < 1e-12
+    assert np.max(np.abs(merged[:, : 32 >> 3] - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("variant", ["nonregularised", "regularised"])
@@ -145,8 +151,8 @@ def test_fit_and_round_trip_far_from_unit_scale(variant, degree, scale):
     cfg = TransformConfig(
         levels=3, window=4, nu=1.0, variant=variant, constraint_degree=degree
     )
-    t, table = tf.fit(ds, cfg)
-    assert np.array_equal(table.merged, tf.apply(t, ds.signals).merged)
+    t, merged = tf.fit(ds, cfg)
+    assert np.array_equal(merged, tf.apply(t, ds.signals))
     x = scale * rng.normal(size=(50, 32))
     back = tf.reconstruct(t, tf.apply(t, x))
     assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
@@ -179,8 +185,8 @@ def test_fit_overflow_is_a_typed_error_without_runtime_warnings():
 def test_round_trip_waveform():
     ds = generate_waveform(WaveformSpec(per_class_count=40, seed=11)).restrict_pair(1, 2)
     cfg = TransformConfig(levels=3, window=4, nu=1.0, variant="nonregularised")
-    t, table = tf.fit(ds, cfg)
-    back = tf.reconstruct(t, table)
+    t, merged = tf.fit(ds, cfg)
+    back = tf.reconstruct(t, merged)
     assert np.max(np.abs(back - ds.signals)) < 1e-8
 
 
@@ -194,10 +200,10 @@ def test_constant_signals_vanish_with_constraints():
     x = np.full((3, 32), 7.25)
     x[1] = -2.0
     x[2] = 0.0
-    table = tf.apply(t, x)
-    for d in table.details:
-        assert np.max(np.abs(d)) < 1e-10
-    assert np.max(np.abs(table.coarse - x[:, :1] * np.ones((1, 4)))) < 1e-12
+    merged = tf.apply(t, x)
+    for m in (1, 2, 3):
+        assert np.max(np.abs(detail(merged, m))) < 1e-10
+    assert np.max(np.abs(merged[:, :4] - x[:, :1] * np.ones((1, 4)))) < 1e-12
 
 
 def test_linear_ramps_vanish_with_degree_two_constraints():
@@ -209,9 +215,9 @@ def test_linear_ramps_vanish_with_degree_two_constraints():
     t, _ = tf.fit(ds, cfg)
     i = np.arange(1, 33, dtype=float)
     x = np.vstack([3.0 - 0.5 * i, 0.25 * i + 1.0, np.full(32, 4.0)])
-    table = tf.apply(t, x)
-    for d in table.details:
-        assert np.max(np.abs(d)) < 1e-8
+    merged = tf.apply(t, x)
+    for m in (1, 2, 3):
+        assert np.max(np.abs(detail(merged, m))) < 1e-8
     res = tf.constraint_residual(t)
     assert res is not None and res < 1e-10
 
@@ -235,7 +241,7 @@ def test_biorthogonal_base_vectors():
     assert np.max(np.abs(base.analysis @ base.synthesis - np.eye(N))) < 1e-8
     # Synthesis columns rebuild signals from coefficient rows.
     x = np.random.default_rng(13).normal(size=(5, N))
-    coeffs = tf.apply(t, x).merged
+    coeffs = tf.apply(t, x)
     assert np.max(np.abs(coeffs @ base.synthesis.T - x)) < 1e-8
 
 
@@ -272,29 +278,23 @@ def test_merged_layout_and_column_names():
     rng = np.random.default_rng(10)
     ds = random_dataset(rng, 8, 16)
     cfg = TransformConfig(levels=2, window=2, nu=1.0, variant="nonregularised")
-    t, table = tf.fit(ds, cfg)
-    names = table.column_names()
+    t, merged = tf.fit(ds, cfg)
+    names = [name for name, _, _, _ in t.column_layout()]
     assert names == (
         [f"c2_{j}" for j in range(1, 5)]
         + [f"d2_{j}" for j in range(1, 5)]
         + [f"d1_{j}" for j in range(1, 9)]
     )
-    assert table.merged.shape == (8, 16)
-    layout = t.column_layout()
-    assert [name for name, _, _, _ in layout] == names
+    assert merged.shape == (8, 16)
     for m in (1, 2):
         for k in range(1, 16 // 2 ** m + 1):
             col = t.column_index(m, k)
-            assert np.array_equal(table.merged[:, col], table.detail(m)[:, k - 1])
+            assert names[col] == f"d{m}_{k}"
+            assert np.array_equal(merged[:, col], detail(merged, m)[:, k - 1])
     with pytest.raises(ConfigError):
         t.column_index(3, 1)
     with pytest.raises(ConfigError):
         t.column_index(1, 9)
-    with pytest.raises(ConfigError):
-        table.detail(3)
-    # Level m's block starts at column N/2^m, so the width must split M times.
-    with pytest.raises(ConfigError, match="multiple of 4"):
-        tf.CoefficientTable(merged=np.zeros((2, 6)), n_levels=2)
 
 
 def test_model_json_round_trip_is_exact(tmp_path):
@@ -315,7 +315,7 @@ def test_model_json_round_trip_is_exact(tmp_path):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.gamma, b.gamma)
     x = rng.normal(size=(4, 16))
-    assert np.array_equal(tf.apply(t, x).merged, tf.apply(loaded, x).merged)
+    assert np.array_equal(tf.apply(t, x), tf.apply(loaded, x))
     # The file holds the configuration and two arrays per level, no windows.
     doc = json.loads(path.read_text())
     assert list(doc) == ["config", "levels"]
@@ -413,20 +413,46 @@ def test_features_csv_round_trip(tmp_path):
         ),
         cfg,
     )
-    table = tf.apply(t, ds.signals, class_ids=ds.class_ids)
+    merged = tf.apply(t, ds.signals)
     path = tmp_path / "features.csv"
-    tf.save_features(table, path)
-    names, merged, ids = tf.load_features(path)
-    assert names == table.column_names()
-    assert np.array_equal(merged, table.merged)
+    tf.save_features(t, merged, ds.class_ids, path)
+    names, back, ids = read_csv(path)
+    assert names == [name for name, _, _, _ in t.column_layout()]
+    assert np.array_equal(back, merged)
     assert np.array_equal(ids, ds.class_ids)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (6, 16), (8,)])
+def test_features_csv_rejects_a_matrix_of_another_width(tmp_path, shape):
+    # The header comes from the transform, so a matrix that is not l x N
+    # would be written under the wrong names.
+    rng = np.random.default_rng(12)
+    t, _ = tf.fit(random_dataset(rng, 6, 8), TransformConfig(levels=2, window=2, nu=1.0))
+    path = tmp_path / "features.csv"
+    message = re.escape(f"coefficients must be an l x 8 matrix, got shape {shape}")
+    with pytest.raises(DataError, match=message):
+        tf.save_features(t, np.zeros(shape), np.ones(6, int), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n_ids", [3, 7])
+def test_features_csv_rejects_a_class_id_count_other_than_the_rows(tmp_path, n_ids):
+    # Three ids for six rows would leave rows 4..6 without a label cell, and
+    # seven would drop the last id without a word.
+    rng = np.random.default_rng(12)
+    ds = random_dataset(rng, 6, 8)
+    t, merged = tf.fit(ds, TransformConfig(levels=2, window=2, nu=1.0))
+    path = tmp_path / "features.csv"
+    with pytest.raises(DataError, match=re.escape(f"class ids of shape ({n_ids},) for 6 rows")):
+        tf.save_features(t, merged, np.ones(n_ids, int), path)
+    assert not path.exists()
 
 
 def test_features_csv_rejects_non_integer_label(tmp_path):
     path = tmp_path / "features.csv"
     path.write_text("c1_1,d1_1,label\n0.5,-0.25,1.5\n")
     with pytest.raises(DataError, match="column 3: label '1.5' is not an integer"):
-        tf.load_features(path)
+        read_csv(path)
 
 
 def test_save_model_rejects_nan_weight_and_writes_nothing(tmp_path):
@@ -448,10 +474,10 @@ def test_features_csv_without_labels(tmp_path):
     ds = random_dataset(rng, 6, 8)
     cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="nonregularised")
     t, _ = tf.fit(ds, cfg)
-    table = tf.apply(t, ds.signals)
+    merged = tf.apply(t, ds.signals)
     path = tmp_path / "plain.csv"
     with pytest.raises(DataError, match="needs class ids"):
-        tf.save_features(table, path)
+        tf.save_features(t, merged, None, path)
     assert not path.exists()
 
 
@@ -465,9 +491,9 @@ def test_fit_rejects_a_depth_the_window_cannot_reach():
     with pytest.raises(ConfigError, match="at most 2 levels"):
         tf.fit(ds, cfg, progress=lambda *a: calls.append(a))
     assert calls == []
-    t, table = tf.fit(ds, TransformConfig(levels=2, window=2, nu=1.0))
+    t, merged = tf.fit(ds, TransformConfig(levels=2, window=2, nu=1.0))
     assert t.config.levels == len(t.levels) == 2
-    assert table.merged.shape == (8, 8)
+    assert merged.shape == (8, 8)
 
 
 def test_fit_rejects_oversized_window():
@@ -538,7 +564,7 @@ def test_detail_columns_match_direct_assembly():
     rng = np.random.default_rng(19)
     ds = random_dataset(rng, 16, 16)
     cfg = TransformConfig(levels=1, window=4, nu=2.0, variant="nonregularised")
-    t, table = tf.fit(ds, cfg)
+    t, merged = tf.fit(ds, cfg)
     odd, even = split(ds.signals)
     C = 0.5 * (odd + even)
     for k in range(1, 9):
@@ -549,7 +575,7 @@ def test_detail_columns_match_direct_assembly():
             solver.PredictProblem(A=A, labels=ds.labels, nu=2.0, variant="nonregularised")
         )
         d = even[:, k - 1] - C[:, cols] @ sol.w
-        assert np.max(np.abs(table.details[0][:, k - 1] - d)) < 1e-8
+        assert np.max(np.abs(detail(merged, 1)[:, k - 1] - d)) < 1e-8
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -573,8 +599,8 @@ def test_fitted_levels_are_arrays_that_round_trip(
     cfg = TransformConfig(
         levels=levels, window=window, nu=1.0, variant=variant, constraint_degree=degree
     )
-    t, table = tf.fit(ds, cfg)
-    assert table.merged.tobytes() == tf.apply(t, ds.signals).merged.tobytes()
+    t, merged = tf.fit(ds, cfg)
+    assert merged.tobytes() == tf.apply(t, ds.signals).tobytes()
     w_len = window + 1 if variant == "regularised" else window
     assert len(t.levels) == t.config.levels == levels
     for m, level in enumerate(t.levels, start=1):
@@ -588,15 +614,12 @@ def test_fitted_levels_are_arrays_that_round_trip(
     x = scale * rng.normal(size=(8, 32))
     back = tf.reconstruct(t, tf.apply(t, x))
     assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
-    # apply is linear, and a table's blocks are views of its one matrix.
+    # apply is linear.
     y = scale * rng.normal(size=(8, 32))
     a, b = rng.normal(size=2)
-    ax, by = a * tf.apply(t, x).merged, b * tf.apply(t, y).merged
-    error = np.max(np.abs(tf.apply(t, a * x + b * y).merged - (ax + by)))
+    ax, by = a * tf.apply(t, x), b * tf.apply(t, y)
+    error = np.max(np.abs(tf.apply(t, a * x + b * y) - (ax + by)))
     assert error <= 1e-10 * np.max(np.abs(ax) + np.abs(by))
-    for m in range(1, levels + 1):
-        assert np.shares_memory(table.detail(m), table.merged)
-    assert np.shares_memory(table.coarse, table.merged)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -609,8 +632,8 @@ def test_fitted_levels_are_arrays_that_round_trip(
     seed=st.integers(0, 2 ** 16),
 )
 def test_apply_undoes_reconstruct_on_arbitrary_tables(fit, levels, exponent, seed):
-    # reconstruct on coefficient tables that apply did not produce: the map
-    # is invertible, so any l x N matrix C is the table of reconstruct(C),
+    # reconstruct on coefficient matrices that apply did not produce: the
+    # map is invertible, so any l x N matrix C is apply(reconstruct(C)),
     # up to rounding amplified by the analysis operator's condition number:
     # that is 5..60 for the nonregularised fits here and up to ~1e6 for the
     # regularised ones, whose error reaches 3e-12 of max|C|. Over 900 such
@@ -623,8 +646,8 @@ def test_apply_undoes_reconstruct_on_arbitrary_tables(fit, levels, exponent, see
     )
     t, _ = tf.fit(ds, cfg)
     C = 10.0 ** exponent * rng.normal(size=(6, 32))
-    error = np.max(np.abs(tf.apply(t, tf.reconstruct(t, C)).merged - C))
-    cond = np.linalg.cond(tf.apply(t, np.eye(32)).merged)
+    error = np.max(np.abs(tf.apply(t, tf.reconstruct(t, C)) - C))
+    cond = np.linalg.cond(tf.apply(t, np.eye(32)))
     assert error <= 16 * np.finfo(float).eps * cond * np.max(np.abs(C))
 
 
@@ -654,11 +677,11 @@ def test_apply_is_row_independent(fit, levels, n, data, seed):
     )
     t, _ = tf.fit(random_dataset(rng, 24, 32), cfg)
     X = rng.normal(size=(n, 32))
-    merged = tf.apply(t, X).merged
+    merged = tf.apply(t, X)
     weight = max(float(np.abs(level.weights).sum(axis=1).max()) for level in t.levels)
     rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     for subset in (rows, rows[:1]):
-        alone, beside = tf.apply(t, X[subset]).merged, merged[subset]
+        alone, beside = tf.apply(t, X[subset]), merged[subset]
         coarse = 32 >> t.config.levels
         assert alone[:, :coarse].tobytes() == beside[:, :coarse].tobytes()
         scale = np.abs(X[subset]).max(axis=1, keepdims=True) * weight + np.abs(beside)
