@@ -13,6 +13,8 @@ input files), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -207,13 +209,15 @@ def _eval_binary(args, fitted, train, test, out_dir):
     selected = ranked[
         evaluation.select_significant(ranked, min_accuracy=args.min_accuracy, alpha=args.alpha)
     ]
-    write_csv(out_dir / "coefficients.csv", COEFFICIENT_COLUMNS, _coefficient_rows(ranked))
-    write_csv(out_dir / "selected.csv", COEFFICIENT_COLUMNS, _coefficient_rows(selected))
-
     hist = evaluation.support_histogram(selected)  # levels ascending
     per_sample = np.reshape(list(hist.values()), (len(hist), fitted.signal_length)).T
     header = ["sample", *(f"level_{m}" for m in hist), "total"]
     rows = [[i, *per, sum(per)] for i, per in enumerate(per_sample.tolist(), start=1)]
+    reports = {t: evaluation.vote(ranked[:t], eval_coeffs) for t in args.top_t}
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(out_dir / "coefficients.csv", COEFFICIENT_COLUMNS, _coefficient_rows(ranked))
+    write_csv(out_dir / "selected.csv", COEFFICIENT_COLUMNS, _coefficient_rows(selected))
     write_csv(out_dir / "support_histogram.csv", header, rows)
 
     ensembles = {}
@@ -222,8 +226,7 @@ def _eval_binary(args, fitted, train, test, out_dir):
         "selected": str(out_dir / "selected.csv"),
         "support_histogram": str(out_dir / "support_histogram.csv"),
     }
-    for t in args.top_t:
-        report = evaluation.vote(ranked[:t], eval_coeffs)
+    for t, report in reports.items():
         misclassification = float(np.mean(report.outcome != y_eval))
         profile = evaluation.vote_profile(report)
         prof_path = out_dir / f"profile_t{t}.csv"
@@ -275,6 +278,9 @@ def _eval_multiclass(args, fitted, train, test, out_dir):
     summary_ovo = {}
     outputs = {}
     reports = evaluation.one_against_one(train, test, fitted.config, args.top_t, mode=args.mode)
+    if args.raw_baseline:
+        base = evaluation.one_against_one_raw_psvm(train, test, fitted.config.nu)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for t, report in reports.items():
         pair_rows = [
             [lo, hi, "" if err is None else err]
@@ -307,7 +313,6 @@ def _eval_multiclass(args, fitted, train, test, out_dir):
         "one_against_one": summary_ovo,
     }
     if args.raw_baseline:
-        base = evaluation.one_against_one_raw_psvm(train, test, fitted.config.nu)
         summary["raw_psvm_error"] = base.overall_error
         print(f"raw proximal-SVM baseline error {base.overall_error:.4f}")
     write_json(out_dir / "summary.json", summary)
@@ -334,9 +339,7 @@ def cmd_eval(args) -> int:
             f"--top-t {max(args.top_t)} exceeds the model's {n_details} detail coefficients"
         )
     evaluation.duel_classes(train, train if test is None else test)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir = Path(args.out_dir)  # each path makes it after its computations
     if binary:
         outputs = _eval_binary(args, fitted, train, test, out_dir)
     else:
@@ -525,11 +528,29 @@ def _check_arguments(args) -> None:
     args.top_t = _parse_top_t(args.top_t)
 
 
+def _check_outputs(args) -> None:
+    """Raise OSError, before any input is read and creating nothing, when an
+    output file path names a directory or an output lies under an existing
+    path that is not a directory."""
+    for name in ("out", "out_model", "out_features", "out_dir"):
+        if not getattr(args, name, None):  # fit skips an empty --out-features
+            continue
+        path = Path(getattr(args, name))
+        nearest = next((p for p in [path, *path.parents] if p.exists()), None)
+        # Everything above the output must be a directory, and so must an
+        # output directory; an output file must not be one.
+        want_dir = name == "out_dir" or nearest != path
+        if nearest is not None and nearest.is_dir() != want_dir:
+            code = errno.ENOTDIR if want_dir else errno.EISDIR
+            raise OSError(code, os.strerror(code), str(nearest))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_arguments(args)
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -228,6 +228,16 @@ def make_local_classifiers(
     )
 
 
+def _values(classifiers: ClassifierSet, merged) -> np.ndarray:
+    """The set's columns of the l x N coefficients `merged`, N the set's
+    signal length; a matrix of another width is a DataError."""
+    merged = np.asarray(merged, dtype=float)
+    N = classifiers.support.shape[1]
+    if merged.ndim != 2 or merged.shape[1] != N:
+        raise DataError(f"coefficients must be an l x {N} matrix, got shape {merged.shape}")
+    return merged[:, classifiers.columns]
+
+
 def rank_classifiers(classifiers: ClassifierSet) -> ClassifierSet:
     """Descending training accuracy; ties broken by (level asc, position asc)."""
     return classifiers[np.lexsort((classifiers.k, classifiers.level, -classifiers.count))]
@@ -243,7 +253,7 @@ def evaluate_classifiers(
     if y.shape != (len(merged),):
         raise DataError(f"labels must have shape ({len(merged)},), got {y.shape}")
     # s * sign(d - b) is y exactly where (d >= b) == (y == s).
-    X = merged[:, classifiers.columns]
+    X = _values(classifiers, merged)
     right = (X >= classifiers.b) == (y[:, None] == classifiers.s)
     return replace(classifiers, test_accuracy=np.mean(right, axis=0))
 
@@ -267,7 +277,7 @@ def vote(members: ClassifierSet, merged: np.ndarray) -> EnsembleReport:
     """
     if len(members) == 0:
         raise ConfigError("ensemble needs at least one member")
-    X = merged[:, members.columns]
+    X = _values(members, merged)
     V = members.s * np.where(X >= members.b, 1.0, -1.0)  # sign(0) -> +1
     margins = np.abs(X - members.b)
     sums = V.sum(axis=1)

@@ -1,22 +1,22 @@
 """Per-window proximal-SVM solves behind the lifting predictor.
 
-Three problem flavours share one objective, (1/2)||w||^2 + (1/2)gamma^2 +
-(nu/2)||xi||^2, subject to an equality constraint tying the window prediction
-to the labels:
+Every problem minimises (1/2)||w||^2 + (1/2)gamma^2 + (nu/2)||xi||^2 subject
+to Y (a0 + At w - gamma e) + xi = e, which ties the window prediction to the
+labels. The variants differ only in how A splits into a fixed part a0 and
+free columns At:
 
-  regularised      Y (A w - gamma e) + xi = e          w has L+1 entries
-  nonregularised   Y (a0 + At w - gamma e) + xi = e    w has L entries,
-                                                       a0 = first column of A
-  constrained      nonregularised plus B w = e1        p extra dual variables
+  nonregularised   a0 = first column of A, At = the rest   w has L entries
+  regularised      a0 = 0, At = A (every column free)      w has L+1 entries
+  constrained      nonregularised plus B w = e1            p extra dual variables
 
 Eliminating xi turns each into one regularised least-squares problem in
 z = (w, gamma): minimise (1/2)||z||^2 + (nu/2)||b - H z||^2 with H = Y [F, -e]
-and b = e - y * offset, where (F, offset) is (A, 0) when regularised and
-(At, a0) when not; the constrained case first substitutes w = w0 + Z q over
-the null space of B. `solve` factors the stacked [[I/sqrt(nu), 0], [H, b]]
-by one Householder QR and back-substitutes in the r x r triangle (r = L+2,
-L+1 or L-p+1), so cost is linear in the number of examples and the error
-depends on cond(H), where the normal equations H^T H + I/nu would square it.
+and b = e - y * offset, where (F, offset) is (At, a0); the constrained case
+first substitutes w = w0 + Z q over the null space of B. `solve` factors the
+stacked [[I/sqrt(nu), 0], [H, b]] by one Householder QR and back-substitutes
+in the r x r triangle (r = L+2, L+1 or L-p+1), so cost is linear in the
+number of examples and the error depends on cond(H), where the normal
+equations H^T H + I/nu would square it.
 
 A level's windows share y and nu, so `solve_windows` solves them in stacks:
 each stack is one stacked QR and one stacked triangular solve through the
@@ -64,7 +64,8 @@ class PredictProblem:
     A: l x (L+1) matrix; by convention the first column holds the prediction
     targets (the even samples) and the remaining L columns hold the negated
     coarse-window values. labels: +/-1 per example. B: optional p x L
-    polynomial-constraint rows (nonregularised only).
+    polynomial-constraint rows (nonregularised only, p <= L), held to the
+    rank rule `solve` applies (`_null_space_split`).
     """
 
     A: np.ndarray
@@ -94,19 +95,16 @@ class PredictProblem:
             L = A.shape[1] - 1
             if B.ndim != 2 or B.shape[1] != L:
                 raise ConfigError(f"B must be p x {L}, got shape {B.shape}")
-            if B.shape[0] > L:
-                raise ConfigError(f"constraint count {B.shape[0]} exceeds window {L}")
-            if np.linalg.matrix_rank(B) < B.shape[0]:
-                raise ConfigError("constraint matrix B is rank deficient")
+            if not 1 <= B.shape[0] <= L:  # extra rows are invisible to the singular values
+                raise ConfigError(f"constraint count {B.shape[0]} must lie in 1..{L}")
+            if not np.all(np.isfinite(B)):
+                raise DataError("B contains non-finite values")
+            _null_space_split(B)  # the rank rule of `solve`
             object.__setattr__(self, "B", B)
 
     @property
     def n_examples(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def window(self) -> int:
-        return self.A.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -116,11 +114,6 @@ class PredictSolution:
     xi_norm: float
     u: np.ndarray
     v: Optional[np.ndarray] = None
-
-
-def _signed(M: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-scale M by the label vector, i.e. diag(y) @ M without forming the diagonal."""
-    return M * y[:, None]
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -186,8 +179,8 @@ def _solve_stack(A, y: np.ndarray, nu: float, variant: str, bases=None, position
     `constraint_patterns` builds them. Every check of `solve` runs per
     window with its tolerance, and the first failing window raises.
     """
-    a0, At = A[..., 0], A[..., 1:]
-    F, offset = (A, 0.0) if variant == REGULARISED else (At, a0)
+    a0, At = (0.0, A) if variant == REGULARISED else (A[..., 0], A[..., 1:])
+    F, offset = At, a0
     if bases is not None:
         B, w0, Vt = bases
         Z = Vt[:, B.shape[1]:].transpose(0, 2, 1)  # B @ Z = 0 slice by slice
@@ -308,60 +301,39 @@ def kkt_oracle(problem: PredictProblem) -> PredictSolution:
 
     Assembles stationarity in (w, gamma), feasibility with xi eliminated as
     u/nu, and (when present) the constraint rows, then solves the whole
-    (n_w + 1 + l [+ p]) system at once. Test arbiter for the fast paths.
+    (n_w + 1 + l [+ p]) system at once. A regularised window is the
+    nonregularised form with every column free (a0 = 0, At = A), so one
+    assembly serves both. Test arbiter for the fast paths.
     """
     l = problem.n_examples
     if l > 2000:
         raise ConfigError(f"kkt_oracle is a dense test oracle; l={l} exceeds 2000")
-    A, y, nu = problem.A, problem.labels, problem.nu
-    e = np.ones(l)
-    Ye = y * e
-
-    if problem.variant == REGULARISED:
-        n_w = A.shape[1]
-        YA = _signed(A, y)
-        dim = n_w + 1 + l
-        K = np.zeros((dim, dim))
-        rhs = np.zeros(dim)
-        K[:n_w, :n_w] = np.eye(n_w)
-        K[:n_w, n_w + 1 :] = -YA.T
-        K[n_w, n_w] = 1.0
-        K[n_w, n_w + 1 :] = Ye
-        K[n_w + 1 :, :n_w] = YA
-        K[n_w + 1 :, n_w] = -Ye
-        K[n_w + 1 :, n_w + 1 :] = np.eye(l) / nu
-        rhs[n_w + 1 :] = e
-        sol = np.linalg.solve(K, rhs)
-        w, gamma, u = sol[:n_w], float(sol[n_w]), sol[n_w + 1 :]
-        return PredictSolution(
-            w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u
-        )
-
-    a0, At = A[:, 0], A[:, 1:]
+    A, y, nu, B = problem.A, problem.labels, problem.nu, problem.B
+    a0, At = (0.0, A) if problem.variant == REGULARISED else (A[:, 0], A[:, 1:])
     n_w = At.shape[1]
-    YAt = _signed(At, y)
-    p = 0 if problem.B is None else problem.B.shape[0]
-    dim = n_w + 1 + l + p
-    K = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
+    p = 0 if B is None else B.shape[0]
+    f = slice(n_w + 1, n_w + 1 + l)  # feasibility rows, dual columns
+    YAt = At * y[:, None]
+    K = np.zeros((n_w + 1 + l + p, n_w + 1 + l + p))
+    rhs = np.zeros(len(K))
     K[:n_w, :n_w] = np.eye(n_w)
-    K[:n_w, n_w + 1 : n_w + 1 + l] = -YAt.T
+    K[:n_w, f] = -YAt.T
     K[n_w, n_w] = 1.0
-    K[n_w, n_w + 1 : n_w + 1 + l] = Ye
-    K[n_w + 1 : n_w + 1 + l, :n_w] = YAt
-    K[n_w + 1 : n_w + 1 + l, n_w] = -Ye
-    K[n_w + 1 : n_w + 1 + l, n_w + 1 : n_w + 1 + l] = np.eye(l) / nu
-    rhs[n_w + 1 : n_w + 1 + l] = e - y * a0
+    K[n_w, f] = y
+    K[f, :n_w] = YAt
+    K[f, n_w] = -y
+    K[f, f] = np.eye(l) / nu
+    rhs[f] = 1.0 - y * a0
     if p:
         # w-stationarity gains +B^T v; constraint rows pin B w = e1.
-        K[:n_w, n_w + 1 + l :] = problem.B.T
-        K[n_w + 1 + l :, :n_w] = problem.B
-        rhs[n_w + 1 + l] = 1.0
+        K[:n_w, f.stop :] = B.T
+        K[f.stop :, :n_w] = B
+        rhs[f.stop] = 1.0
     sol = np.linalg.solve(K, rhs)
-    w, gamma, u = sol[:n_w], float(sol[n_w]), sol[n_w + 1 : n_w + 1 + l]
-    v = sol[n_w + 1 + l :] if p else None
+    w, gamma, u = sol[:n_w], float(sol[n_w]), sol[f]
     return PredictSolution(
-        w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u, v=v
+        w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u,
+        v=sol[f.stop :] if p else None,
     )
 
 
@@ -425,11 +397,8 @@ def constraint_patterns(columns, degree: int):
 def objective_value(problem: PredictProblem, solution: PredictSolution) -> float:
     """Primal objective with xi recovered from the equality constraint."""
     A, y = problem.A, problem.labels
-    if problem.variant == REGULARISED:
-        margin = A @ solution.w - solution.gamma
-    else:
-        margin = A[:, 0] + A[:, 1:] @ solution.w - solution.gamma
-    xi = np.ones_like(y) - y * margin
+    a0, At = (0.0, A) if problem.variant == REGULARISED else (A[:, 0], A[:, 1:])
+    xi = 1.0 - y * (a0 + At @ solution.w - solution.gamma)
     return 0.5 * float(solution.w @ solution.w) + 0.5 * solution.gamma ** 2 + (
         problem.nu / 2.0
     ) * float(xi @ xi)

@@ -145,15 +145,12 @@ class BaseVectors:
 def _predict_level(C, level, columns, variant):
     """Target weights t and predictions P of one level from its coarse signal C.
 
-    The detail of even column j is t[j] * even[:, j] - P[:, j]: regularised
-    predictors weight the even target by their first weight, nonregularised
-    ones by exactly one.
+    The details are t * even - P: regularised predictors weight the even
+    target by their first weight (t holds one per position), nonregularised
+    ones by exactly one (t = 1.0, which leaves every product exact).
     """
     W = level.weights
-    if variant == REGULARISED:
-        t, W = W[:, 0], W[:, 1:]
-    else:
-        t = np.ones(len(columns))
+    t, W = (W[:, 0], W[:, 1:]) if variant == REGULARISED else (1.0, W)
     P = np.empty((C.shape[0], len(columns)))
     for j, cols in enumerate(columns):
         P[:, j] = C[:, cols] @ W[j]

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from discwave.cli import main
-from discwave.core import SignalDataset
+from discwave.core import NumericalError, SignalDataset
 from discwave.datasets import WaveformSpec, generate_waveform, load_csv, save_csv
-from discwave import transform as tf
+from discwave import evaluation, transform as tf
 from discwave.io import read_csv
 
 MANIFEST_KEYS = {
@@ -637,7 +637,8 @@ def test_empty_supports_are_blank_bounds(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["generate", "fit", "eval", "basis"])
 def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
-    # The output lies under a regular file, so its directory cannot be made.
+    # The output lies under a regular file, so its directory cannot be made;
+    # every command finds that before it reads any input or does any work.
     train, _, model = eval_setup(tmp_path, capsys, per_class=10)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
@@ -653,12 +654,62 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     }[command]
     code, stdout, err = run(argv, capsys)
     assert code == 2
-    # fit reports each level as it is solved, before it writes anything.
-    expected = ["level 1", "level 2"] if command == "fit" else []
-    assert [line.split(":")[0] for line in stdout.splitlines()] == expected
+    assert stdout == ""
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
     assert str(blocker) in err and "Traceback" not in err
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--out-model", "--out-features"])
+def test_output_file_naming_a_directory_exits_2_before_any_work(tmp_path, capsys, flag):
+    train = write_pair_csv(tmp_path / "train.csv", 10, 11)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    if flag == "--out":
+        argv = ["generate", "--generator", "waveform", "--per-class", "2", "--seed", "1"]
+    else:
+        argv = ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+                "--out-model", str(tmp_path / "model.json")]
+    code, stdout, err = run(argv + [flag, str(taken)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(taken) in err
+    # No model is left without its features or manifest.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "train.csv"]
+    assert list(taken.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["tiny-scale", "raw-baseline"])
+def test_eval_failure_after_reading_leaves_no_out_dir(tmp_path, capsys, monkeypatch, case):
+    # eval computes every result, the raw baseline included, before --out-dir exists.
+    ds = generate_waveform(WaveformSpec(per_class_count=10, seed=13))
+    train = write_pair_csv(tmp_path / "pair.csv", 10, 13)
+    model = tmp_path / "model.json"
+    code, _, _ = run(
+        ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+         "--variant", "regularised", "--out-model", str(model)],
+        capsys,
+    )
+    assert code == 0
+    train3 = tmp_path / "train3.csv"
+    argv = ["eval", "--model", str(model), "--train", str(train3), "--top-t", "3"]
+    if case == "tiny-scale":  # every pair fit underflows and fails its round trip
+        ds = SignalDataset(signals=1e-200 * ds.signals, class_ids=ds.class_ids)
+        message = "does not invert its training signals"
+    else:
+        def fail(*args):
+            raise NumericalError("baseline failed")
+
+        monkeypatch.setattr(evaluation, "one_against_one_raw_psvm", fail)
+        argv.append("--raw-baseline")
+        message = "baseline failed"
+    save_csv(ds, train3)
+    out = tmp_path / "report"
+    code, _, err = run(argv + ["--out-dir", str(out)], capsys)
+    assert code == 4
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_console_script_and_version():

@@ -1,9 +1,9 @@
-"""Every narrative script under demos/ runs to completion.
+"""Every narrative script under demos/, and README's Quick start, runs to completion.
 
-Each demo runs in its own interpreter in an empty temporary working
-directory, and must leave it empty: a demo keeps what it writes in a
-temporary directory of its own. RuntimeWarnings are errors, as in the rest
-of the suite.
+Each runs in its own interpreter in an empty temporary working directory,
+and must leave it empty: a demo keeps what it writes in a temporary
+directory of its own. RuntimeWarnings are errors, as in the rest of the
+suite.
 """
 
 import os
@@ -21,16 +21,28 @@ def test_demos_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(tmp_path, demo):
+def check_runs(tmp_path, *args):
+    """Run python with `args` in the empty tmp_path: it exits 0, prints, and writes nothing."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    check_runs(tmp_path, str(demo))
+
+
+def test_readme_quick_start_runs(tmp_path):
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "tf.fit" in code
+    check_runs(tmp_path, "-c", code)

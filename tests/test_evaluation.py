@@ -286,6 +286,20 @@ def test_vote_empty_members_rejected():
         ev.vote(fake_set([1])[:0], fake_merged([[1.0]]))
 
 
+def test_vote_and_evaluate_classifiers_check_the_matrix_width():
+    # Narrower than N would index past the matrix; wider would be read on its
+    # first N columns as if they were the set's.
+    ds = waveform_pair(10, 202)
+    cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
+    fitted, coeffs = tf.fit(ds, cfg)
+    clfs = ev.make_local_classifiers(coeffs, ds.labels, fitted)
+    for merged in (coeffs[:, :16], np.hstack([coeffs, coeffs])):
+        with pytest.raises(DataError, match="must be an l x 32 matrix"):
+            ev.vote(clfs[:3], merged)
+        with pytest.raises(DataError, match="must be an l x 32 matrix"):
+            ev.evaluate_classifiers(clfs, merged, ds.labels)
+
+
 def test_vote_profile_groups():
     report = ev.vote(fake_set([1, 2]), fake_merged([[2.0, 3.0], [-1.0, -2.0], [1.0, -1.0]]))
     assert ev.vote_profile(report) == [

@@ -265,6 +265,28 @@ def test_rank_deficient_constraints_rejected():
         )
 
 
+def test_constraints_held_to_the_rank_rule_of_solve():
+    # Within matrix_rank's tolerance this B has rank 2, but solve's null-space
+    # split calls it rank deficient; the problem is rejected when it is built.
+    B = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1e-13, 0.0, 0.0]])
+    A = np.random.default_rng(29).standard_normal((12, 5))
+    with pytest.raises(ConfigError, match="numerically rank deficient"):
+        PredictProblem(A=A, labels=np.tile([1.0, -1.0], 6), nu=1.0,
+                       variant="nonregularised", B=B)
+
+
+@pytest.mark.parametrize("B, error", [
+    (np.zeros((0, 4)), ConfigError),  # no rows: nothing for B w = e1 to pin
+    (np.array([[1.0, np.inf, 0.0, 0.0]]), DataError),
+    (np.array([[1.0, np.nan, 0.0, 0.0]]), DataError),
+])
+def test_empty_or_non_finite_constraints_rejected(B, error):
+    A = np.random.default_rng(30).standard_normal((12, 5))
+    with pytest.raises(error):
+        PredictProblem(A=A, labels=np.tile([1.0, -1.0], 6), nu=1.0,
+                       variant="nonregularised", B=B)
+
+
 def test_too_many_constraints_rejected():
     win = IndexWindow(k=2, indices=(1, 2))
     B = vandermonde_constraints(win, 2)
@@ -277,6 +299,21 @@ def test_too_many_constraints_rejected():
             variant="nonregularised",
             B=bad,
         )
+
+
+def test_regularised_oracle_is_the_nonregularised_one_on_a_zero_target():
+    # A regularised window is the nonregularised form with every column free:
+    # on A it is the nonregularised problem on [0 | A], bit for bit.
+    rng = np.random.default_rng(28)
+    for l, L, nu, scale in ((5, 2, 1e-3, 1e-6), (20, 4, 1.0, 1.0), (60, 8, 1e3, 1e7)):
+        reg = random_problem(rng, l, L, nu, "regularised", scale=scale)
+        non = PredictProblem(A=np.column_stack([np.zeros(l), reg.A]), labels=reg.labels,
+                             nu=nu, variant="nonregularised")
+        a, b = kkt_oracle(reg), kkt_oracle(non)
+        for field in ("w", "gamma", "u", "xi_norm"):
+            bits = [np.asarray(getattr(sol, field)).tobytes() for sol in (a, b)]
+            assert bits[0] == bits[1], field
+        assert objective_value(reg, a) == objective_value(non, b)
 
 
 def test_kkt_oracle_size_guard():
