@@ -5,6 +5,13 @@ resolved configuration, seeds, input and output paths, tool version, and wall
 clock time. Reruns with the same arguments reproduce every output byte for
 byte; only the timing fields of the manifest vary.
 
+A run leaves all of its outputs or none. A command only reads, computes and
+prints; it returns its manifest config, its inputs and its outputs as
+{key: (path, writer)}. `main` then writes each output, the manifest last, to
+a staging file beside its path, checks every path, and renames them into
+place only after all of them are written. A failed run may have printed
+progress lines, but it leaves no output file.
+
 Exit codes: 0 success, 2 configuration error (bad flags or parameters, or
 an output path that cannot be written), 3 data error (missing or malformed
 input files), 4 numerical failure.
@@ -17,7 +24,9 @@ import errno
 import os
 import sys
 import time
+from contextlib import suppress
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,25 +44,6 @@ from . import datasets, evaluation, transform as tf
 from .io import write_csv, write_json
 
 GENERATORS = ("waveform", "shape-cbf")
-
-
-def _write_manifest(path: Path, command, config, seeds, inputs, outputs, t0) -> None:
-    write_json(
-        path,
-        {
-            "command": command,
-            "config": config,
-            "seeds": seeds,
-            "inputs": inputs,
-            "outputs": outputs,
-            "tool_version": __version__,
-            "wall_clock_seconds": time.perf_counter() - t0,
-        },
-    )
-
-
-def _manifest_beside(out_path: str) -> Path:
-    return Path(out_path).with_suffix(".manifest.json")
 
 
 def _read(load, path: str):
@@ -75,8 +65,21 @@ def _read_labelled(path: str, fitted: tf.FittedTransform) -> SignalDataset:
     return ds
 
 
-def cmd_generate(args) -> int:
-    t0 = time.perf_counter()
+def _in_dir(out_dir: str, files: dict) -> dict:
+    """Outputs {stem: (out_dir/name, writer)} of the report files {name: content},
+    where a .json file's content is its payload and a .csv file's its
+    (header, rows)."""
+    return {
+        name.partition(".")[0]: (
+            Path(out_dir) / name,
+            partial(write_json, payload=content) if name.endswith(".json")
+            else partial(write_csv, header=content[0], rows=content[1]),
+        )
+        for name, content in files.items()
+    }
+
+
+def cmd_generate(args):
     if args.generator == "waveform":
         ds = datasets.generate_waveform(
             datasets.WaveformSpec(per_class_count=args.per_class, seed=args.seed)
@@ -86,26 +89,15 @@ def cmd_generate(args) -> int:
             datasets.ShapeSpec(per_class_count=args.per_class, seed=args.seed)
         )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    datasets.save_csv(ds, out)
     print(
         f"wrote {ds.n_examples} signals of length {ds.signal_length} "
         f"({args.generator}, {args.per_class} per class) to {out}"
     )
-    _write_manifest(
-        _manifest_beside(args.out),
-        "generate",
-        {"generator": args.generator, "per_class": args.per_class},
-        {"seed": args.seed},
-        {},
-        {"data": str(out)},
-        t0,
-    )
-    return 0
+    config = {"generator": args.generator, "per_class": args.per_class}
+    return config, {}, {"data": (out, partial(datasets.save_csv, ds))}
 
 
-def cmd_fit(args) -> int:
-    t0 = time.perf_counter()
+def cmd_fit(args):
     config = TransformConfig(
         levels=args.levels,
         window=args.window,
@@ -122,26 +114,11 @@ def cmd_fit(args) -> int:
     residual = tf.constraint_residual(fitted)
     if residual is not None:
         print(f"constraint residual: {residual:.3e}")
-
-    out_model = Path(args.out_model)
-    out_model.parent.mkdir(parents=True, exist_ok=True)
-    tf.save_model(fitted, out_model)
-    outputs = {"model": str(out_model)}
+    outputs = {"model": (Path(args.out_model), partial(tf.save_model, fitted))}
     if args.out_features:
-        out_features = Path(args.out_features)
-        out_features.parent.mkdir(parents=True, exist_ok=True)
-        tf.save_features(fitted, merged, train.class_ids, out_features)
-        outputs["features"] = str(out_features)
-    _write_manifest(
-        _manifest_beside(args.out_model),
-        "fit",
-        {**asdict(config), "constraint_residual": residual},
-        {},
-        {"train": args.train},
-        outputs,
-        t0,
-    )
-    return 0
+        save = partial(tf.save_features, fitted, merged, train.class_ids)
+        outputs["features"] = (Path(args.out_features), save)
+    return {**asdict(config), "constraint_residual": residual}, {"train": args.train}, outputs
 
 
 def _parse_top_t(text: str):
@@ -186,17 +163,17 @@ def _coefficient_rows(c: evaluation.ClassifierSet):
     )
 
 
-def _eval_binary(args, fitted, train, test, out_dir):
-    lo, hi = train.classes
+def _eval_binary(args, fitted, train, test, summary):
+    """The two-class report files {name: content}; fills in `summary`."""
+    evaluated_on = summary["evaluated_on"]
     train_coeffs = tf.apply(fitted, train.signals)
     classifiers = evaluation.make_local_classifiers(train_coeffs, train.labels, fitted, args.mode)
 
-    evaluated_on, eval_coeffs, y_eval = "train", train_coeffs, train.labels
+    eval_coeffs, y_eval = train_coeffs, train.labels
     if test is not None:
-        y_eval = pair_labels(test.class_ids, lo)  # classes checked in cmd_eval
+        y_eval = pair_labels(test.class_ids, summary["classes"][0])
         eval_coeffs = tf.apply(fitted, test.signals)
         classifiers = evaluation.evaluate_classifiers(classifiers, eval_coeffs, y_eval)
-        evaluated_on = "test"
 
     if args.permutations > 0:
         values = train_coeffs[:, classifiers.columns]
@@ -211,119 +188,82 @@ def _eval_binary(args, fitted, train, test, out_dir):
     ]
     hist = evaluation.support_histogram(selected)  # levels ascending
     per_sample = np.reshape(list(hist.values()), (len(hist), fitted.signal_length)).T
-    header = ["sample", *(f"level_{m}" for m in hist), "total"]
-    rows = [[i, *per, sum(per)] for i, per in enumerate(per_sample.tolist(), start=1)]
-    reports = {t: evaluation.vote(ranked[:t], eval_coeffs) for t in args.top_t}
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "coefficients.csv", COEFFICIENT_COLUMNS, _coefficient_rows(ranked))
-    write_csv(out_dir / "selected.csv", COEFFICIENT_COLUMNS, _coefficient_rows(selected))
-    write_csv(out_dir / "support_histogram.csv", header, rows)
-
-    ensembles = {}
-    outputs = {
-        "coefficients": str(out_dir / "coefficients.csv"),
-        "selected": str(out_dir / "selected.csv"),
-        "support_histogram": str(out_dir / "support_histogram.csv"),
+    files = {
+        "coefficients.csv": (COEFFICIENT_COLUMNS, _coefficient_rows(ranked)),
+        "selected.csv": (COEFFICIENT_COLUMNS, _coefficient_rows(selected)),
+        "support_histogram.csv": (
+            ["sample", *(f"level_{m}" for m in hist), "total"],
+            [[i, *per, sum(per)] for i, per in enumerate(per_sample.tolist(), start=1)],
+        ),
     }
-    for t, report in reports.items():
+    ensembles = {}
+    for t in args.top_t:
+        report = evaluation.vote(ranked[:t], eval_coeffs)
         misclassification = float(np.mean(report.outcome != y_eval))
         profile = evaluation.vote_profile(report)
-        prof_path = out_dir / f"profile_t{t}.csv"
         outcomes = report.outcome.astype(int).tolist()
-        prof_rows = [[i, v, g, o] for i, ((v, g), o) in enumerate(zip(profile, outcomes), 1)]
-        write_csv(prof_path, ["example", "mean_vote", "group", "outcome"], prof_rows)
-        ens_path = out_dir / f"ensemble_t{t}.json"
-        payload = {
+        ensembles[str(t)] = files[f"ensemble_t{t}.json"] = {
             "t": t,
             "members": report.members.names,
             "evaluated_on": evaluated_on,
             "misclassification": misclassification,
             "n_unclassified": report.n_unclassified,
         }
-        write_json(ens_path, payload)
-        ensembles[str(t)] = payload
-        outputs[f"ensemble_t{t}"] = str(ens_path)
-        outputs[f"profile_t{t}"] = str(prof_path)
+        files[f"profile_t{t}.csv"] = (
+            ["example", "mean_vote", "group", "outcome"],
+            ([i, v, g, o] for i, ((v, g), o) in enumerate(zip(profile, outcomes), 1)),
+        )
         print(
             f"t={t}: misclassification {misclassification:.4f} "
             f"({report.n_unclassified} unclassified, on {evaluated_on})"
         )
 
-    summary = {
-        "task": "binary",
-        "classes": [lo, hi],
-        "mode": args.mode,
-        "evaluated_on": evaluated_on,
-        "test_supplied": test is not None,
-        "n_train": train.n_examples,
-        "n_test": None if test is None else test.n_examples,
-        "permutations": args.permutations,
-        "alpha": args.alpha,
-        "min_accuracy": args.min_accuracy,
-        "n_selected": len(selected),
-        "ensembles": ensembles,
-    }
-    write_json(out_dir / "summary.json", summary)
-    outputs["summary"] = str(out_dir / "summary.json")
+    summary.update(
+        permutations=args.permutations,
+        alpha=args.alpha,
+        min_accuracy=args.min_accuracy,
+        n_selected=len(selected),
+        ensembles=ensembles,
+    )
     if test is None:
         print("no test set supplied; ensembles scored on training data")
     print(f"selected {len(selected)} of {len(classifiers)} coefficients")
-    return outputs
+    return files
 
 
-def _eval_multiclass(args, fitted, train, test, out_dir):
-    evaluated_on = "train" if test is None else "test"
+def _eval_multiclass(args, fitted, train, test, summary):
+    """The one-against-one report files {name: content}; fills in `summary`."""
+    evaluated_on = summary["evaluated_on"]
     test = train if test is None else test
-    summary_ovo = {}
-    outputs = {}
+    files, errors = {}, {}
     reports = evaluation.one_against_one(train, test, fitted.config, args.top_t, mode=args.mode)
-    if args.raw_baseline:
-        base = evaluation.one_against_one_raw_psvm(train, test, fitted.config.nu)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for t, report in reports.items():
-        pair_rows = [
+        files[f"pairs_t{t}.csv"] = (["class_lo", "class_hi", "test_error"], [
             [lo, hi, "" if err is None else err]
             for (lo, hi), err in sorted(report.pair_errors.items())
-        ]
-        pairs_path = out_dir / f"pairs_t{t}.csv"
-        write_csv(pairs_path, ["class_lo", "class_hi", "test_error"], pair_rows)
-        pred_path = out_dir / f"predictions_t{t}.csv"
-        pred_rows = []
-        for i in range(test.n_examples):
-            label = int(report.predictions[i]) if report.classified[i] else "unclassified"
-            pred_rows.append([i + 1, int(test.class_ids[i]), label])
-        write_csv(pred_path, ["example", "true_class", "predicted_class"], pred_rows)
-        summary_ovo[str(t)] = {
+        ])
+        predictions = zip(test.class_ids, report.predictions, report.classified)
+        files[f"predictions_t{t}.csv"] = (["example", "true_class", "predicted_class"], [
+            [i, int(c), int(p) if ok else "unclassified"]
+            for i, (c, p, ok) in enumerate(predictions, start=1)
+        ])
+        errors[str(t)] = {
             "overall_error": report.overall_error,
             "n_unclassified": int(np.sum(~report.classified)),
         }
-        outputs[f"pairs_t{t}"] = str(pairs_path)
-        outputs[f"predictions_t{t}"] = str(pred_path)
         print(f"t={t}: one-against-one error {report.overall_error:.4f} (on {evaluated_on})")
 
-    summary = {
-        "task": "one_against_one",
-        "classes": [int(c) for c in train.classes],
-        "mode": args.mode,
-        "evaluated_on": evaluated_on,
-        "test_supplied": evaluated_on == "test",
-        "n_train": train.n_examples,
-        "n_test": test.n_examples,
-        "one_against_one": summary_ovo,
-    }
+    summary["one_against_one"] = errors
     if args.raw_baseline:
+        base = evaluation.one_against_one_raw_psvm(train, test, fitted.config.nu)
         summary["raw_psvm_error"] = base.overall_error
         print(f"raw proximal-SVM baseline error {base.overall_error:.4f}")
-    write_json(out_dir / "summary.json", summary)
-    outputs["summary"] = str(out_dir / "summary.json")
     if evaluated_on == "train":
         print("no test set supplied; one-against-one scored on training data")
-    return outputs
+    return files
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args):
     fitted = _read(tf.load_model, args.model)
     train = _read_labelled(args.train, fitted)
     test = _read_labelled(args.test, fitted) if args.test else None
@@ -338,37 +278,34 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"--top-t {max(args.top_t)} exceeds the model's {n_details} detail coefficients"
         )
-    evaluation.duel_classes(train, train if test is None else test)
-    out_dir = Path(args.out_dir)  # each path makes it after its computations
-    if binary:
-        outputs = _eval_binary(args, fitted, train, test, out_dir)
-    else:
-        outputs = _eval_multiclass(args, fitted, train, test, out_dir)
+    summary = {
+        "task": "binary" if binary else "one_against_one",
+        "classes": evaluation.duel_classes(train, train if test is None else test),
+        "mode": args.mode,
+        "evaluated_on": "train" if test is None else "test",
+        "test_supplied": test is not None,
+        "n_train": train.n_examples,
+        # Without --test, one-against-one scores the training set; binary eval records none.
+        "n_test": (None if binary else train.n_examples) if test is None else test.n_examples,
+    }
+    files = (_eval_binary if binary else _eval_multiclass)(args, fitted, train, test, summary)
+    files["summary.json"] = summary
 
     inputs = {"model": args.model, "train": args.train}
     if args.test:
         inputs["test"] = args.test
-    _write_manifest(
-        out_dir / "manifest.json",
-        "eval",
-        {
-            "mode": args.mode,
-            "top_t": args.top_t,
-            "permutations": args.permutations if binary else 0,  # no tests on 3+ classes
-            "alpha": args.alpha,
-            "min_accuracy": args.min_accuracy,
-            "raw_baseline": args.raw_baseline,
-        },
-        {} if args.seed is None else {"seed": args.seed},
-        inputs,
-        outputs,
-        t0,
-    )
-    return 0
+    config = {
+        "mode": args.mode,
+        "top_t": args.top_t,
+        "permutations": args.permutations if binary else 0,  # no tests on 3+ classes
+        "alpha": args.alpha,
+        "min_accuracy": args.min_accuracy,
+        "raw_baseline": args.raw_baseline,
+    }
+    return config, inputs, _in_dir(args.out_dir, files)
 
 
-def cmd_basis(args) -> int:
-    t0 = time.perf_counter()
+def cmd_basis(args):
     fitted = _read(tf.load_model, args.model)
     bv = tf.base_vectors(fitted)
     N = fitted.signal_length
@@ -380,50 +317,27 @@ def cmd_basis(args) -> int:
             f"synthesis does not invert analysis: biorthogonality residual "
             f"{residual:.3e} exceeds {tf.ROUND_TRIP_RTOL:g}"
         )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     layout = fitted.column_layout()
     names = [name for name, _, _, _ in layout]
-    sample_cols = [f"s{i + 1}" for i in range(N)]
-
-    write_csv(
-        out_dir / "analysis.csv",
-        ["coefficient"] + sample_cols,
-        [[name] + row for name, row in zip(names, bv.analysis.tolist())],
-    )
-    write_csv(
-        out_dir / "synthesis.csv",
-        ["coefficient"] + sample_cols,
-        [[name] + row for name, row in zip(names, bv.synthesis.T.tolist())],
-    )
+    header = ["coefficient"] + [f"s{i + 1}" for i in range(N)]
     bounds = zip(
         *_support_bounds(tf.support(bv.analysis)), *_support_bounds(tf.support(bv.synthesis.T))
     )
-    support_rows = [[*column, *cells] for column, cells in zip(layout, bounds)]
-    write_csv(
-        out_dir / "supports.csv",
-        [
-            "coefficient", "kind", "level", "position",
-            "analysis_first", "analysis_last", "analysis_size",
-            "synthesis_first", "synthesis_last", "synthesis_size",
-        ],
-        support_rows,
-    )
     print(f"biorthogonality residual: {residual:.3e}")
-    _write_manifest(
-        out_dir / "manifest.json",
-        "basis",
-        {"biorthogonality_residual": residual},
-        {},
-        {"model": args.model},
-        {
-            "analysis": str(out_dir / "analysis.csv"),
-            "synthesis": str(out_dir / "synthesis.csv"),
-            "supports": str(out_dir / "supports.csv"),
-        },
-        t0,
-    )
-    return 0
+    files = {
+        "analysis.csv": (header, ([n] + row.tolist() for n, row in zip(names, bv.analysis))),
+        "synthesis.csv": (header, ([n] + row.tolist() for n, row in zip(names, bv.synthesis.T))),
+        "supports.csv": (
+            [
+                "coefficient", "kind", "level", "position",
+                "analysis_first", "analysis_last", "analysis_size",
+                "synthesis_first", "synthesis_last", "synthesis_size",
+            ],
+            [[*column, *cells] for column, cells in zip(layout, bounds)],
+        ),
+    }
+    config = {"biorthogonality_residual": residual}
+    return config, {"model": args.model}, _in_dir(args.out_dir, files)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,30 +442,90 @@ def _check_arguments(args) -> None:
     args.top_t = _parse_top_t(args.top_t)
 
 
-def _check_outputs(args) -> None:
-    """Raise OSError, before any input is read and creating nothing, when an
-    output file path names a directory or an output lies under an existing
-    path that is not a directory."""
+def _check_output(path: Path, want_dir: bool) -> None:
+    """Raise OSError, creating nothing, when `path` cannot become a directory
+    (`want_dir`) or a file: it exists as the other kind, or the nearest
+    existing path above it is not a directory."""
+    nearest = next((p for p in [path, *path.parents] if p.exists()), None)
+    want_dir = want_dir or nearest != path
+    if nearest is not None and nearest.is_dir() != want_dir:
+        code = errno.ENOTDIR if want_dir else errno.EISDIR
+        raise OSError(code, os.strerror(code), str(nearest))
+
+
+def _check_outputs(args) -> Path:
+    """Check the output flags and the manifest beside them before any input
+    is read, creating nothing, and return the manifest's path. Two outputs of
+    one run on one file are a usage error."""
+    flags = {}
     for name in ("out", "out_model", "out_features", "out_dir"):
-        if not getattr(args, name, None):  # fit skips an empty --out-features
+        value = getattr(args, name, None)
+        if value is None or (value == "" and name == "out_features"):  # fit writes no features
             continue
-        path = Path(getattr(args, name))
-        nearest = next((p for p in [path, *path.parents] if p.exists()), None)
-        # Everything above the output must be a directory, and so must an
-        # output directory; an output file must not be one.
-        want_dir = name == "out_dir" or nearest != path
-        if nearest is not None and nearest.is_dir() != want_dir:
-            code = errno.ENOTDIR if want_dir else errno.EISDIR
-            raise OSError(code, os.strerror(code), str(nearest))
+        _check_output(Path(value), want_dir=name == "out_dir")
+        if name != "out_dir":
+            flags["--" + name.replace("_", "-")] = Path(value)
+    if args.command in ("eval", "basis"):
+        manifest = Path(args.out_dir) / "manifest.json"
+    else:
+        out = args.out if args.command == "generate" else args.out_model
+        manifest = Path(out).with_suffix(".manifest.json")
+    _check_output(manifest, want_dir=False)
+    seen = {}
+    for label, path in [*flags.items(), ("the manifest", manifest)]:
+        other = seen.setdefault(path.resolve(), label)
+        if other != label:
+            raise ConfigError(f"{other} and {label} name one file: {path}")
+    return manifest
+
+
+def _publish(outputs: list) -> None:
+    """Write every (path, writer) of `outputs` to a staging file beside its
+    path, check every path, then rename each into place, in order. If a
+    write, a check or a rename fails, remove the staging files and the
+    directories made for them, then re-raise."""
+    staged, made = [], []
+    try:
+        for path, write in outputs:
+            made += [d for d in reversed(path.parents) if not d.exists()]
+            path.parent.mkdir(parents=True, exist_ok=True)
+            staged.append(path.with_name(f".{path.name}.partial"))
+            write(staged[-1])
+        for path, _ in outputs:  # after staging, which may have made one a directory
+            _check_output(path, want_dir=False)
+        for stage, (path, _) in zip(staged, outputs):
+            os.replace(stage, path)
+    except BaseException:
+        for stage in staged:
+            with suppress(OSError):
+                stage.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    t0 = time.perf_counter()
+    args = build_parser().parse_args(argv)
     try:
         _check_arguments(args)
-        _check_outputs(args)
-        return args.func(args)
+        manifest = _check_outputs(args)
+        config, inputs, outputs = args.func(args)
+        record = {
+            "command": args.command,
+            "config": config,
+            "seeds": {} if getattr(args, "seed", None) is None else {"seed": args.seed},
+            "inputs": inputs,
+            "outputs": {key: str(path) for key, (path, _) in outputs.items()},
+            "tool_version": __version__,
+        }
+
+        def write_manifest(path):
+            write_json(path, {**record, "wall_clock_seconds": time.perf_counter() - t0})
+
+        _publish([*outputs.values(), (manifest, write_manifest)])
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

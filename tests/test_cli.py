@@ -5,12 +5,18 @@ byte-identical except for the manifest's wall-clock field. Exit codes: 0
 success, 2 configuration, 3 data, 4 numerical.
 """
 
+import contextlib
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discwave.cli import main
 from discwave.core import NumericalError, SignalDataset
@@ -34,6 +40,12 @@ def write_pair_csv(path, per_class, seed, classes=(1, 2)):
     ds = generate_waveform(WaveformSpec(per_class_count=per_class, seed=seed))
     save_csv(ds.restrict_pair(*classes), path)
     return path
+
+
+def snapshot(root):
+    """Every file and directory under `root`, with each file's bytes. A failed
+    run must leave it unchanged: no output, no staging file, no new directory."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
 def manifest_sans_clock(path):
@@ -432,6 +444,7 @@ def test_bad_numbers_are_config_errors_before_reading(tmp_path, capsys, argv, me
 def test_eval_missing_seed_leaves_no_out_dir(tmp_path, capsys):
     train, _, model = eval_setup(tmp_path, capsys)
     out = tmp_path / "report"
+    before = snapshot(tmp_path)
     code, _, err = run(
         ["eval", "--model", str(model), "--train", str(train),
          "--permutations", "100", "--out-dir", str(out)],
@@ -439,7 +452,7 @@ def test_eval_missing_seed_leaves_no_out_dir(tmp_path, capsys):
     )
     assert code == 2
     assert err == "error: --seed is required when permutation tests run\n"
-    assert not out.exists()
+    assert snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("case", ["binary", "multiclass", "single-class"])
@@ -463,10 +476,11 @@ def test_eval_class_check_leaves_no_out_dir(tmp_path, capsys, case):
         message = "need at least two classes"
     out = tmp_path / "report"
     argv += ["--permutations", "0", "--top-t", "3", "--out-dir", str(out)]
+    before = snapshot(tmp_path)
     code, _, err = run(argv, capsys)
     assert code == 3
     assert err == f"error: {message}\n"
-    assert not out.exists()
+    assert snapshot(tmp_path) == before
 
 
 def test_eval_binary_raw_baseline_leaves_no_out_dir(tmp_path, capsys):
@@ -474,6 +488,7 @@ def test_eval_binary_raw_baseline_leaves_no_out_dir(tmp_path, capsys):
     # binary eval has none, so the flag is a usage error.
     train, test, model = eval_setup(tmp_path, capsys)
     out = tmp_path / "report"
+    before = snapshot(tmp_path)
     code, _, err = run(
         ["eval", "--model", str(model), "--train", str(train), "--test", str(test),
          "--permutations", "0", "--top-t", "3", "--raw-baseline", "--out-dir", str(out)],
@@ -481,7 +496,7 @@ def test_eval_binary_raw_baseline_leaves_no_out_dir(tmp_path, capsys):
     )
     assert code == 2
     assert err == "error: --raw-baseline scores class pairs: it needs 3+ classes in --train\n"
-    assert not out.exists()
+    assert snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["fit", "eval"])
@@ -498,10 +513,11 @@ def test_headerless_input_fails_before_any_output(tmp_path, capsys, command):
     else:
         argv = ["eval", "--model", str(model), "--train", str(train),
                 "--test", str(headerless), "--permutations", "0", "--out-dir", str(out)]
+    before = snapshot(tmp_path)
     code, _, err = run(argv, capsys)
     assert code == 3
     assert err == f"error: {headerless}: row 1 holds numbers, not a header\n"
-    assert not out.exists()
+    assert snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("classes", [2, 3])
@@ -592,12 +608,13 @@ def test_non_finite_model_weight_fails_before_any_output(tmp_path, capsys, comma
     argv = ["basis", "--model", str(model)]
     if command == "eval":
         argv = ["eval", "--model", str(model), "--train", str(train), "--permutations", "0"]
+    before = snapshot(tmp_path)
     code, _, err = run(argv + ["--out-dir", str(out)], capsys)
     assert code == 3
     assert err == (
         f"error: {model}: malformed model file (level 2 holds a non-finite weight or offset)\n"
     )
-    assert not out.exists()
+    assert snapshot(tmp_path) == before
 
 
 def test_empty_supports_are_blank_bounds(tmp_path, capsys):
@@ -616,12 +633,13 @@ def test_empty_supports_are_blank_bounds(tmp_path, capsys):
     )
     assert code == 0
     basis = tmp_path / "b"
+    before = snapshot(tmp_path)
     code, stdout, err = run(["basis", "--model", str(model), "--out-dir", str(basis)], capsys)
     assert code == 4
     assert stdout == ""
     assert err.startswith("error: synthesis does not invert analysis: biorthogonality residual ")
     assert err.endswith(" exceeds 0.001\n") and err.count("\n") == 1
-    assert not basis.exists()
+    assert snapshot(tmp_path) == before
     out = tmp_path / "ev"
     code, _, _ = run(
         ["eval", "--model", str(model), "--train", str(train), "--permutations", "0",
@@ -660,24 +678,83 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     assert blocker.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("flag", ["--out", "--out-model", "--out-features"])
+@pytest.mark.parametrize("flag", ["--out", "--out-model", "--out-features", "manifest"])
 def test_output_file_naming_a_directory_exits_2_before_any_work(tmp_path, capsys, flag):
     train = write_pair_csv(tmp_path / "train.csv", 10, 11)
-    taken = tmp_path / "taken"
+    # The manifest beside --out-model model.json is model.manifest.json.
+    taken = tmp_path / ("model.manifest.json" if flag == "manifest" else "taken")
     taken.mkdir()
     if flag == "--out":
         argv = ["generate", "--generator", "waveform", "--per-class", "2", "--seed", "1"]
     else:
         argv = ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
                 "--out-model", str(tmp_path / "model.json")]
-    code, stdout, err = run(argv + [flag, str(taken)], capsys)
+    if flag != "manifest":
+        argv += [flag, str(taken)]
+    before = snapshot(tmp_path)
+    code, stdout, err = run(argv, capsys)
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
     assert str(taken) in err
     # No model is left without its features or manifest.
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "train.csv"]
-    assert list(taken.iterdir()) == []
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("features", ["model.json", "model.manifest.json"])
+def test_two_outputs_on_one_path_exit_2_before_any_work(tmp_path, capsys, features):
+    # Either way the last file written would overwrite the one before it.
+    train = write_pair_csv(tmp_path / "train.csv", 10, 11)
+    argv = ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+            "--out-model", str(tmp_path / "model.json"), "--out-features", str(tmp_path / features)]
+    before = snapshot(tmp_path)
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    pair = "--out-model and --out-features" if features == "model.json" else (
+        "--out-features and the manifest"
+    )
+    assert err == f"error: {pair} name one file: {tmp_path / features}\n"
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("case", ["eval-summary", "basis-supports", "fit-writer", "fit-nested"])
+def test_failed_publish_leaves_nothing(tmp_path, capsys, monkeypatch, case):
+    # A derived output found unwritable only after the computation, a writer
+    # that fails midway, or an output file naming the directory of another
+    # leaves no output, no staging file and no new directory.
+    train, _, model = eval_setup(tmp_path, capsys, per_class=10)
+    out = tmp_path / "out"
+    if case == "fit-nested":
+        argv = ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+                "--out-model", str(out / "model.json"), "--out-features", str(out)]
+        blocked, first_line = out, "level 1: 16 positions"
+    elif case == "fit-writer":
+        def fail(fitted, merged, class_ids, path):
+            Path(path).write_bytes(b"c3_1,c3_2")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(tf, "save_features", fail)
+        argv = ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+                "--out-model", str(out / "model.json"),
+                "--out-features", str(out / "features.csv")]
+        blocked, first_line = out / ".features.csv.partial", "level 1: 16 positions"
+    elif case == "eval-summary":
+        blocked, first_line = out / "summary.json", "t=3: misclassification"
+        argv = ["eval", "--model", str(model), "--train", str(train), "--permutations", "0",
+                "--top-t", "3", "--out-dir", str(out)]
+    else:
+        blocked, first_line = out / "supports.csv", "biorthogonality residual: "
+        argv = ["basis", "--model", str(model), "--out-dir", str(out)]
+    if case.startswith(("eval", "basis")):
+        blocked.mkdir(parents=True)
+    before = snapshot(tmp_path)
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout.startswith(first_line)  # the computation ran; publishing failed
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(blocked) in err
+    assert snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("case", ["tiny-scale", "raw-baseline"])
@@ -706,10 +783,126 @@ def test_eval_failure_after_reading_leaves_no_out_dir(tmp_path, capsys, monkeypa
         message = "baseline failed"
     save_csv(ds, train3)
     out = tmp_path / "report"
+    before = snapshot(tmp_path)
     code, _, err = run(argv + ["--out-dir", str(out)], capsys)
     assert code == 4
     assert message in err and err.count("\n") == 1
-    assert not out.exists()
+    assert snapshot(tmp_path) == before
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Texts of known-good tiny inputs: a two-class and a three-class CSV of
+    length-32 waveforms, and a model fit on the first."""
+    root = tmp_path_factory.mktemp("fuzz-inputs")
+    write_pair_csv(root / "pair.csv", 6, 21)
+    save_csv(generate_waveform(WaveformSpec(per_class_count=4, seed=22)), root / "three.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["fit", "--train", str(root / "pair.csv"), "--window", "4", "--nu", "1.0",
+                     "--levels", "2", "--out-model", str(root / "model.json")])
+    assert code == 0
+    return {name: (root / name).read_text() for name in ("pair.csv", "three.csv", "model.json")}
+
+
+def mutate_csv(text, kind, draw):
+    """`text` spoiled in one way; "none" leaves it good."""
+    rows = [line.split(",") for line in text.splitlines()]
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "bom":
+        return "\ufeff" + text
+    if kind in ("nan", "fractional-label"):
+        i = draw(st.integers(1, len(rows) - 1))
+        j = -1 if kind == "fractional-label" else draw(st.integers(0, len(rows[i]) - 2))
+        rows[i][j] = "1.5" if kind == "fractional-label" else "nan"
+    if kind == "one-class":
+        rows = rows[:1] + [row for row in rows[1:] if row[-1] == rows[1][-1]]
+    if kind in ("dropped-column", "odd-width"):  # any column, or the last sample (width 31)
+        j = len(rows[0]) - 2 if kind == "odd-width" else draw(st.integers(0, len(rows[0]) - 1))
+        rows = [row[:j] + row[j + 1:] for row in rows]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def mutate_model(text, kind, draw):
+    doc = json.loads(text)
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "dropped-key":
+        holder = draw(st.sampled_from([doc, doc["config"], doc["levels"][0], doc["levels"][-1]]))
+        del holder[draw(st.sampled_from(sorted(holder)))]
+    if kind == "nan-weight":
+        weights = doc["levels"][draw(st.integers(0, len(doc["levels"]) - 1))]["weights"]
+        weights[draw(st.integers(0, len(weights) - 1))][0] = float("nan")
+    return json.dumps(doc)
+
+
+CSV_MUTATIONS = ["none", "truncate", "dropped-column", "crlf", "bom", "nan",
+                 "fractional-label", "one-class", "odd-width"]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_inputs, tmp_path_factory, data):
+    """Any flags within the types argparse accepts, on good or spoiled inputs:
+    exit 0, 2, 3 or 4; a failure prints one `error:` line and leaves every
+    file as it was, with no staging file."""
+    def pick(usual, *others):
+        """`usual` in about five draws of six, else one of `others`."""
+        if others and data.draw(st.integers(0, 5)) == 0:
+            return data.draw(st.sampled_from(others))
+        return usual
+
+    root = tmp_path_factory.mktemp("fuzz")
+    csvs = []
+    for name in ("train.csv", "test.csv"):
+        text = fuzz_inputs[pick("pair.csv", "three.csv")]
+        (root / name).write_text(mutate_csv(text, pick(*CSV_MUTATIONS), data.draw))
+        csvs.append(str(root / name))
+    model = root / "model.json"
+    model.write_text(mutate_model(
+        fuzz_inputs["model.json"], pick("none", "truncate", "dropped-key", "nan-weight"), data.draw
+    ))
+    out = root / "out"
+    command = data.draw(st.sampled_from(["generate", "fit", "eval", "basis"]))
+    if command == "generate":
+        argv = ["generate", "--generator", pick("waveform", "shape-cbf"),
+                "--per-class", pick("2", "-1", "0", "1"), "--seed", pick("7", "-1", "0"),
+                "--out", str(out / "data.csv")]
+    elif command == "fit":
+        argv = ["fit", "--train", csvs[0], "--window", pick("4", "-2", "0", "1", "2", "3", "64"),
+                "--nu", pick("1", "-1", "0", "1e-300", "1e300", "nan", "inf"),
+                "--levels", pick("2", "-1", "0", "1", "6"),
+                "--variant", pick("nonregularised", "regularised"),
+                "--constraint-degree", pick("0", "-1", "1", "2", "9"),
+                "--out-model", str(out / "model.json")]
+        argv += pick([], ["--out-features", str(out / "features.csv")])
+    elif command == "eval":
+        argv = ["eval", "--model", str(model), "--train", csvs[0],
+                "--mode", pick(*evaluation.MODES),
+                "--top-t", pick("3,15", "0", "1", "x", "24", "25"),
+                "--permutations", pick("100", "-1", "0", "50"),
+                "--alpha", pick("0.1", "nan", "0", "1", "2"),
+                "--min-accuracy", pick("0.75", "-0.5", "0", "1", "nan"),
+                "--out-dir", str(out)]
+        argv += pick(["--test", csvs[1]], []) + pick(["--seed", "3"], [], ["--seed", "-1"])
+        argv += pick([], ["--raw-baseline"])
+    else:
+        argv = ["basis", "--model", str(model), "--out-dir", str(out)]
+    before = snapshot(root)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code == 0:
+        assert err == ""
+        assert not [p for p in root.rglob("*") if p.name.endswith(".partial")]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+        assert snapshot(root) == before, argv
 
 
 def test_console_script_and_version():
