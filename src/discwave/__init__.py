@@ -7,134 +7,9 @@ merely compressing. The package covers the window solvers (with an
 independent dense KKT oracle), the multi-level transform and its inverse,
 coefficient-level classifiers with permutation-test certification, pairwise
 multiclass voting, and the two synthetic benchmark generators used in the
-demos and tests.
+demos and tests. Every name is imported from its module (`core`, `solver`,
+`transform`, `datasets`, `evaluation`, `io`, `cli`); the package root holds
+only `__version__`.
 """
 
-from .core import (
-    ConfigError,
-    DataError,
-    IndexWindow,
-    NONREGULARISED,
-    NumericalError,
-    REGULARISED,
-    SignalDataset,
-    TransformConfig,
-    VARIANTS,
-    index_window,
-    interleave,
-    make_rng,
-    split,
-    validate_labels,
-)
-from .solver import (
-    PredictProblem,
-    PredictSolution,
-    kkt_oracle,
-    objective_value,
-    solve,
-    vandermonde_constraints,
-    window_knots,
-)
-from .transform import (
-    BaseVectors,
-    FittedTransform,
-    apply,
-    base_vectors,
-    constraint_residual,
-    fit,
-    load_model,
-    reconstruct,
-    save_features,
-    save_model,
-)
-from .datasets import (
-    SHAPE_KINDS,
-    ShapeSpec,
-    WaveformSpec,
-    generate_shape,
-    generate_waveform,
-    load_csv,
-    save_csv,
-    shape_envelope,
-    waveform_mixture,
-)
-from .evaluation import (
-    ClassifierSet,
-    EnsembleReport,
-    MulticlassReport,
-    OPTIMAL_THRESHOLD,
-    PSVM_BIAS,
-    evaluate_classifiers,
-    fit_thresholds,
-    make_local_classifiers,
-    one_against_one,
-    one_against_one_raw_psvm,
-    permutation_test,
-    rank_classifiers,
-    select_significant,
-    support_histogram,
-    vote,
-    vote_profile,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "DataError",
-    "NumericalError",
-    "IndexWindow",
-    "SignalDataset",
-    "TransformConfig",
-    "REGULARISED",
-    "NONREGULARISED",
-    "VARIANTS",
-    "index_window",
-    "interleave",
-    "split",
-    "make_rng",
-    "validate_labels",
-    "PredictProblem",
-    "PredictSolution",
-    "solve",
-    "kkt_oracle",
-    "objective_value",
-    "window_knots",
-    "vandermonde_constraints",
-    "FittedTransform",
-    "BaseVectors",
-    "fit",
-    "apply",
-    "reconstruct",
-    "base_vectors",
-    "constraint_residual",
-    "save_model",
-    "load_model",
-    "save_features",
-    "WaveformSpec",
-    "ShapeSpec",
-    "SHAPE_KINDS",
-    "generate_waveform",
-    "generate_shape",
-    "waveform_mixture",
-    "shape_envelope",
-    "save_csv",
-    "load_csv",
-    "ClassifierSet",
-    "EnsembleReport",
-    "MulticlassReport",
-    "PSVM_BIAS",
-    "OPTIMAL_THRESHOLD",
-    "fit_thresholds",
-    "make_local_classifiers",
-    "rank_classifiers",
-    "evaluate_classifiers",
-    "vote",
-    "vote_profile",
-    "one_against_one",
-    "one_against_one_raw_psvm",
-    "permutation_test",
-    "select_significant",
-    "support_histogram",
-    "__version__",
-]

@@ -56,13 +56,19 @@ def _as_float_matrix(values, what: str) -> np.ndarray:
     return arr
 
 
-def validate_labels(labels, n_rows: int) -> np.ndarray:
-    """Check a +/-1 label vector: right length, both classes present."""
+def signed_labels(labels, n_rows: int) -> np.ndarray:
+    """Check a +/-1 label vector of n_rows entries; a class may be absent."""
     y = np.asarray(labels, dtype=float)
     if y.shape != (n_rows,):
         raise DataError(f"labels must have shape ({n_rows},), got {y.shape}")
     if not np.all(np.abs(y) == 1.0):
         raise DataError("labels must be -1 or +1")
+    return y
+
+
+def validate_labels(labels, n_rows: int) -> np.ndarray:
+    """Check a +/-1 label vector: signed_labels, and both classes present."""
+    y = signed_labels(labels, n_rows)
     if n_rows < 2 or not (np.any(y == 1.0) and np.any(y == -1.0)):
         raise DataError("need at least one example of each label")
     return y

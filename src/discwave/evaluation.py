@@ -30,6 +30,7 @@ from .core import (
     TransformConfig,
     make_rng,
     pair_labels,
+    signed_labels,
     validate_labels,
 )
 from . import transform as tf
@@ -151,10 +152,13 @@ def fit_thresholds(X: np.ndarray, labels: np.ndarray):
     prefer the smallest |b|, then the smaller b (candidates strictly
     increase, so that leaves one), then s = +1. Columns go in blocks of
     about FIT_BLOCK_CELLS values, one sort each, so no temporary outgrows a
-    block.
+    block. An X that is not a non-empty matrix, or labels that are not one
+    +/-1 per row (signed_labels), are a DataError; one class is allowed.
     """
     X = np.asarray(X, dtype=float)
-    plus = np.asarray(labels, dtype=float) > 0
+    if X.ndim != 2 or len(X) == 0:
+        raise DataError(f"X must be a non-empty l x K matrix, got shape {X.shape}")
+    plus = signed_labels(labels, len(X)) > 0
     width = max(1, FIT_BLOCK_CELLS // len(X))
     blocks = [_fit_block(X[:, j : j + width], plus) for j in range(0, max(X.shape[1], 1), width)]
     return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
@@ -247,11 +251,9 @@ def evaluate_classifiers(
     classifiers: ClassifierSet, merged: np.ndarray, labels: np.ndarray
 ) -> ClassifierSet:
     """The set with its test accuracy on the l x N coefficients `merged`
-    attached, scored against `labels`, one +/-1 label per row. A single
-    class is allowed: a test set may hold only one."""
-    y = np.asarray(labels, dtype=float)
-    if y.shape != (len(merged),):
-        raise DataError(f"labels must have shape ({len(merged)},), got {y.shape}")
+    attached, scored against `labels`, one +/-1 label per row
+    (signed_labels). A single class is allowed: a test set may hold only one."""
+    y = signed_labels(labels, len(merged))
     # s * sign(d - b) is y exactly where (d >= b) == (y == s).
     X = _values(classifiers, merged)
     right = (X >= classifiers.b) == (y[:, None] == classifiers.s)
@@ -310,10 +312,15 @@ class MulticlassReport:
 
 def duel_classes(train: SignalDataset, test: SignalDataset) -> list:
     """Sorted training class ids. Raises DataError unless training has two
-    or more classes and every test class occurs in training."""
+    or more classes, every test class occurs in training and both sets have
+    one signal length."""
     classes = list(train.classes)
     if len(classes) < 2:
         raise DataError("need at least two classes")
+    if test.signal_length != train.signal_length:
+        raise DataError(
+            f"test signal length {test.signal_length} differs from training's {train.signal_length}"
+        )
     missing = sorted(set(test.classes) - set(classes))
     if missing:
         raise DataError(f"test classes {missing} absent from training classes {classes}")

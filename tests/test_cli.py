@@ -12,12 +12,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import discwave
 from discwave.cli import main
 from discwave.core import NumericalError, SignalDataset
 from discwave.datasets import WaveformSpec, generate_waveform, load_csv, save_csv
@@ -916,3 +918,10 @@ def test_console_script_and_version():
         [sys.executable, "-m", "discwave.cli"], capture_output=True, text=True
     )
     assert proc.returncode == 2  # argparse: a subcommand is required
+
+
+def test_package_root_holds_only_the_version():
+    # Every name is imported from its module; the root re-exports nothing.
+    public = [name for name in dir(discwave) if not name.startswith("_")]
+    assert all(isinstance(getattr(discwave, name), types.ModuleType) for name in public), public
+    assert isinstance(discwave.__version__, str)

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from discwave import (
+from discwave.core import (
     ConfigError,
     DataError,
     IndexWindow,
@@ -14,10 +14,11 @@ from discwave import (
     index_window,
     interleave,
     make_rng,
+    pair_labels,
     split,
     validate_labels,
+    window_columns,
 )
-from discwave.core import pair_labels, window_columns
 
 
 def test_split_row_example():

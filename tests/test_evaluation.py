@@ -21,7 +21,7 @@ from discwave.core import (
 )
 from discwave import transform as tf
 from discwave import evaluation as ev
-from discwave.datasets import WaveformSpec, generate_waveform
+from discwave.datasets import ShapeSpec, WaveformSpec, generate_shape, generate_waveform
 
 
 def brute_force_threshold(values, labels):
@@ -139,6 +139,21 @@ def test_fit_thresholds_blocks_agree_with_one_block(monkeypatch):
     check_against_brute_force(X, labels)
 
 
+def test_fit_thresholds_checks_x_and_labels():
+    # One +/-1 label per row of a non-empty matrix; one class is allowed.
+    X = np.arange(30.0).reshape(10, 3)
+    for labels in (np.ones(12), np.ones(8), np.ones((10, 1))):
+        with pytest.raises(DataError, match="labels must have shape \\(10,\\)"):
+            ev.fit_thresholds(X, labels)
+    for labels in (np.tile([0.0, 1.0], 5), np.tile([-2.0, 2.0], 5)):
+        with pytest.raises(DataError, match="labels must be -1 or \\+1"):
+            ev.fit_thresholds(X, labels)
+    for bad in (X[:, 0], X[None], X[:0]):
+        with pytest.raises(DataError, match="non-empty l x K matrix"):
+            ev.fit_thresholds(bad, np.ones(len(bad)))
+    assert ev.fit_thresholds(X, -np.ones(10))[2].tolist() == [10, 10, 10]
+
+
 def test_threshold_simple_separation():
     values = np.array([-2.0, -1.0, 1.0, 2.0])
     labels = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -252,6 +267,9 @@ def test_evaluate_classifiers_sets_test_accuracy():
     assert one_class.test_accuracy == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
     for labels in (None, [1.0, -1.0], [1.0, -1.0, -1.0, 1.0], [[1.0, -1.0, -1.0]]):
         with pytest.raises(DataError, match="labels must have shape \\(3,\\)"):
+            ev.evaluate_classifiers(clfs, merged, labels)
+    for labels in ([1.0, 0.0, 0.0], [2.0, -2.0, -2.0]):
+        with pytest.raises(DataError, match="labels must be -1 or \\+1"):
             ev.evaluate_classifiers(clfs, merged, labels)
 
 
@@ -566,10 +584,14 @@ def test_ovo_three_classes():
     assert report.overall_error < 0.5
 
 
-def test_ovo_validation_errors():
+def test_ovo_validation_errors(monkeypatch):
+    # Every check comes before the first pair fit, of either path.
     train = generate_waveform(WaveformSpec(per_class_count=6, seed=208))
     test = generate_waveform(WaveformSpec(per_class_count=4, seed=209))
     cfg = TransformConfig(levels=1, window=4, nu=1.0, variant="nonregularised")
+    fits = []
+    monkeypatch.setattr(tf, "fit", lambda *args: fits.append(args))
+    monkeypatch.setattr(ev, "fit_raw_psvm", lambda *args: fits.append(args))
     with pytest.raises(ConfigError):
         ev.one_against_one(train, test, cfg, top_t=[0])
     one_class = SignalDataset(signals=train.signals, class_ids=np.ones(train.n_examples, int))
@@ -582,6 +604,12 @@ def test_ovo_validation_errors():
         ev.one_against_one(train, extra, cfg, top_t=[3])
     with pytest.raises(DataError, match="absent from training"):
         ev.one_against_one_raw_psvm(train, extra, nu=1.0)
+    longer = generate_shape(ShapeSpec(per_class_count=4, seed=209))  # 128 samples, not 32
+    with pytest.raises(DataError, match="test signal length 128 differs from training's 32"):
+        ev.one_against_one(train, longer, cfg, top_t=[3])
+    with pytest.raises(DataError, match="test signal length 128 differs from training's 32"):
+        ev.one_against_one_raw_psvm(train, longer, nu=1.0)
+    assert fits == []
 
 
 def test_ovo_rejects_top_t_above_the_pair_detail_count(monkeypatch):

@@ -9,7 +9,7 @@ before the solver existed and are frozen here.
 import numpy as np
 import pytest
 
-from discwave import (
+from discwave.core import (
     ConfigError,
     DataError,
     IndexWindow,
