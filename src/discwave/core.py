@@ -38,7 +38,10 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     experiment seeded with s always draws from make_rng(s, b) no matter how
     work is scheduled. The path goes into SeedSequence's spawn_key (appending
     it to the entropy would alias: [7] and [7, 0] hash identically).
+    A seed that is not a non-negative integer is a ConfigError.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(seq)
 
@@ -47,11 +50,17 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _as_float_matrix(values, what: str) -> np.ndarray:
+def float_matrix(values, what: str, width: Optional[int] = None) -> np.ndarray:
+    """A float l x `width` matrix (any width if None), l >= 1, all finite; else a DataError."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise DataError(f"{what} must be a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    expected = "a 2-D" if width is None else f"an l x {width}"
+    if arr.ndim != 2 or width not in (None, arr.shape[1]):
+        raise DataError(f"{what} must be {expected} matrix, got shape {arr.shape}")
+    if len(arr) == 0:
+        raise DataError(
+            f"{what} must be {expected} matrix with at least one row, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
         raise DataError(f"{what} contains non-finite values")
     return arr
 
@@ -92,7 +101,7 @@ class SignalDataset:
     class_ids: np.ndarray
 
     def __post_init__(self):
-        sig = _as_float_matrix(self.signals, "signals")
+        sig = float_matrix(self.signals, "signals")
         if not is_power_of_two(sig.shape[1]) or sig.shape[1] < 2:
             raise DataError(
                 f"signal length must be a power of two >= 2, got {sig.shape[1]}"
@@ -219,7 +228,7 @@ class IndexWindow:
 
 def split(signals: np.ndarray) -> tuple:
     """Split columns into (odd, even) halves: columns 1,3,5,... and 2,4,6,... (1-based)."""
-    a = _as_float_matrix(signals, "signals")
+    a = float_matrix(signals, "signals")
     n = a.shape[1]
     if n < 2 or n % 2:
         raise ConfigError(f"split needs an even column count >= 2, got {n}")

@@ -20,23 +20,26 @@ SHAPE_KINDS = ("cylinder", "bell", "funnel")
 
 
 @dataclass(frozen=True)
-class WaveformSpec:
+class _Spec:
+    """A generator's size and seed: integers (a bool is not one), at least one
+    signal per class and a seed >= 0; anything else is a ConfigError."""
+
     per_class_count: int
     seed: int
 
     def __post_init__(self):
-        if self.per_class_count < 1:
-            raise ConfigError("per_class_count must be >= 1")
+        for name, least in (("per_class_count", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ShapeSpec:
-    per_class_count: int
-    seed: int
+class WaveformSpec(_Spec):
+    """The size and seed of a generate_waveform dataset."""
 
-    def __post_init__(self):
-        if self.per_class_count < 1:
-            raise ConfigError("per_class_count must be >= 1")
+
+class ShapeSpec(_Spec):
+    """The size and seed of a generate_shape dataset."""
 
 
 def h1(i):
@@ -81,11 +84,11 @@ def generate_waveform(spec: WaveformSpec) -> SignalDataset:
     return SignalDataset(signals=signals, class_ids=class_ids)
 
 
-def shape_envelope(kind: str, a: int, b: int, eta: float, length: int = SHAPE_LENGTH) -> np.ndarray:
+def shape_envelope(kind: str, a: int, b: int, eta: float) -> np.ndarray:
     """Noise-free cylinder/bell/funnel shape active on samples a..b inclusive."""
     if kind not in SHAPE_KINDS:
         raise ConfigError(f"kind must be one of {SHAPE_KINDS}, got {kind!r}")
-    t = np.arange(1, length + 1, dtype=float)
+    t = np.arange(1, SHAPE_LENGTH + 1, dtype=float)
     active = ((t >= a) & (t <= b)).astype(float)
     height = 6.0 + eta
     if kind == "cylinder":

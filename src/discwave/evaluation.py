@@ -28,6 +28,7 @@ from .core import (
     DataError,
     SignalDataset,
     TransformConfig,
+    float_matrix,
     make_rng,
     pair_labels,
     signed_labels,
@@ -152,12 +153,10 @@ def fit_thresholds(X: np.ndarray, labels: np.ndarray):
     prefer the smallest |b|, then the smaller b (candidates strictly
     increase, so that leaves one), then s = +1. Columns go in blocks of
     about FIT_BLOCK_CELLS values, one sort each, so no temporary outgrows a
-    block. An X that is not a non-empty matrix, or labels that are not one
-    +/-1 per row (signed_labels), are a DataError; one class is allowed.
+    block. An X that float_matrix rejects, or labels that are not one +/-1
+    per row (signed_labels), are a DataError; one class is allowed.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or len(X) == 0:
-        raise DataError(f"X must be a non-empty l x K matrix, got shape {X.shape}")
+    X = float_matrix(X, "X")
     plus = signed_labels(labels, len(X)) > 0
     width = max(1, FIT_BLOCK_CELLS // len(X))
     blocks = [_fit_block(X[:, j : j + width], plus) for j in range(0, max(X.shape[1], 1), width)]
@@ -205,16 +204,16 @@ def make_local_classifiers(
 ) -> ClassifierSet:
     """One classifier per detail coefficient of `fitted`, trained on the l x N
     coefficients `merged` and their +/-1 `labels` (validate_labels: one per
-    row, both classes present); a matrix of another width is a DataError.
-    Rows are in merged-column order (d_M first).
+    row, both classes present); a matrix float_matrix rejects at width N is
+    a DataError. Rows are in merged-column order (d_M first).
     Coarse columns are exported features but have no trained predictor to
     classify with."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    merged = fitted.check_coefficients(merged)
+    N, M = fitted.signal_length, fitted.config.levels
+    merged = float_matrix(merged, "coefficients", N)
     y = validate_labels(labels, len(merged))
     l = y.size
-    N, M = fitted.signal_length, fitted.config.levels
     X = merged[:, N >> M :]
     levels = np.arange(M, 0, -1)
     widths = N >> levels
@@ -234,12 +233,9 @@ def make_local_classifiers(
 
 def _values(classifiers: ClassifierSet, merged) -> np.ndarray:
     """The set's columns of the l x N coefficients `merged`, N the set's
-    signal length; a matrix of another width is a DataError."""
-    merged = np.asarray(merged, dtype=float)
+    signal length; a matrix float_matrix rejects at width N is a DataError."""
     N = classifiers.support.shape[1]
-    if merged.ndim != 2 or merged.shape[1] != N:
-        raise DataError(f"coefficients must be an l x {N} matrix, got shape {merged.shape}")
-    return merged[:, classifiers.columns]
+    return float_matrix(merged, "coefficients", N)[:, classifiers.columns]
 
 
 def rank_classifiers(classifiers: ClassifierSet) -> ClassifierSet:
@@ -253,9 +249,9 @@ def evaluate_classifiers(
     """The set with its test accuracy on the l x N coefficients `merged`
     attached, scored against `labels`, one +/-1 label per row
     (signed_labels). A single class is allowed: a test set may hold only one."""
-    y = signed_labels(labels, len(merged))
-    # s * sign(d - b) is y exactly where (d >= b) == (y == s).
     X = _values(classifiers, merged)
+    y = signed_labels(labels, len(X))
+    # s * sign(d - b) is y exactly where (d >= b) == (y == s).
     right = (X >= classifiers.b) == (y[:, None] == classifiers.s)
     return replace(classifiers, test_accuracy=np.mean(right, axis=0))
 
@@ -398,7 +394,7 @@ def one_against_one(
 def fit_raw_psvm(signals: np.ndarray, labels: np.ndarray, nu: float):
     """Plain proximal-SVM fit on raw sample vectors; returns (w, gamma)."""
     problem = solver.PredictProblem(
-        A=np.asarray(signals, dtype=float),
+        A=signals,
         labels=labels,
         nu=nu,
         variant=REGULARISED,
@@ -444,9 +440,7 @@ def permutation_test(
     """
     if B < MIN_PERMUTATIONS:
         raise ConfigError(f"need at least {MIN_PERMUTATIONS} permutations, got {B}")
-    X = np.asarray(values, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(classifiers):
-        raise DataError(f"values must be l x {len(classifiers)}, got shape {X.shape}")
+    X = float_matrix(values, "values", len(classifiers))
     y = validate_labels(labels, X.shape[0])
     l = y.size
     plus_rows = np.empty((B + 1, l), dtype=bool)  # row 0 observed, row b+1 replicate b

@@ -8,7 +8,8 @@ Spelling rule, for every file the package writes:
 - JSON is json.dumps(indent=2) followed by "\\n", with numpy scalars and
   arrays converted to plain numbers and lists;
 - NaN and infinities are rejected: JSON writing raises NumericalError and
-  CSV reading raises DataError.
+  CSV reading raises DataError. write_table takes only finite matrices,
+  which its callers (save_csv, save_features) check with core.float_matrix.
 
 A data or feature table has one shape, the only one write_table writes and
 read_csv reads: a header line, then one row per example of values and an

@@ -44,6 +44,7 @@ from .core import (
     DataError,
     IndexWindow,
     NumericalError,
+    float_matrix,
     validate_labels,
 )
 
@@ -75,11 +76,9 @@ class PredictProblem:
     B: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[1] < 1:
+        A = float_matrix(self.A, "A")
+        if A.shape[1] < 1:
             raise DataError(f"A must be l x (L+1) with L >= 0, got shape {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise DataError("A contains non-finite values")
         y = validate_labels(self.labels, A.shape[0])
         if not (float(self.nu) > 0 and np.isfinite(self.nu)):
             raise ConfigError(f"nu must be positive and finite, got {self.nu}")

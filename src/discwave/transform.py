@@ -34,6 +34,7 @@ from .core import (
     NumericalError,
     SignalDataset,
     TransformConfig,
+    float_matrix,
     interleave,
     split,
     window_columns,
@@ -125,14 +126,6 @@ class FittedTransform:
             raise ConfigError(f"position {k} out of range at level {level}")
         return (self.signal_length >> level) + k - 1
 
-    def check_coefficients(self, coefficients) -> np.ndarray:
-        """`coefficients` as a float l x N merged matrix; any other shape is a DataError."""
-        merged = np.asarray(coefficients, dtype=float)
-        N = self.signal_length
-        if merged.shape[1:] != (N,):
-            raise DataError(f"coefficients must be an l x {N} matrix, got shape {merged.shape}")
-        return merged
-
 
 @dataclass(frozen=True)
 class BaseVectors:
@@ -220,10 +213,8 @@ def apply(transform: FittedTransform, signals: np.ndarray) -> np.ndarray:
 
     Each level writes its details straight into its block of the matrix.
     """
-    A = np.asarray(signals, dtype=float)
     N, M = transform.signal_length, transform.config.levels
-    if A.ndim != 2 or A.shape[1] != N:
-        raise DataError(f"signals must be 2-D with {N} columns, got {A.shape}")
+    A = float_matrix(signals, "signals", N)
     variant = transform.config.variant
     merged = np.empty((A.shape[0], N))
     for m, (level, columns) in enumerate(zip(transform.levels, transform.columns), start=1):
@@ -245,10 +236,10 @@ def reconstruct(transform: FittedTransform, coefficients: np.ndarray) -> np.ndar
     nonnegligible against the predictor's weight norm for the map to be
     invertible.
     """
-    merged = transform.check_coefficients(coefficients)
     N, M = transform.signal_length, transform.config.levels
+    merged = float_matrix(coefficients, "coefficients", N)
     variant = transform.config.variant
-    C = np.array(merged[:, : N >> M], dtype=float)
+    C = merged[:, : N >> M]
     for m in range(M, 0, -1):
         level = transform.levels[m - 1]
         if variant == REGULARISED:
@@ -329,7 +320,7 @@ def load_model(path) -> FittedTransform:
 def save_features(transform: FittedTransform, merged: np.ndarray, class_ids, path) -> None:
     """Feature CSV of the l x N coefficients `merged` of `transform`: one column
     per merged column, named by `column_layout`, plus a trailing label column
-    holding `class_ids`. A matrix of another width is a DataError, raised
-    before the file is opened."""
-    merged = transform.check_coefficients(merged)
+    holding `class_ids`. A matrix `float_matrix` rejects at width N is a
+    DataError, raised before the file is opened."""
+    merged = float_matrix(merged, "coefficients", transform.signal_length)
     write_table(path, [name for name, _, _, _ in transform.column_layout()], merged, class_ids)

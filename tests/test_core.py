@@ -1,5 +1,6 @@
 """Core types: datasets, configs, split/interleave, window selection."""
 
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from discwave.core import (
     IndexWindow,
     SignalDataset,
     TransformConfig,
+    float_matrix,
     index_window,
     interleave,
     make_rng,
@@ -39,6 +41,37 @@ def test_split_interleave_round_trip():
         A = rng.standard_normal((3, cols))
         A_o, A_e = split(A)
         assert np.array_equal(interleave(A_o, A_e), A)
+
+
+def test_float_matrix_is_the_one_matrix_rule():
+    # 2-D, at least one row, `width` columns when given, only finite entries.
+    m = float_matrix([[1, 2], [3, 4]], "m", 2)
+    assert m.dtype == np.float64 and m.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert float_matrix(np.zeros((3, 0)), "m").shape == (3, 0)  # any width when None
+    bad = {
+        "m must be a 2-D matrix, got shape (4,)": (np.zeros(4), None),
+        "m must be a 2-D matrix, got shape (1, 2, 2)": (np.zeros((1, 2, 2)), None),
+        "m must be an l x 3 matrix, got shape (2, 2)": (np.zeros((2, 2)), 3),
+        "m must be an l x 2 matrix with at least one row, got shape (0, 2)": (np.zeros((0, 2)), 2),
+        "m must be a 2-D matrix with at least one row, got shape (0, 0)": (np.zeros((0, 0)), None),
+        "m contains non-finite values": (np.array([[0.0, np.inf]]), 2),
+    }
+    for message, (values, width) in bad.items():
+        with pytest.raises(DataError, match=re.escape(message)):
+            float_matrix(values, "m", width)
+    with pytest.raises(DataError, match="m contains non-finite values"):
+        float_matrix([[np.nan]], "m")
+
+
+def test_dataset_and_split_need_at_least_one_row():
+    # A zero-row dataset used to pass and leave NaN errors to the duels.
+    message = re.escape("signals must be a 2-D matrix with at least one row, got shape (0, 32)")
+    with pytest.raises(DataError, match=message):
+        SignalDataset(np.zeros((0, 32)), np.zeros(0, dtype=int))
+    with pytest.raises(DataError, match="at least one row"):
+        split(np.zeros((0, 4)))
+    with pytest.raises(DataError, match="signals contains non-finite values"):
+        split(np.array([[0.0, np.nan]]))
 
 
 def test_split_rejects_odd_width():
@@ -244,6 +277,16 @@ def test_validate_labels_accepts_both_signs_and_needs_both_classes():
     assert y.dtype == float and y.tolist() == [1.0, -1.0, -1.0]
     with pytest.raises(DataError, match="need at least one example of each label"):
         validate_labels(np.array([1.0, 1.0]), 2)
+
+
+def test_make_rng_rejects_a_seed_that_is_not_a_non_negative_integer():
+    # int() used to turn 1.7 into seed 1; -1 failed in numpy with a bare ValueError.
+    for seed in (1.7, 1.0, -1, "1", None):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            make_rng(seed)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            make_rng(seed, 0)
+    assert make_rng(np.int64(7)).integers(2**62) == make_rng(7).integers(2**62)
 
 
 def test_make_rng_determinism_and_child_streams():

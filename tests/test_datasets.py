@@ -106,6 +106,25 @@ def test_spec_validation():
         ShapeSpec(per_class_count=3, seed=1, length=32)
 
 
+@pytest.mark.parametrize("spec", [WaveformSpec, ShapeSpec])
+def test_spec_fields_are_integers_in_range(spec):
+    # seed=1.7 and seed=True used to generate seed 1's data; seed=-1 and
+    # per_class_count=2.5 failed later, in numpy, with bare errors.
+    bad = {
+        "seed must be an integer >= 0, got 1.7": dict(per_class_count=2, seed=1.7),
+        "seed must be an integer >= 0, got True": dict(per_class_count=2, seed=True),
+        "seed must be an integer >= 0, got -1": dict(per_class_count=2, seed=-1),
+        "seed must be an integer >= 0, got '1'": dict(per_class_count=2, seed="1"),
+        "per_class_count must be an integer >= 1, got 2.5": dict(per_class_count=2.5, seed=1),
+        "per_class_count must be an integer >= 1, got True": dict(per_class_count=True, seed=1),
+        "per_class_count must be an integer >= 1, got 0": dict(per_class_count=0, seed=1),
+    }
+    for message, fields in bad.items():
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            spec(**fields)
+    assert spec(per_class_count=np.int64(2), seed=np.int64(0)) == spec(per_class_count=2, seed=0)
+
+
 def test_shape_envelope_geometry():
     a, b, eta = 20, 70, 0.5
     height = 6.0 + eta

@@ -1,9 +1,10 @@
 """Every narrative script under demos/, and README's Quick start, runs to completion.
 
-Each runs in its own interpreter in an empty temporary working directory,
-and must leave it empty: a demo keeps what it writes in a temporary
-directory of its own. RuntimeWarnings are errors, as in the rest of the
-suite.
+So does an import of every module of the package, which loads nothing
+outside the standard library but numpy. Each runs in its own interpreter in
+an empty temporary working directory, and must leave it empty: a demo keeps
+what it writes in a temporary directory of its own. RuntimeWarnings are
+errors, as in the rest of the suite.
 """
 
 import os
@@ -22,7 +23,8 @@ def test_demos_found():
 
 
 def check_runs(tmp_path, *args):
-    """Run python with `args` in the empty tmp_path: it exits 0, prints, and writes nothing."""
+    """Run python with `args` in the empty tmp_path: it exits 0, prints, and
+    writes nothing. Returns what it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -34,6 +36,7 @@ def check_runs(tmp_path, *args):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout
     assert list(tmp_path.iterdir()) == []
+    return proc.stdout
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -46,3 +49,18 @@ def test_readme_quick_start_runs(tmp_path):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "tf.fit" in code
     check_runs(tmp_path, "-c", code)
+
+
+def test_package_imports_only_the_standard_library_and_numpy(tmp_path):
+    # The runtime depends on numpy alone. What the interpreter loaded before
+    # discwave (a site hook such as an editable install's finder) does not count.
+    modules = sorted(p.stem for p in (ROOT / "src" / "discwave").glob("*.py"))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {modules!r}:\n"
+        "    __import__('discwave.' + name)\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)))\n"
+    )
+    assert check_runs(tmp_path, "-c", code) == "['discwave', 'numpy']\n"

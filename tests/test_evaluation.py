@@ -149,7 +149,7 @@ def test_fit_thresholds_checks_x_and_labels():
         with pytest.raises(DataError, match="labels must be -1 or \\+1"):
             ev.fit_thresholds(X, labels)
     for bad in (X[:, 0], X[None], X[:0]):
-        with pytest.raises(DataError, match="non-empty l x K matrix"):
+        with pytest.raises(DataError, match="X must be a 2-D matrix"):
             ev.fit_thresholds(bad, np.ones(len(bad)))
     assert ev.fit_thresholds(X, -np.ones(10))[2].tolist() == [10, 10, 10]
 
@@ -302,6 +302,54 @@ def test_vote_margin_tiebreak_and_unclassified():
 def test_vote_empty_members_rejected():
     with pytest.raises(ConfigError):
         ev.vote(fake_set([1])[:0], fake_merged([[1.0]]))
+
+
+def test_evaluate_classifiers_and_vote_need_at_least_one_row():
+    # Zero rows used to score NaN test accuracies ("Mean of empty slice").
+    ds = waveform_pair(10, 202)
+    cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
+    fitted, coeffs = tf.fit(ds, cfg)
+    clfs = ev.make_local_classifiers(coeffs, ds.labels, fitted)
+    message = "must be an l x 32 matrix with at least one row"
+    with pytest.raises(DataError, match=message):
+        ev.evaluate_classifiers(clfs, coeffs[:0], ds.labels[:0])
+    with pytest.raises(DataError, match=message):
+        ev.vote(clfs[:3], coeffs[:0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_coefficient_is_a_data_error(value):
+    # It used to become a classifier, an accuracy, a vote or a p-value.
+    ds = waveform_pair(10, 202)
+    cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised")
+    fitted, coeffs = tf.fit(ds, cfg)
+    clfs = ev.make_local_classifiers(coeffs, ds.labels, fitted)
+    bad = coeffs.copy()
+    bad[3, 8] = value  # d2_1, the first detail column: in every ranked subset
+    calls = {
+        "coefficients": [
+            lambda: ev.make_local_classifiers(bad, ds.labels, fitted),
+            lambda: ev.make_local_classifiers(bad, ds.labels, fitted, mode=ev.PSVM_BIAS),
+            lambda: ev.evaluate_classifiers(clfs, bad, ds.labels),
+            lambda: ev.vote(clfs[:3], bad),
+        ],
+        "values": [lambda: ev.permutation_test(clfs, bad[:, clfs.columns], ds.labels, 100, 1)],
+        "X": [lambda: ev.fit_thresholds(bad[:, 8:], ds.labels)],
+    }
+    for what, cases in calls.items():
+        for call in cases:
+            with pytest.raises(DataError, match=f"^{what} contains non-finite values$"):
+                call()
+
+
+def test_permutation_test_rejects_a_seed_that_is_not_a_non_negative_integer():
+    # seed=1.7 used to give seed 1's p-values.
+    labels = np.array([-1.0, 1.0, 1.0, -1.0])
+    clfs = fake_set([1])
+    values = np.array([[0.0], [1.0], [2.0], [3.0]])
+    for seed in (1.7, -1):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            ev.permutation_test(clfs, values, labels, B=100, seed=seed)
 
 
 def test_vote_and_evaluate_classifiers_check_the_matrix_width():

@@ -27,6 +27,7 @@ from discwave.core import (
 from discwave import solver, transform as tf
 from discwave.io import read_csv
 from discwave.datasets import WaveformSpec, generate_waveform
+from test_core import three_case_window_start
 
 
 def tiny_dataset():
@@ -435,6 +436,19 @@ def test_features_csv_rejects_a_matrix_of_another_width(tmp_path, shape):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_features_csv_rejects_a_non_finite_coefficient(tmp_path, value):
+    # A NaN used to be written, and then read_csv rejected the file.
+    rng = np.random.default_rng(12)
+    ds = random_dataset(rng, 6, 8)
+    t, merged = tf.fit(ds, TransformConfig(levels=2, window=2, nu=1.0))
+    merged[2, 5] = value
+    path = tmp_path / "features.csv"
+    with pytest.raises(DataError, match="^coefficients contains non-finite values$"):
+        tf.save_features(t, merged, ds.class_ids, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n_ids", [3, 7])
 def test_features_csv_rejects_a_class_id_count_other_than_the_rows(tmp_path, n_ids):
     # Three ids for six rows would leave rows 4..6 without a label cell, and
@@ -553,6 +567,18 @@ def test_apply_validates_input_shape():
         tf.apply(t, np.zeros(8))
     with pytest.raises(DataError):
         tf.reconstruct(t, np.zeros((2, 7)))
+
+
+def test_apply_and_reconstruct_need_finite_rows():
+    # No rows, or a non-finite entry, is a DataError; reconstruct used to
+    # return a NaN row for a NaN coefficient, and both took zero rows.
+    rng = np.random.default_rng(18)
+    t, _ = tf.fit(random_dataset(rng, 8, 8), TransformConfig(levels=1, window=2, nu=1.0))
+    for call, what in ((tf.apply, "signals"), (tf.reconstruct, "coefficients")):
+        with pytest.raises(DataError, match=f"{what} must be an l x 8 matrix with at least one row"):
+            call(t, np.zeros((0, 8)))
+        with pytest.raises(DataError, match=f"^{what} contains non-finite values$"):
+            call(t, np.array([[0.0] * 7 + [np.nan]]))
 
 
 def test_detail_columns_match_direct_assembly():
@@ -687,6 +713,83 @@ def test_apply_is_row_independent(fit, levels, n, data, seed):
         scale = np.abs(X[subset]).max(axis=1, keepdims=True) * weight + np.abs(beside)
         tol = (2 * cfg.window + 2) * np.finfo(float).eps * scale
         assert np.all(np.abs(alone - beside) <= tol), subset
+
+
+def lifting_factors(level, half, window, variant):
+    """One level's split/update/predict step as dense elementary matrices, in
+    the order they act, built from the lifting equations and the three-case
+    window rule, not from the transform's code. With a = 2 half samples,
+    c = (odd + even) / 2 and d_k = t_k even_k - <w_k, c over window k>:
+    analysis a -> [c; even] -> [c; d], synthesis [c; d] -> [c; even] -> a.
+    Every entry of each factor is a single term, never a sum."""
+    W = level.weights
+    t, w = (W[:, 0], W[:, 1:]) if variant == "regularised" else (np.ones(half), W)
+    P = np.zeros((half, half))  # P[k, j]: weight of coarse sample j in prediction k
+    for k in range(half):
+        lo = three_case_window_start(k + 1, half, window) - 1
+        P[k, lo : lo + window] = w[k]
+    I, Z = np.eye(half), np.zeros((half, half))
+    average, merge = np.zeros((2 * half, 2 * half)), np.zeros((2 * half, 2 * half))
+    for k in range(half):
+        average[k, [2 * k, 2 * k + 1]] = 0.5
+        average[half + k, 2 * k + 1] = 1.0
+        merge[2 * k, [k, half + k]] = 2.0, -1.0  # odd = 2 c - even
+        merge[2 * k + 1, half + k] = 1.0
+    predict = np.block([[I, Z], [-P, np.diag(t)]])
+    unpredict = np.block([[I, Z], [P / t[:, None], np.diag(1.0 / t)]])
+    return [average, predict], [unpredict, merge]
+
+
+def compose(factors, N):
+    """The N x N product of `factors` (first acting first), each embedded in
+    the leading block of the identity, and the same product of their
+    absolute values."""
+    product, magnitude = np.eye(N), np.eye(N)
+    for F in factors:
+        E = np.eye(N)
+        E[: len(F), : len(F)] = F
+        product, magnitude = E @ product, np.abs(E) @ magnitude
+    return product, magnitude
+
+
+@pytest.mark.parametrize("window, levels", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2),
+                                            (4, 3), (8, 1), (8, 2)])
+@pytest.mark.parametrize("variant, constrained", [
+    ("nonregularised", False), ("nonregularised", True), ("regularised", False),
+])
+def test_apply_and_reconstruct_match_the_dense_lifting_matrices(
+    window, levels, variant, constrained
+):
+    # An arbiter for the transform: analysis A and synthesis S composed from
+    # each level's dense factors, with the weights of levels[m-1] and the
+    # three-case windows. Rounding bound, with u = eps / 2 and
+    # gamma(n) = n u / (1 - n u): a stage that applies a factor F (a row of
+    # at most L + 2 terms in apply and reconstruct; a product over N terms
+    # in the dense route, whose P / t and 1 / t entries are rounded once
+    # more) is F + D applied exactly, with |D| <= gamma(N + 1) |F|. Each
+    # route runs at most 2M + 1 stages (the dense one ends with X), so each
+    # is within gamma((2M + 1)(N + 1)) |X| |F_1|^T ... |F_2M|^T of the exact
+    # map, and the two differ by at most twice that. Every factor entry is a
+    # single term, so |F| bounds what each stage rounds; eps in place of u
+    # leaves a factor 2 for the rounding in forming the magnitude itself.
+    N = 32
+    degree = max(1, window // 2) if constrained else 0
+    cfg = TransformConfig(levels=levels, window=window, nu=1.0, variant=variant,
+                          constraint_degree=degree)
+    rng = np.random.default_rng(100 * window + 10 * levels + degree)
+    t, _ = tf.fit(random_dataset(rng, 24, N), cfg)
+    analysis, synthesis = [], []
+    for m in range(1, levels + 1):
+        forward, backward = lifting_factors(t.levels[m - 1], N >> m, window, variant)
+        analysis += forward
+        synthesis = backward + synthesis
+    n = (2 * levels + 1) * (N + 1)
+    gamma = n * np.finfo(float).eps / (1 - n * np.finfo(float).eps)
+    for factors, run in ((analysis, tf.apply), (synthesis, tf.reconstruct)):
+        matrix, magnitude = compose(factors, N)
+        X = rng.normal(size=(7, N))
+        tol = 2 * gamma * (np.abs(X) @ magnitude.T)
+        assert np.all(np.abs(run(t, X) - X @ matrix.T) <= tol), run.__name__
 
 
 def stack_budget(l, window, size):
