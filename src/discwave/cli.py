@@ -46,17 +46,9 @@ from .io import write_csv, write_json
 GENERATORS = ("waveform", "shape-cbf")
 
 
-def _read(load, path: str):
-    """load(path), with an unreadable file as a DataError."""
-    try:
-        return load(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
 def _read_labelled(path: str, fitted: tf.FittedTransform) -> SignalDataset:
     """A labelled signal CSV whose signals fit the model."""
-    ds = _read(datasets.load_csv, path)
+    ds = datasets.load_csv(path)
     if ds.signal_length != fitted.signal_length:
         raise DataError(
             f"{path}: signals have length {ds.signal_length}, "
@@ -105,7 +97,7 @@ def cmd_fit(args):
         variant=args.variant,
         constraint_degree=args.constraint_degree,
     )
-    train = _read(datasets.load_csv, args.train)
+    train = datasets.load_csv(args.train)
 
     def progress(level, n_positions, seconds):
         print(f"level {level}: {n_positions} positions, {seconds:.3f}s")
@@ -264,7 +256,7 @@ def _eval_multiclass(args, fitted, train, test, summary):
 
 
 def cmd_eval(args):
-    fitted = _read(tf.load_model, args.model)
+    fitted = tf.load_model(args.model)
     train = _read_labelled(args.train, fitted)
     test = _read_labelled(args.test, fitted) if args.test else None
     binary = len(train.classes) == 2
@@ -306,7 +298,7 @@ def cmd_eval(args):
 
 
 def cmd_basis(args):
-    fitted = _read(tf.load_model, args.model)
+    fitted = tf.load_model(args.model)
     bv = tf.base_vectors(fitted)
     N = fitted.signal_length
     residual = float(np.max(np.abs(bv.analysis @ bv.synthesis - np.eye(N))))
@@ -535,7 +527,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:  # _read makes every failed read a DataError: this is an output
+    except OSError as exc:  # io makes every failed read a DataError: this is an output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 

@@ -38,10 +38,13 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     experiment seeded with s always draws from make_rng(s, b) no matter how
     work is scheduled. The path goes into SeedSequence's spawn_key (appending
     it to the entropy would alias: [7] and [7, 0] hash identically).
-    A seed that is not a non-negative integer is a ConfigError.
+    A seed or path entry that is not a non-negative integer (a bool is not
+    one) is a ConfigError.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    for i, value in enumerate((seed, *path)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            what = "seed" if i == 0 else f"path entry {i}"
+            raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
     seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(seq)
 
@@ -184,8 +187,9 @@ class TransformConfig:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
         if self.window < 2 or self.window % 2:
             raise ConfigError(f"window must be even and >= 2, got {self.window}")
-        if not (float(self.nu) > 0 and np.isfinite(self.nu)):
-            raise ConfigError(f"nu must be a positive finite real, got {self.nu}")
+        real = isinstance(self.nu, (int, float, np.integer, np.floating))
+        if isinstance(self.nu, bool) or not (real and self.nu > 0 and np.isfinite(self.nu)):
+            raise ConfigError(f"nu must be a positive finite real, got {self.nu!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         p = self.constraint_degree

@@ -5,11 +5,14 @@ Spelling rule, for every file the package writes:
   the same float, so every artifact round-trips bit for bit; an int is
   written with str and a str as it is;
 - CSV cells are joined by "," and every line, the last included, ends in "\\n";
-- JSON is json.dumps(indent=2) followed by "\\n", with numpy scalars and
-  arrays converted to plain numbers and lists;
+- JSON is json.dumps(indent=2) of a plain Python payload, then "\\n";
 - NaN and infinities are rejected: JSON writing raises NumericalError and
   CSV reading raises DataError. write_table takes only finite matrices,
   which its callers (save_csv, save_features) check with core.float_matrix.
+
+Reading rule: every input is UTF-8 text opened here, JSON by read_json and
+CSV by read_csv. An input that cannot be opened, decoded or parsed (a CSV
+cell over csv's field limit, deep JSON) is DataError("cannot read <path>: ...").
 
 A data or feature table has one shape, the only one write_table writes and
 read_csv reads: a header line, then one row per example of values and an
@@ -34,6 +37,7 @@ import csv
 import json
 import os
 import warnings
+from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -188,24 +192,33 @@ def write_table(path, names, matrix, class_ids) -> None:
             os.waitpid(pid, 0)
 
 
-def _plain(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
-
-
 def write_json(path, payload) -> None:
-    """Write `payload` as indented JSON; nothing is written if it is rejected."""
+    """Write the plain Python `payload` as indented JSON; nothing is written if rejected."""
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False, default=_plain)
+        text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalError("non-finite value in JSON payload") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+# Failures to open, decode or parse a file; not ValueError, of which DataError is one.
+_READ_ERRORS = (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError, RecursionError)
+
+
+@contextmanager
+def _reading(path):
+    """The reading rule: a failure to open, decode or parse `path` is a DataError."""
+    try:
+        yield
+    except _READ_ERRORS as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON document in the file `path`, as plain Python values."""
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # numpy's number parser strips these ASCII separators as whitespace, float()
@@ -289,7 +302,7 @@ def _read_c(path):
             data = np.loadtxt(
                 _c_lines(fh), delimiter=",", comments=None, ndmin=2, dtype=float
             )
-    except ValueError:  # declined by _c_lines, unparsable or not UTF-8
+    except (ValueError, *_READ_ERRORS):  # declined by _c_lines, unparsable or unreadable
         return None
     if data.shape[1] != len(names) or data.shape[1] < 2 or not np.isfinite(data).all():
         return None
@@ -301,7 +314,7 @@ def _read_c(path):
 
 def _read_rows(path):
     """read_csv one csv.reader row at a time: the reference, and every DataError."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8", newline="") as fh:
         rows = (row for row in csv.reader(fh) if any(c.strip() for c in row))
         names = next(rows, None)
         if names is None:

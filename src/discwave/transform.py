@@ -18,7 +18,6 @@ it exactly; `base_vectors` materialises the analysis/synthesis vector pairs.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -40,7 +39,7 @@ from .core import (
     window_columns,
 )
 from . import solver
-from .io import write_json, write_table
+from .io import read_json, write_json, write_table
 
 SUPPORT_ATOL = 1e-10
 INVERTIBILITY_RTOL = 1e-12  # least |w0| / ||w|| of an invertible regularised predictor
@@ -293,15 +292,11 @@ def save_model(transform: FittedTransform, path) -> None:
 
 
 def load_model(path) -> FittedTransform:
-    """Read a save_model file. Raises DataError for invalid JSON, a missing or
-    unknown key, an invalid config, a level count other than config.levels,
-    a shape the config and level 1 do not give, and a non-finite weight or
-    offset."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    """Read a save_model file. Raises DataError for a file io.read_json cannot
+    read, a missing or unknown key, an invalid config, a level count other
+    than config.levels, a shape the config and level 1 do not give, and a
+    weight or offset that is not a finite JSON number."""
+    doc = read_json(path)
     try:
         if set(doc) != set(MODEL_KEYS):
             raise DataError(f"keys must be {list(MODEL_KEYS)}, got {list(doc)}")
@@ -309,10 +304,13 @@ def load_model(path) -> FittedTransform:
             config=TransformConfig(**doc["config"]),
             levels=tuple(_level(**level) for level in doc["levels"]),
         )
-        for m, level in enumerate(transform.levels, start=1):
+        for m, (level, raw) in enumerate(zip(transform.levels, doc["levels"]), start=1):
+            values = [v for row in raw["weights"] for v in row] + raw["gamma"]  # shapes checked
+            if not all(type(v) in (int, float) for v in values):  # not str, bool or null
+                raise DataError(f"level {m} holds a weight or offset that is not a number")
             if not (np.isfinite(level.weights).all() and np.isfinite(level.gamma).all()):
                 raise DataError(f"level {m} holds a non-finite weight or offset")
-    except (LookupError, TypeError, ValueError) as exc:  # ConfigError, DataError too
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:  # ConfigError, DataError too
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     return transform
 

@@ -563,6 +563,48 @@ def test_exit_code_3_on_data_errors(tmp_path, capsys):
         assert "row 2" in err
 
 
+UNREADABLE = {  # an input that cannot be opened, decoded or parsed: (file, how it is spoiled)
+    "missing csv": ("train.csv", "missing"),
+    "csv directory": ("train.csv", "directory"),
+    "invalid utf-8 in the header": ("train.csv", lambda b: b"\xff" + b),
+    "invalid utf-8 in the last row": ("train.csv", lambda b: b[:-1] + b"\xff\n"),
+    "csv cell over 131072 characters": ("train.csv", lambda b: b.replace(
+        b"\n", b'\n"' + b"1" * 200_000 + b'",', 1)),
+    "missing model": ("model.json", "missing"),
+    "invalid utf-8 in the model": ("model.json", lambda b: b"\xff" + b),
+    "model nested past the recursion limit": ("model.json", lambda b: b"[" * 200_000),
+}
+READ_BY = {"train.csv": ("fit", "eval"), "model.json": ("eval", "basis")}
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for case, (name, _) in UNREADABLE.items() for command in READ_BY[name]
+])
+def test_an_unreadable_input_exits_3_naming_it(tmp_path, capsys, command, case):
+    name, spoil = UNREADABLE[case]
+    train, _, model = eval_setup(tmp_path, capsys, per_class=10)
+    path = tmp_path / name
+    if isinstance(spoil, str):
+        path.unlink()
+        if spoil == "directory":
+            path.mkdir()
+    else:
+        path.write_bytes(spoil(path.read_bytes()))
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+                "--out-model", str(out / "model.json")],
+        "eval": ["eval", "--model", str(model), "--train", str(train), "--permutations", "0",
+                 "--out-dir", str(out)],
+        "basis": ["basis", "--model", str(model), "--out-dir", str(out)],
+    }[command]
+    before = snapshot(tmp_path)
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1, err[:300]
+    assert snapshot(tmp_path) == before
+
+
 def test_exit_code_4_on_numerical_error(tmp_path, capsys):
     # Hand-built regularised model whose first target weight is exactly zero:
     # base-vector synthesis must fail as non-invertible.
@@ -806,15 +848,27 @@ def fuzz_inputs(tmp_path_factory):
     return {name: (root / name).read_text() for name in ("pair.csv", "three.csv", "model.json")}
 
 
+def invalid_utf8(text, draw):
+    """The bytes of `text` with one 0xff byte, which UTF-8 never holds, put anywhere."""
+    data = text.encode()
+    i = draw(st.integers(0, len(data)))
+    return data[:i] + b"\xff" + data[i:]
+
+
 def mutate_csv(text, kind, draw):
-    """`text` spoiled in one way; "none" leaves it good."""
+    """The bytes of `text` spoiled in one way; "none" leaves it good."""
     rows = [line.split(",") for line in text.splitlines()]
+    if kind == "invalid-utf8":
+        return invalid_utf8(text, draw)
     if kind == "truncate":
-        return text[:draw(st.integers(0, len(text) - 1))]
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
     if kind == "crlf":
-        return text.replace("\n", "\r\n")
+        return text.replace("\n", "\r\n").encode()
     if kind == "bom":
-        return "\ufeff" + text
+        return ("\ufeff" + text).encode()
+    if kind == "long-field":  # a quoted cell past csv's default field size limit, 131072
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+        rows[i][j] = '"' + "1" * 131073 + '"'
     if kind in ("nan", "fractional-label"):
         i = draw(st.integers(1, len(rows) - 1))
         j = -1 if kind == "fractional-label" else draw(st.integers(0, len(rows[i]) - 2))
@@ -824,24 +878,31 @@ def mutate_csv(text, kind, draw):
     if kind in ("dropped-column", "odd-width"):  # any column, or the last sample (width 31)
         j = len(rows[0]) - 2 if kind == "odd-width" else draw(st.integers(0, len(rows[0]) - 1))
         rows = [row[:j] + row[j + 1:] for row in rows]
-    return "".join(",".join(row) + "\n" for row in rows)
+    return "".join(",".join(row) + "\n" for row in rows).encode()
 
 
 def mutate_model(text, kind, draw):
+    """The bytes of the model file `text` spoiled in one way; "none" leaves it good."""
     doc = json.loads(text)
+    if kind == "invalid-utf8":
+        return invalid_utf8(text, draw)
+    if kind == "deep":  # nested past the recursion limit
+        depth = 100 * sys.getrecursionlimit()
+        return b"[" * depth + b"]" * depth
     if kind == "truncate":
-        return text[:draw(st.integers(0, len(text) - 1))]
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
     if kind == "dropped-key":
         holder = draw(st.sampled_from([doc, doc["config"], doc["levels"][0], doc["levels"][-1]]))
         del holder[draw(st.sampled_from(sorted(holder)))]
     if kind == "nan-weight":
         weights = doc["levels"][draw(st.integers(0, len(doc["levels"]) - 1))]["weights"]
         weights[draw(st.integers(0, len(weights) - 1))][0] = float("nan")
-    return json.dumps(doc)
+    return json.dumps(doc).encode()
 
 
 CSV_MUTATIONS = ["none", "truncate", "dropped-column", "crlf", "bom", "nan",
-                 "fractional-label", "one-class", "odd-width"]
+                 "fractional-label", "one-class", "odd-width", "invalid-utf8", "long-field"]
+MODEL_MUTATIONS = ["none", "truncate", "dropped-key", "nan-weight", "invalid-utf8", "deep"]
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
@@ -860,12 +921,10 @@ def test_cli_fuzz_exits_cleanly(fuzz_inputs, tmp_path_factory, data):
     csvs = []
     for name in ("train.csv", "test.csv"):
         text = fuzz_inputs[pick("pair.csv", "three.csv")]
-        (root / name).write_text(mutate_csv(text, pick(*CSV_MUTATIONS), data.draw))
+        (root / name).write_bytes(mutate_csv(text, pick(*CSV_MUTATIONS), data.draw))
         csvs.append(str(root / name))
     model = root / "model.json"
-    model.write_text(mutate_model(
-        fuzz_inputs["model.json"], pick("none", "truncate", "dropped-key", "nan-weight"), data.draw
-    ))
+    model.write_bytes(mutate_model(fuzz_inputs["model.json"], pick(*MODEL_MUTATIONS), data.draw))
     out = root / "out"
     command = data.draw(st.sampled_from(["generate", "fit", "eval", "basis"]))
     if command == "generate":

@@ -244,6 +244,12 @@ def test_config_validation():
         sizes = {"levels": 2, "window": 4, "constraint_degree": 1, field: value}
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             TransformConfig(nu=1.0, **sizes)
+    # nu is a real number: not a bool, not a string that reads as one.
+    for nu in (True, "1.0", None, [1.0]):
+        with pytest.raises(ConfigError, match=re.escape(f"positive finite real, got {nu!r}")):
+            TransformConfig(levels=1, window=4, nu=nu)
+    for nu in (1, np.int64(2), np.float32(0.5)):
+        assert type(TransformConfig(levels=1, window=4, nu=nu).nu) is float
     cfg = TransformConfig(levels=np.int64(2), window=np.int32(4), nu=1.0,
                           constraint_degree=np.uint8(1))
     assert (cfg.levels, cfg.window, cfg.constraint_degree) == (2, 4, 1)
@@ -287,6 +293,20 @@ def test_make_rng_rejects_a_seed_that_is_not_a_non_negative_integer():
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             make_rng(seed, 0)
     assert make_rng(np.int64(7)).integers(2**62) == make_rng(7).integers(2**62)
+
+
+def test_make_rng_rejects_a_bool_seed_and_a_path_entry_that_is_not_a_non_negative_integer():
+    # True used to draw seed 1's stream and 1.5 path entry 1's; a negative
+    # entry failed in numpy with a bare ValueError.
+    for seed in (True, False):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            make_rng(seed)
+    for entry in (1.5, 1.0, -1, True, "1", None):
+        with pytest.raises(ConfigError, match="path entry 1 must be a non-negative integer"):
+            make_rng(7, entry)
+        with pytest.raises(ConfigError, match="path entry 2 must be a non-negative integer"):
+            make_rng(7, 0, entry)
+    assert make_rng(7, np.int64(3)).integers(2**62) == make_rng(7, 3).integers(2**62)
 
 
 def test_make_rng_determinism_and_child_streams():

@@ -292,6 +292,15 @@ def test_csv_empty_and_header_only(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_csv_of_an_unopenable_path_is_a_data_error(tmp_path, kind):
+    path = tmp_path / "data.csv"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
+        load_csv(path)
+
+
 def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "nolabel.csv"
     path.write_text("s1\n1.0\n")

@@ -1,4 +1,8 @@
-"""CSV reading: the C-level parse against the row reader, and the round trip.
+"""Reading and writing files: the C-level CSV parse against the row reader,
+the round trips, the reading rule and forked table writes.
+
+Every file the package reads is opened and parsed here, and a file that
+cannot be opened, decoded or parsed is DataError("cannot read <path>: ...").
 
 `read_csv` parses a body once with numpy.loadtxt and runs the row-by-row
 reader only where that parse declines. The row reader is the reference: on
@@ -6,11 +10,14 @@ every file below `read_csv` must give its result bit for bit or its exact
 error.
 """
 
+import ast
 import contextlib
 import errno
 import os
+import re
 import signal
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +28,7 @@ from discwave import io
 from discwave.core import DataError
 from discwave.datasets import WaveformSpec, generate_waveform, load_csv, save_csv
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "discwave"
 HEADER = "s1,s2,label\n"
 FILES = {
     "plain": HEADER + "1.0,2.0,1\n3.0,4.0,2\n",
@@ -50,6 +58,9 @@ FILES = {
     "utf8_bom_no_header": "﻿1.0,2.0,1\n",
     "utf8_bom_numeric_rows": "﻿1.0,2.0,1\n3.0,4.0,2\n",
     "invalid_utf8": HEADER.encode() + b"1.0,2.0,1\n\xff,2.0,1\n",
+    "invalid_utf8_in_header": b"\xff" + HEADER.encode() + b"1.0,2.0,1\n",
+    "long_field": HEADER + '"' + "1" * 131073 + '",2.0,1\n',
+    "long_field_in_header": '"' + "s" * 131073 + '",s2,label\n1.0,2.0,1\n',
     "signed_zero_and_subnormals": HEADER
     + "-0.0,5e-324,1\n2.2250738585072011e-308,-1.7976931348623157e+308,2\n",
     "overflowing_sample": HEADER + "1e400,2.0,1\n",
@@ -90,16 +101,23 @@ TAKEN_IN_C = (
     "signed_zero_and_subnormals", "float_spelled_label", "one_data_row",
     "largest_exact_labels", "large_labels_spelled_as_floats",
 )
-# Files without a header line, or whose header and rows differ in width:
-# the readers agree on these by raising the row reader's DataError.
+# Files without a header line, whose header and rows differ in width, or
+# that cannot be decoded or parsed: the readers agree on these by raising
+# the row reader's DataError.
 REJECTED = {
-    "header_wider_than_rows": "row 2 has 3 cells, expected 4 as in the header",
-    "header_narrower_than_rows": "row 2 has 3 cells, expected 2 as in the header",
-    "numeric_first_row": "row 1 holds numbers, not a header",
-    "blank_line_before_numeric_rows": "row 1 holds numbers, not a header",
-    "whitespace_line_before_numeric_rows": "row 1 holds numbers, not a header",
-    "utf8_bom_no_header": "row 1 holds numbers, not a header",
-    "utf8_bom_numeric_rows": "row 1 holds numbers, not a header",
+    "header_wider_than_rows": "{path}: row 2 has 3 cells, expected 4 as in the header",
+    "header_narrower_than_rows": "{path}: row 2 has 3 cells, expected 2 as in the header",
+    "numeric_first_row": "{path}: row 1 holds numbers, not a header",
+    "blank_line_before_numeric_rows": "{path}: row 1 holds numbers, not a header",
+    "whitespace_line_before_numeric_rows": "{path}: row 1 holds numbers, not a header",
+    "utf8_bom_no_header": "{path}: row 1 holds numbers, not a header",
+    "utf8_bom_numeric_rows": "{path}: row 1 holds numbers, not a header",
+    "invalid_utf8": "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 22: "
+    "invalid start byte",
+    "invalid_utf8_in_header": "cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+    "position 0: invalid start byte",
+    "long_field": "cannot read {path}: field larger than field limit (131072)",
+    "long_field_in_header": "cannot read {path}: field larger than field limit (131072)",
 }
 
 
@@ -141,7 +159,52 @@ def test_read_csv_matches_row_reader(tmp_path, name):
     elif name in TAKEN_IN_C:
         pytest.fail(f"the C parse declined {name}")
     if name in REJECTED:
-        assert expected == ("DataError", f"{path}: {REJECTED[name]}")
+        assert expected == ("DataError", REJECTED[name].format(path=path))
+
+
+@pytest.mark.parametrize("read", [io.read_csv, io.read_json])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_file_that_cannot_be_opened_is_a_data_error(tmp_path, read, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
+        read(path)
+
+
+JSON_REJECTED = {
+    "invalid": (b'{"a": 1,}', "Expecting property name enclosed in double quotes"),
+    "invalid_utf8": (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    "utf8_bom": ('\ufeff{"a": 1}'.encode(), "Unexpected UTF-8 BOM"),
+    "nested_past_the_recursion_limit": (b"[" * 200_000 + b"]" * 200_000,
+                                        "maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("name", JSON_REJECTED)
+def test_read_json_makes_every_decode_or_parse_failure_a_data_error(tmp_path, name):
+    content, reason = JSON_REJECTED[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: {reason}"):
+        io.read_json(path)
+
+
+def test_only_io_opens_or_parses_a_file():
+    # io is the input boundary: another module that opened or parsed a file
+    # would have its own rule for what a failed read is.
+    readers = {"open", "read_text", "read_bytes", "load", "loads", "reader", "DictReader",
+               "loadtxt", "genfromtxt", "fromfile"}
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in readers:
+                    calls.setdefault(path.name, []).append(ast.unparse(func))
+    assert list(calls) == ["io.py"], calls
+    assert {"open", "json.load", "csv.reader", "np.loadtxt"} <= set(calls["io.py"])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -384,6 +384,23 @@ MALFORMED_MODELS = {
                    "level 1 holds a non-finite"),
     "infinite gamma": (lambda d: d["levels"][1]["gamma"].__setitem__(0, float("inf")),
                        "level 2 holds a non-finite"),
+    "string weight": (lambda d: d["levels"][0]["weights"][0].__setitem__(0, "0.5"),
+                      "level 1 holds a weight or offset that is not a number"),
+    "bool weight": (lambda d: d["levels"][1]["weights"][2].__setitem__(1, True),
+                    "level 2 holds a weight or offset that is not a number"),
+    "null weight": (lambda d: d["levels"][0]["weights"][1].__setitem__(0, None),
+                    "level 1 holds a weight or offset that is not a number"),
+    "string gamma": (lambda d: d["levels"][1]["gamma"].__setitem__(0, "0"),
+                     "level 2 holds a weight or offset that is not a number"),
+    "bool gamma": (lambda d: d["levels"][0]["gamma"].__setitem__(3, False),
+                   "level 1 holds a weight or offset that is not a number"),
+    "bool nu": (lambda d: d["config"].update(nu=True),
+                "nu must be a positive finite real, got True"),
+    "string nu": (lambda d: d["config"].update(nu="1.0"),
+                  "nu must be a positive finite real, got '1.0'"),
+    "integer weight beyond float range": (
+        lambda d: d["levels"][0]["weights"][0].__setitem__(1, 10**400),
+        "int too large to convert to float"),
 }
 
 
@@ -399,6 +416,32 @@ def test_load_model_rejects_a_malformed_file(tmp_path, case):
     edit(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=f"bad.json: malformed model file .*{message}"):
+        tf.load_model(path)
+
+
+def test_load_model_reads_json_integers_as_numbers(tmp_path):
+    t, _ = tf.fit(random_dataset(np.random.default_rng(20), 12, 16), TransformConfig(
+        levels=2, window=2, nu=1.0, variant="nonregularised"
+    ))
+    path = tmp_path / "model.json"
+    tf.save_model(t, path)
+    doc = json.loads(path.read_text())
+    doc["config"]["nu"] = 1
+    doc["levels"][0]["weights"][0] = [0, 1]
+    doc["levels"][1]["gamma"][2] = -3
+    path.write_text(json.dumps(doc))
+    loaded = tf.load_model(path)
+    assert loaded.config.nu == 1.0 and type(loaded.config.nu) is float
+    assert loaded.levels[0].weights[0].tolist() == [0.0, 1.0]
+    assert loaded.levels[1].gamma[2] == -3.0
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_load_model_of_an_unopenable_path_is_a_data_error(tmp_path, kind):
+    path = tmp_path / "model.json"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
         tf.load_model(path)
 
 
