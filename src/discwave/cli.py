@@ -38,7 +38,9 @@ from .core import (
     NumericalError,
     SignalDataset,
     TransformConfig,
+    integer,
     pair_labels,
+    real,
 )
 from . import datasets, evaluation, transform as tf
 from .io import write_csv, write_json
@@ -118,9 +120,9 @@ def _parse_top_t(text: str):
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"--top-t must be comma-separated integers, got {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise ConfigError(f"--top-t entries must be >= 1, got {text!r}")
-    return list(dict.fromkeys(values))  # first occurrences, in order
+    if not values:
+        raise ConfigError(f"--top-t needs at least one entry, got {text!r}")
+    return list(dict.fromkeys(integer(v, "--top-t entry", 1) for v in values))  # in order
 
 
 COEFFICIENT_COLUMNS = [
@@ -412,25 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_arguments(args) -> None:
-    """Range checks of the numeric flags, made before any file is read (NaN
-    fails every range); replaces the --top-t text by its parsed list."""
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if args.command == "generate" and args.per_class < 1:
-        raise ConfigError(f"--per-class must be >= 1, got {args.per_class}")
+    """The numeric flags checked by the library's own rules and bounds, before
+    any file is read; replaces the --top-t text by its parsed list."""
+    if getattr(args, "seed", None) is not None:
+        integer(args.seed, "--seed", 0)
+    if args.command == "generate":
+        integer(args.per_class, "--per-class", 1)
     if args.command != "eval":
         return
-    if args.permutations < 0:
-        raise ConfigError(f"--permutations must be >= 0, got {args.permutations}")
-    if 0 < args.permutations < evaluation.MIN_PERMUTATIONS:
-        raise ConfigError(
-            f"--permutations must be 0 or >= {evaluation.MIN_PERMUTATIONS}, "
-            f"got {args.permutations}"
-        )
-    if not 0 < args.alpha <= 1:
-        raise ConfigError(f"--alpha must lie in (0, 1], got {args.alpha}")
-    if not 0 <= args.min_accuracy <= 1:
-        raise ConfigError(f"--min-accuracy must lie in [0, 1], got {args.min_accuracy}")
+    if args.permutations != 0:
+        least = evaluation.MIN_PERMUTATIONS
+        integer(args.permutations, "--permutations (0 skips the tests)", least)
+    real(args.alpha, "--alpha", evaluation.ALPHA_INTERVAL)
+    real(args.min_accuracy, "--min-accuracy", evaluation.ACCURACY_INTERVAL)
     args.top_t = _parse_top_t(args.top_t)
 
 

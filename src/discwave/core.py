@@ -3,10 +3,17 @@
 Everything downstream (solver, transform, datasets, evaluation) builds on the
 types and conventions defined here. All public index contracts are 1-based;
 array internals are 0-based as usual.
+
+Argument rules, one per kind: every float matrix the package takes passes
+`float_matrix` (a DataError otherwise), and every integer or real scalar
+passes `integer` or `real` (a ConfigError otherwise). A bool is neither.
 """
 
 from __future__ import annotations
 
+import numbers
+import reprlib
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -38,15 +45,10 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     experiment seeded with s always draws from make_rng(s, b) no matter how
     work is scheduled. The path goes into SeedSequence's spawn_key (appending
     it to the entropy would alias: [7] and [7, 0] hash identically).
-    A seed or path entry that is not a non-negative integer (a bool is not
-    one) is a ConfigError.
+    The seed and each path entry must be an `integer` >= 0, else a ConfigError.
     """
-    for i, value in enumerate((seed, *path)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-            what = "seed" if i == 0 else f"path entry {i}"
-            raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
-    seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.default_rng(seq)
+    key = tuple(integer(p, f"path entry {i}", 0) for i, p in enumerate(path, start=1))
+    return np.random.default_rng(np.random.SeedSequence(integer(seed, "seed", 0), spawn_key=key))
 
 
 def is_power_of_two(n: int) -> bool:
@@ -66,6 +68,31 @@ def float_matrix(values, what: str, width: Optional[int] = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DataError(f"{what} contains non-finite values")
     return arr
+
+
+def integer(value, what: str, least: Optional[int] = None) -> int:
+    """`value` as a Python int: an Integral (not a bool, so not 2.0 or "2")
+    of at least `least` (any if None); else a ConfigError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+        least is not None and value < least
+    ):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def real(value, what: str, interval: str) -> float:
+    """`value` as a Python float: a finite Real (not a bool) in `interval`,
+    written "(0, inf)", "(0, 1]" or "[0, 1]"; else a ConfigError naming `what`."""
+    x = float("nan")  # in no interval
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with suppress(OverflowError):  # an int beyond float range stays NaN
+            x = float(value)
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= x if interval[0] == "[" else low < x
+    if not (above and (x <= high if interval[-1] == "]" else x < high)):
+        raise ConfigError(f"{what} must lie in {interval}, got {reprlib.repr(value)}")
+    return x
 
 
 def signed_labels(labels, n_rows: int) -> np.ndarray:
@@ -149,9 +176,9 @@ class SignalDataset:
 
     def restrict_pair(self, a: int, b: int) -> "SignalDataset":
         """Binary view of classes {a, b}: smaller id -> -1, larger -> +1."""
-        if a == b:
+        lo, hi = sorted((integer(a, "class id a"), integer(b, "class id b")))
+        if lo == hi:
             raise ConfigError("restrict_pair needs two distinct class ids")
-        lo, hi = sorted((int(a), int(b)))
         mask = np.isin(self.class_ids, (lo, hi))
         if not np.any(self.class_ids == lo) or not np.any(self.class_ids == hi):
             raise DataError(f"class pair ({lo}, {hi}) not fully present in dataset")
@@ -178,23 +205,14 @@ class TransformConfig:
     constraint_degree: int = 0
 
     def __post_init__(self):
-        for name in ("levels", "window", "constraint_degree"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if self.window < 2 or self.window % 2:
+        for name, least in (("levels", 1), ("window", 2), ("constraint_degree", 0)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
+        if self.window % 2:
             raise ConfigError(f"window must be even and >= 2, got {self.window}")
-        real = isinstance(self.nu, (int, float, np.integer, np.floating))
-        if isinstance(self.nu, bool) or not (real and self.nu > 0 and np.isfinite(self.nu)):
-            raise ConfigError(f"nu must be a positive finite real, got {self.nu!r}")
+        object.__setattr__(self, "nu", real(self.nu, "nu", "(0, inf)"))
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         p = self.constraint_degree
-        if p < 0:
-            raise ConfigError("constraint_degree must be >= 0")
         if p > self.window:
             raise ConfigError(
                 f"constraint_degree {p} exceeds window {self.window} "
@@ -202,7 +220,6 @@ class TransformConfig:
             )
         if p > 0 and self.variant != NONREGULARISED:
             raise ConfigError("constraints are only supported with the nonregularised variant")
-        object.__setattr__(self, "nu", float(self.nu))
 
 
 @dataclass(frozen=True)
@@ -214,14 +231,12 @@ class IndexWindow:
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", integer(self.k, "k", 1))
         if len(idx) < 1 or any(b - a != 1 for a, b in zip(idx, idx[1:])):
             raise ConfigError(f"window indices must be contiguous increasing, got {idx}")
         if idx[0] < 1:
             raise ConfigError(f"window indices must be >= 1, got {idx}")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "k", int(self.k))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -259,8 +274,7 @@ def window_columns(half_length: int, window: int) -> np.ndarray:
     half_length - L): centred on k where it fits, pushed against the first
     or last column where it would cross an end.
     """
-    half = int(half_length)
-    L = int(window)
+    half, L = integer(half_length, "half_length"), integer(window, "window", 1)
     if L > half:
         raise ConfigError(f"window {L} does not fit in coarse length {half}")
     lo = np.clip(np.arange(1, half + 1) - L // 2, 0, half - L)
@@ -270,7 +284,7 @@ def window_columns(half_length: int, window: int) -> np.ndarray:
 def index_window(k: int, half_length: int, window: int) -> IndexWindow:
     """The window of even-sample position k (1-based): row k-1 of `window_columns`."""
     columns = window_columns(half_length, window)
-    k = int(k)
+    k = integer(k, "k")
     if not 1 <= k <= len(columns):
         raise ConfigError(f"k must lie in 1..{len(columns)}, got {k}")
     return IndexWindow(k=k, indices=tuple((columns[k - 1] + 1).tolist()))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, SignalDataset, is_power_of_two, make_rng
+from .core import ConfigError, DataError, SignalDataset, integer, is_power_of_two, make_rng
 from .io import read_csv, write_table
 
 WAVEFORM_LENGTH = 32
@@ -21,17 +21,15 @@ SHAPE_KINDS = ("cylinder", "bell", "funnel")
 
 @dataclass(frozen=True)
 class _Spec:
-    """A generator's size and seed: integers (a bool is not one), at least one
-    signal per class and a seed >= 0; anything else is a ConfigError."""
+    """A generator's size and seed: at least one signal per class and a seed
+    >= 0, each an `integer`; anything else is a ConfigError."""
 
     per_class_count: int
     seed: int
 
     def __post_init__(self):
-        for name, least in (("per_class_count", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        integer(self.per_class_count, "per_class_count", 1)
+        integer(self.seed, "seed", 0)
 
 
 class WaveformSpec(_Spec):

@@ -29,8 +29,10 @@ from .core import (
     SignalDataset,
     TransformConfig,
     float_matrix,
+    integer,
     make_rng,
     pair_labels,
+    real,
     signed_labels,
     validate_labels,
 )
@@ -41,6 +43,8 @@ PSVM_BIAS = "psvm_bias"
 OPTIMAL_THRESHOLD = "optimal_threshold"
 MODES = (PSVM_BIAS, OPTIMAL_THRESHOLD)
 MIN_PERMUTATIONS = 100  # fewer cannot give a p-value below 0.01
+ALPHA_INTERVAL = "(0, 1]"  # the p-value cut of select_significant
+ACCURACY_INTERVAL = "[0, 1]"  # its training-accuracy cut
 FIT_BLOCK_CELLS = 2**16  # values per column block of fit_thresholds
 
 RED, BLUE, GREEN = "red", "blue", "green"  # +1 side, -1 side, unclassified
@@ -369,9 +373,9 @@ def one_against_one(
     detail coefficients every pair transform has.
     """
     classes = duel_classes(train, test)
-    top_t = list(top_t)
-    if not top_t or min(top_t) < 1:
-        raise ConfigError("top_t needs at least one entry, each >= 1")
+    top_t = [integer(t, "top_t entry", 1) for t in top_t]
+    if not top_t:
+        raise ConfigError("top_t needs at least one entry")
     N = train.signal_length
     K = N - (N >> config.levels)
     if max(top_t) > K:
@@ -438,8 +442,7 @@ def permutation_test(
     which others share the call. optimal_threshold columns share one walk over the
     sorted values (_best_counts).
     """
-    if B < MIN_PERMUTATIONS:
-        raise ConfigError(f"need at least {MIN_PERMUTATIONS} permutations, got {B}")
+    B = integer(B, "B", MIN_PERMUTATIONS)
     X = float_matrix(values, "values", len(classifiers))
     y = validate_labels(labels, X.shape[0])
     l = y.size
@@ -460,8 +463,11 @@ def select_significant(
 ) -> np.ndarray:
     """Row mask: training accuracy >= min_accuracy AND p <= alpha.
 
-    A set without p-values cannot be certified and selects no row.
+    A set without p-values cannot be certified and selects no row. A cut
+    outside ACCURACY_INTERVAL or ALPHA_INTERVAL is a ConfigError.
     """
+    min_accuracy = real(min_accuracy, "min_accuracy", ACCURACY_INTERVAL)
+    alpha = real(alpha, "alpha", ALPHA_INTERVAL)
     if classifiers.p_value is None:
         return np.zeros(len(classifiers), dtype=bool)
     return (classifiers.train_accuracy >= min_accuracy) & (classifiers.p_value <= alpha)

@@ -45,6 +45,8 @@ from .core import (
     IndexWindow,
     NumericalError,
     float_matrix,
+    integer,
+    real,
     validate_labels,
 )
 
@@ -80,13 +82,11 @@ class PredictProblem:
         if A.shape[1] < 1:
             raise DataError(f"A must be l x (L+1) with L >= 0, got shape {A.shape}")
         y = validate_labels(self.labels, A.shape[0])
-        if not (float(self.nu) > 0 and np.isfinite(self.nu)):
-            raise ConfigError(f"nu must be positive and finite, got {self.nu}")
+        object.__setattr__(self, "nu", real(self.nu, "nu", "(0, inf)"))
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "nu", float(self.nu))
         if self.B is not None:
             if self.variant != NONREGULARISED:
                 raise ConfigError("constraints require the nonregularised variant")
@@ -267,6 +267,7 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
     pattern. `labels` must be a valid +/-1 vector, which is not checked
     again. Errors name the failing window: "position k=K: ...".
     """
+    nu = real(nu, "nu", "(0, inf)")
     J, L = columns.shape
     ks = np.arange(1, J + 1)
     bad = ~np.isfinite(targets).all(axis=0)[:J]
@@ -356,9 +357,9 @@ def vandermonde_constraints(window: IndexWindow, degree: int) -> np.ndarray:
     higher knot moments of w to zero: the predictor then reproduces
     polynomials of degree < `degree` exactly and their details vanish.
     """
-    p = int(degree)
+    p = integer(degree, "degree", 1)
     L = len(window)
-    if p < 1 or p > L:
+    if p > L:
         raise ConfigError(f"degree must lie in 1..{L}, got {degree}")
     t = window_knots(window)
     return np.vstack([t ** r for r in range(p)])

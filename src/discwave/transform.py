@@ -34,6 +34,7 @@ from .core import (
     SignalDataset,
     TransformConfig,
     float_matrix,
+    integer,
     interleave,
     split,
     window_columns,
@@ -119,9 +120,10 @@ class FittedTransform:
     def column_index(self, level: int, k: int) -> int:
         """0-based merged column of detail coefficient (level, k): N/2^level + k - 1."""
         M = self.config.levels
-        if not 1 <= level <= M:
+        level, k = integer(level, "level", 1), integer(k, "k", 1)
+        if level > M:
             raise ConfigError(f"level must lie in 1..{M}, got {level}")
-        if not 1 <= k <= self.signal_length >> level:
+        if k > self.signal_length >> level:
             raise ConfigError(f"position {k} out of range at level {level}")
         return (self.signal_length >> level) + k - 1
 

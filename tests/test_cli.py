@@ -389,7 +389,7 @@ def test_eval_rejects_negative_permutations_before_reading(tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert "--permutations must be >= 0, got -5" in err
+    assert "--permutations (0 skips the tests) must be an integer >= 100, got -5" in err
     assert not (tmp_path / "r").exists()
 
 
@@ -406,7 +406,7 @@ def test_eval_rejects_too_few_permutations_before_reading(tmp_path, capsys, clas
         capsys,
     )
     assert code == 2
-    assert "--permutations must be 0 or >= 100, got 50" in err
+    assert "--permutations (0 skips the tests) must be an integer >= 100, got 50" in err
     assert not (tmp_path / "r").exists()
 
 
@@ -414,8 +414,9 @@ def test_eval_rejects_too_few_permutations_before_reading(tmp_path, capsys, clas
     "argv, message",
     [
         (["generate", "--generator", "waveform", "--per-class", "3", "--seed", "-1"],
-         "--seed must be >= 0, got -1"),
-        (["eval", "--permutations", "100", "--seed", "-5"], "--seed must be >= 0, got -5"),
+         "--seed must be an integer >= 0, got -1"),
+        (["eval", "--permutations", "100", "--seed", "-5"],
+         "--seed must be an integer >= 0, got -5"),
         (["eval", "--alpha", "nan"], "--alpha must lie in (0, 1], got nan"),
         (["eval", "--alpha", "2"], "--alpha must lie in (0, 1], got 2.0"),
         (["eval", "--alpha", "0"], "--alpha must lie in (0, 1], got 0.0"),

@@ -2,11 +2,13 @@
 
 import re
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from discwave.core import (
+    REGULARISED,
     ConfigError,
     DataError,
     IndexWindow,
@@ -14,13 +16,18 @@ from discwave.core import (
     TransformConfig,
     float_matrix,
     index_window,
+    integer,
     interleave,
     make_rng,
     pair_labels,
+    real,
     split,
     validate_labels,
     window_columns,
 )
+from discwave import evaluation as ev, transform as tf
+from discwave.datasets import ShapeSpec, WaveformSpec, generate_waveform
+from discwave.solver import PredictProblem, solve_windows, vandermonde_constraints
 
 
 def test_split_row_example():
@@ -242,11 +249,13 @@ def test_config_validation():
         ("window", "4"), ("constraint_degree", 1.5), ("constraint_degree", False),
     ]:
         sizes = {"levels": 2, "window": 4, "constraint_degree": 1, field: value}
-        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+        least = {"levels": 1, "window": 2, "constraint_degree": 0}[field]
+        message = f"{field} must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ConfigError, match=message):
             TransformConfig(nu=1.0, **sizes)
     # nu is a real number: not a bool, not a string that reads as one.
     for nu in (True, "1.0", None, [1.0]):
-        with pytest.raises(ConfigError, match=re.escape(f"positive finite real, got {nu!r}")):
+        with pytest.raises(ConfigError, match=re.escape(f"nu must lie in (0, inf), got {nu!r}")):
             TransformConfig(levels=1, window=4, nu=nu)
     for nu in (1, np.int64(2), np.float32(0.5)):
         assert type(TransformConfig(levels=1, window=4, nu=nu).nu) is float
@@ -288,9 +297,9 @@ def test_validate_labels_accepts_both_signs_and_needs_both_classes():
 def test_make_rng_rejects_a_seed_that_is_not_a_non_negative_integer():
     # int() used to turn 1.7 into seed 1; -1 failed in numpy with a bare ValueError.
     for seed in (1.7, 1.0, -1, "1", None):
-        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             make_rng(seed)
-        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             make_rng(seed, 0)
     assert make_rng(np.int64(7)).integers(2**62) == make_rng(7).integers(2**62)
 
@@ -299,12 +308,12 @@ def test_make_rng_rejects_a_bool_seed_and_a_path_entry_that_is_not_a_non_negativ
     # True used to draw seed 1's stream and 1.5 path entry 1's; a negative
     # entry failed in numpy with a bare ValueError.
     for seed in (True, False):
-        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             make_rng(seed)
     for entry in (1.5, 1.0, -1, True, "1", None):
-        with pytest.raises(ConfigError, match="path entry 1 must be a non-negative integer"):
+        with pytest.raises(ConfigError, match="path entry 1 must be an integer >= 0"):
             make_rng(7, entry)
-        with pytest.raises(ConfigError, match="path entry 2 must be a non-negative integer"):
+        with pytest.raises(ConfigError, match="path entry 2 must be an integer >= 0"):
             make_rng(7, 0, entry)
     assert make_rng(7, np.int64(3)).integers(2**62) == make_rng(7, 3).integers(2**62)
 
@@ -317,3 +326,108 @@ def test_make_rng_determinism_and_child_streams():
     child1 = make_rng(7, 1).standard_normal(4)
     assert not np.array_equal(child0, child1)
     assert not np.array_equal(a, child0)
+
+
+# The scalar rule: core.integer and core.real check every integer and real
+# argument the package takes, so a bad one is a ConfigError that names it.
+
+NOT_INTEGERS = (True, np.True_, "1", 0.5, 2.0)
+NOT_BOUNDED_INTEGERS = NOT_INTEGERS + (-1,)  # for an integer with a lower bound
+NOT_REALS = (True, np.True_, "1", 10**400, float("nan"), -1)
+
+SCALAR_ARGUMENTS = {
+    # id: (the name the message starts with, rejected values, call(fixtures, value))
+    "make_rng seed": ("seed", NOT_BOUNDED_INTEGERS, lambda f, v: make_rng(v)),
+    "make_rng path": ("path entry 2", NOT_BOUNDED_INTEGERS, lambda f, v: make_rng(1, 0, v)),
+    "levels": ("levels", NOT_BOUNDED_INTEGERS, lambda f, v: TransformConfig(v, 4, 1.0)),
+    "window": ("window", NOT_BOUNDED_INTEGERS, lambda f, v: TransformConfig(1, v, 1.0)),
+    "constraint_degree": (
+        "constraint_degree", NOT_BOUNDED_INTEGERS,
+        lambda f, v: TransformConfig(1, 4, 1.0, constraint_degree=v),
+    ),
+    "nu": ("nu", NOT_REALS, lambda f, v: TransformConfig(1, 4, v)),
+    "WaveformSpec per_class_count": (
+        "per_class_count", NOT_BOUNDED_INTEGERS, lambda f, v: WaveformSpec(v, 1),
+    ),
+    "WaveformSpec seed": ("seed", NOT_BOUNDED_INTEGERS, lambda f, v: WaveformSpec(1, v)),
+    "ShapeSpec per_class_count": (
+        "per_class_count", NOT_BOUNDED_INTEGERS, lambda f, v: ShapeSpec(v, 1),
+    ),
+    "ShapeSpec seed": ("seed", NOT_BOUNDED_INTEGERS, lambda f, v: ShapeSpec(1, v)),
+    "PredictProblem nu": (
+        "nu", NOT_REALS,
+        lambda f, v: PredictProblem(np.ones((2, 3)), [1.0, -1.0], v, REGULARISED),
+    ),
+    "permutation_test B": (
+        "B", NOT_BOUNDED_INTEGERS,
+        lambda f, v: ev.permutation_test(f.classifiers, f.values, f.labels, v, 1),
+    ),
+    "permutation_test seed": (
+        "seed", NOT_BOUNDED_INTEGERS,
+        lambda f, v: ev.permutation_test(f.classifiers, f.values, f.labels, 100, v),
+    ),
+    "one_against_one top_t": (
+        "top_t entry", NOT_BOUNDED_INTEGERS,
+        lambda f, v: ev.one_against_one(f.train, f.train, f.config, [3, v]),
+    ),
+    "one_against_one_raw_psvm nu": (
+        "nu", NOT_REALS, lambda f, v: ev.one_against_one_raw_psvm(f.train, f.train, v),
+    ),
+    "select_significant alpha": (
+        "alpha", NOT_REALS, lambda f, v: ev.select_significant(f.classifiers, alpha=v),
+    ),
+    "select_significant min_accuracy": (
+        "min_accuracy", NOT_REALS,
+        lambda f, v: ev.select_significant(f.classifiers, min_accuracy=v),
+    ),
+    "restrict_pair a": ("class id a", NOT_INTEGERS, lambda f, v: f.train.restrict_pair(v, 2)),
+    "restrict_pair b": ("class id b", NOT_INTEGERS, lambda f, v: f.train.restrict_pair(1, v)),
+    "window_columns half_length": ("half_length", NOT_INTEGERS, lambda f, v: window_columns(v, 2)),
+    "window_columns window": ("window", NOT_BOUNDED_INTEGERS, lambda f, v: window_columns(8, v)),
+    "column_index level": ("level", NOT_BOUNDED_INTEGERS, lambda f, v: f.fitted.column_index(v, 1)),
+    "column_index k": ("k", NOT_BOUNDED_INTEGERS, lambda f, v: f.fitted.column_index(1, v)),
+    "solve_windows nu": (
+        "nu", NOT_REALS,
+        lambda f, v: solve_windows(np.ones((4, 4)), np.ones((4, 4)), window_columns(4, 2),
+                                   np.array([1.0, -1.0, 1.0, -1.0]), v, REGULARISED),
+    ),
+    "vandermonde_constraints degree": (
+        "degree", NOT_BOUNDED_INTEGERS,
+        lambda f, v: vandermonde_constraints(IndexWindow(k=2, indices=(1, 2, 3, 4)), v),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def scalar_fixtures():
+    train = generate_waveform(WaveformSpec(per_class_count=4, seed=1))
+    config = TransformConfig(levels=1, window=4, nu=1.0)
+    pair = train.restrict_pair(1, 2)
+    fitted, merged = tf.fit(pair, config)
+    classifiers = ev.make_local_classifiers(merged, pair.labels, fitted)
+    return SimpleNamespace(
+        train=train, config=config, fitted=fitted, classifiers=classifiers,
+        values=merged[:, classifiers.columns], labels=pair.labels,
+    )
+
+
+@pytest.mark.parametrize("argument", SCALAR_ARGUMENTS)
+def test_every_scalar_argument_is_checked_by_the_scalar_rule(scalar_fixtures, argument):
+    what, rejected, call = SCALAR_ARGUMENTS[argument]
+    for value in rejected:
+        with pytest.raises(ConfigError, match=f"^{re.escape(what)} must "):
+            call(scalar_fixtures, value)
+
+
+def test_the_scalar_rule_keeps_interval_ends_and_returns_python_scalars(scalar_fixtures):
+    clfs = scalar_fixtures.classifiers
+    ev.select_significant(clfs, alpha=1)
+    for min_accuracy in (0, 1):
+        ev.select_significant(clfs, min_accuracy=min_accuracy)
+    with pytest.raises(ConfigError, match=r"^alpha must lie in \(0, 1\], got 0$"):
+        ev.select_significant(clfs, alpha=0)
+    assert type(integer(np.int64(3), "n", 3)) is int
+    assert type(real(np.float32(0.5), "x", "(0, inf)")) is float
+    assert type(real(np.int64(2), "x", "(0, inf)")) is float
+    with pytest.raises(ConfigError, match=r"^x must lie in \(0, inf\), got inf$"):
+        real(float("inf"), "x", "(0, inf)")

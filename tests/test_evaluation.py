@@ -348,7 +348,7 @@ def test_permutation_test_rejects_a_seed_that_is_not_a_non_negative_integer():
     clfs = fake_set([1])
     values = np.array([[0.0], [1.0], [2.0], [3.0]])
     for seed in (1.7, -1):
-        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             ev.permutation_test(clfs, values, labels, B=100, seed=seed)
 
 

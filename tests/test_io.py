@@ -207,6 +207,35 @@ def test_only_io_opens_or_parses_a_file():
     assert {"open", "json.load", "csv.reader", "np.loadtxt"} <= set(calls["io.py"])
 
 
+def test_only_the_scalar_rule_checks_a_scalar_type():
+    # core.integer and core.real are the one rule for integer and real
+    # arguments; a hand-written isinstance check would be a second one.
+    # io._cell's np.floating test picks a cell's spelling and checks nothing.
+    owners = {"core.integer", "core.real", "io._cell"}
+    scalar_types = {"bool", "int", "float", "integer", "floating", "Integral", "Real"}
+
+    def checks(tree):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and scalar_types & {getattr(n, "id", getattr(n, "attr", None))
+                                for n in ast.walk(node.args[1])}
+        ]
+
+    stray, owned = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        for func in ast.walk(tree):
+            name = f"{path.stem}.{getattr(func, 'name', '')}"
+            if isinstance(func, ast.FunctionDef) and name in owners and checks(func):
+                owned.add(name)
+                inside.update(map(id, checks(func)))
+        stray += [f"{path.name}:{n.lineno}: {ast.unparse(n)}"
+                  for n in checks(tree) if id(n) not in inside]
+    assert not stray and owned == owners, (stray, owned)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

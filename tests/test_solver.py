@@ -244,13 +244,14 @@ def test_single_class_rejected():
 
 
 def test_bad_nu_rejected():
-    with pytest.raises(ConfigError):
-        PredictProblem(
-            A=np.ones((2, 3)),
-            labels=np.array([1.0, -1.0]),
-            nu=0.0,
-            variant="regularised",
-        )
+    for nu in (0.0, True, "1.0", 10**400):
+        with pytest.raises(ConfigError, match=r"^nu must lie in \(0, inf\)"):
+            PredictProblem(
+                A=np.ones((2, 3)),
+                labels=np.array([1.0, -1.0]),
+                nu=nu,
+                variant="regularised",
+            )
 
 
 def test_rank_deficient_constraints_rejected():

@@ -375,7 +375,7 @@ MALFORMED_MODELS = {
     "config deeper than its levels": (lambda d: d["config"].update(levels=5),
                                       "need 5 levels, got 2"),
     "fractional sizes": (lambda d: d["config"].update(levels=2.5, window=4.9),
-                         "levels must be an integer, got 2.5"),
+                         "levels must be an integer >= 1, got 2.5"),
     "float window": (lambda d: d["config"].update(window=2.0), "window must be an integer"),
     "short gamma": (lambda d: d["levels"][1]["gamma"].pop(), "shape mismatch"),
     "dropped last level": (lambda d: d["levels"].pop(), "need 2 levels, got 1"),
@@ -395,9 +395,11 @@ MALFORMED_MODELS = {
     "bool gamma": (lambda d: d["levels"][0]["gamma"].__setitem__(3, False),
                    "level 1 holds a weight or offset that is not a number"),
     "bool nu": (lambda d: d["config"].update(nu=True),
-                "nu must be a positive finite real, got True"),
+                r"nu must lie in \(0, inf\), got True"),
     "string nu": (lambda d: d["config"].update(nu="1.0"),
-                  "nu must be a positive finite real, got '1.0'"),
+                  r"nu must lie in \(0, inf\), got '1.0'"),
+    "nu beyond float range": (lambda d: d["config"].update(nu=10**400),
+                              r"nu must lie in \(0, inf\), got 1000"),
     "integer weight beyond float range": (
         lambda d: d["levels"][0]["weights"][0].__setitem__(1, 10**400),
         "int too large to convert to float"),
