@@ -35,7 +35,7 @@ for m in (1, 2, 3):
           f"(bound {(cfg.window + 1) * 2 ** m})")
 
 # One concrete filter: the analysis row of d1_7 and where it lives.
-j = fitted.column_index(1, 7)
+j = [name for name, *_ in fitted.column_layout()].index("d1_7")
 row = base.analysis[j]
 sup = np.flatnonzero(support[j]) + 1
 print(f"d1_7 support: samples {sup[0]}..{sup[-1]}, "

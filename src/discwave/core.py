@@ -70,6 +70,15 @@ def float_matrix(values, what: str, width: Optional[int] = None) -> np.ndarray:
     return arr
 
 
+def _shown(value) -> str:
+    """How a message shows a rejected value: its short repr or, for an int too
+    long for repr (past the interpreter's digit limit), its sign and bit length."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"{'-' * (value < 0)}<{value.bit_length()}-bit int>"
+
+
 def integer(value, what: str, least: Optional[int] = None) -> int:
     """`value` as a Python int: an Integral (not a bool, so not 2.0 or "2")
     of at least `least` (any if None); else a ConfigError naming `what`."""
@@ -77,7 +86,7 @@ def integer(value, what: str, least: Optional[int] = None) -> int:
         least is not None and value < least
     ):
         bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{what} must be an integer{bound}, got {reprlib.repr(value)}")
+        raise ConfigError(f"{what} must be an integer{bound}, got {_shown(value)}")
     return int(value)
 
 
@@ -91,7 +100,7 @@ def real(value, what: str, interval: str) -> float:
     low, high = (float(end) for end in interval[1:-1].split(","))
     above = low <= x if interval[0] == "[" else low < x
     if not (above and (x <= high if interval[-1] == "]" else x < high)):
-        raise ConfigError(f"{what} must lie in {interval}, got {reprlib.repr(value)}")
+        raise ConfigError(f"{what} must lie in {interval}, got {_shown(value)}")
     return x
 
 
@@ -230,12 +239,10 @@ class IndexWindow:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(integer(i, "window index", 1) for i in self.indices)
         object.__setattr__(self, "k", integer(self.k, "k", 1))
         if len(idx) < 1 or any(b - a != 1 for a, b in zip(idx, idx[1:])):
             raise ConfigError(f"window indices must be contiguous increasing, got {idx}")
-        if idx[0] < 1:
-            raise ConfigError(f"window indices must be >= 1, got {idx}")
         object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:

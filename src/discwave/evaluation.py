@@ -303,7 +303,6 @@ def vote_profile(report: EnsembleReport):
 
 @dataclass(frozen=True)
 class MulticlassReport:
-    classes: tuple
     pair_errors: dict  # (lo, hi) -> error on the pair's test rows, None without any
     predictions: np.ndarray  # winning class id per test example
     classified: np.ndarray  # False where no duel produced a vote
@@ -347,7 +346,6 @@ def _duels(classes, outcomes: dict, test: SignalDataset) -> MulticlassReport:
     classified = wins.max(axis=1) > 0
     predictions = np.asarray(classes, dtype=int)[np.argmax(wins, axis=1)]
     return MulticlassReport(
-        classes=tuple(classes),
         pair_errors=pair_errors,
         predictions=predictions,
         classified=classified,
@@ -429,11 +427,14 @@ def permutation_test(
     """Permutation p-values of the classifiers, one per row.
 
     p = (1 + #{permutations with accuracy >= observed}) / (B + 1). The null
-    mirrors the set's own selection so p-values are never anti-conservative:
-    in optimal_threshold mode the threshold and orientation are fitted anew
-    under every permuted labelling (full re-selection under the null); in
-    psvm_bias mode the bias stays fixed and only the orientation is
-    re-picked, matching how the classifiers were built.
+    mirrors the set's own selection: in optimal_threshold mode the threshold
+    and orientation are fitted anew under every permuted labelling (full
+    re-selection under the null); in psvm_bias mode the bias stays fixed and
+    only the orientation is re-picked, matching how the classifiers were
+    built. The transform is not refitted, so p-values are valid only when
+    `values` come from rows the transform never saw: on its own training
+    rows each coefficient is a discriminant fitted to these labels, and the
+    null is too narrow (anti-conservative).
 
     `values` is the l x len(classifiers) matrix of coefficient values, column
     j for classifier j. The B permutations are drawn once per call, each from

@@ -207,17 +207,19 @@ _READ_ERRORS = (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError, Re
 
 
 @contextmanager
-def _reading(path):
-    """The reading rule: a failure to open, decode or parse `path` is a DataError."""
+def _reading(path, *errors):
+    """The reading rule: a failure to open, decode or parse `path` (one of
+    _READ_ERRORS, or of `errors`) is a DataError."""
     try:
         yield
-    except _READ_ERRORS as exc:
+    except (*_READ_ERRORS, *errors) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def read_json(path):
     """The JSON document in the file `path`, as plain Python values."""
-    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+    # json.load raises a bare ValueError for an integer past the interpreter's digit limit
+    with _reading(path, ValueError), open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 

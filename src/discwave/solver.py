@@ -110,9 +110,7 @@ class PredictProblem:
 class PredictSolution:
     w: np.ndarray
     gamma: float
-    xi_norm: float
-    u: np.ndarray
-    v: Optional[np.ndarray] = None
+    u: np.ndarray  # the duals, u = nu * xi
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -207,7 +205,7 @@ def _solve_stack(A, y: np.ndarray, nu: float, variant: str, bases=None, position
 
 
 def _null_space_split(B: np.ndarray):
-    """(U, s, Vt, w0) of the constraints B w = e1, from one SVD of B.
+    """(Vt, w0) of the constraints B w = e1, from one SVD of B.
 
     w0 = B^+ e1 is the minimum-norm solution and the rows of Vt past the
     first p span the null space of B. Raises ConfigError when B is
@@ -219,7 +217,7 @@ def _null_space_split(B: np.ndarray):
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
     if s[-1] <= s[0] * 1e-12:
         raise ConfigError("constraint matrix B is numerically rank deficient")
-    return U, s, Vt, Vt[:p].T @ ((U.T @ e1) / s)
+    return Vt, Vt[:p].T @ ((U.T @ e1) / s)
 
 
 def solve(problem: PredictProblem) -> PredictSolution:
@@ -233,23 +231,16 @@ def solve(problem: PredictProblem) -> PredictSolution:
     At @ w0 and whose window shrinks to L - p. Assembling w this way avoids
     the cancellation in the stationarity identity w = At^T Y u - B^T v, whose
     two terms can dwarf w itself when nu is large and the constraint
-    multipliers blow up; v is recovered afterwards by projecting that
-    identity onto the constraint rows. This is the one-window case of the
-    stacked solve that `solve_windows` runs over a level.
+    multipliers v blow up. This is the one-window case of the stacked solve
+    that `solve_windows` runs over a level.
     """
-    A, y, nu, B = problem.A, problem.labels, problem.nu, problem.B
+    B = problem.B
     bases = None
     if B is not None:
-        U, s, Vt, w0 = _null_space_split(B)
+        Vt, w0 = _null_space_split(B)
         bases = (B[None], w0[None], Vt[None])
-    w, gamma, u = _solve_stack(A[None], y, nu, problem.variant, bases)
-    w, gamma, u, v = w[0], float(gamma[0]), u[0], None
-    if B is not None:
-        rhs = A[:, 1:].T @ (y * u) - w
-        v = U @ ((Vt[: B.shape[0]] @ rhs) / s)
-    return PredictSolution(
-        w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u, v=v
-    )
+    w, gamma, u = _solve_stack(problem.A[None], problem.labels, problem.nu, problem.variant, bases)
+    return PredictSolution(w=w[0], gamma=float(gamma[0]), u=u[0])
 
 
 def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, degree: int = 0):
@@ -330,11 +321,7 @@ def kkt_oracle(problem: PredictProblem) -> PredictSolution:
         K[f.stop :, :n_w] = B
         rhs[f.stop] = 1.0
     sol = np.linalg.solve(K, rhs)
-    w, gamma, u = sol[:n_w], float(sol[n_w]), sol[f]
-    return PredictSolution(
-        w=w, gamma=gamma, xi_norm=float(np.linalg.norm(u)) / nu, u=u,
-        v=sol[f.stop :] if p else None,
-    )
+    return PredictSolution(w=sol[:n_w], gamma=float(sol[n_w]), u=sol[f])
 
 
 def window_knots(window: IndexWindow) -> np.ndarray:
@@ -389,17 +376,6 @@ def constraint_patterns(columns, degree: int):
             splits.append(_null_space_split(B[-1]))
         except ConfigError as exc:
             raise ConfigError(f"position k={window.k}: {exc}") from exc
-    w0 = np.array([split[3] for split in splits])
-    Vt = np.array([split[2] for split in splits])
+    Vt, w0 = map(np.array, zip(*splits))
     return np.array(which), np.array(B), w0, Vt
-
-
-def objective_value(problem: PredictProblem, solution: PredictSolution) -> float:
-    """Primal objective with xi recovered from the equality constraint."""
-    A, y = problem.A, problem.labels
-    a0, At = (0.0, A) if problem.variant == REGULARISED else (A[:, 0], A[:, 1:])
-    xi = 1.0 - y * (a0 + At @ solution.w - solution.gamma)
-    return 0.5 * float(solution.w @ solution.w) + 0.5 * solution.gamma ** 2 + (
-        problem.nu / 2.0
-    ) * float(xi @ xi)
 

@@ -34,7 +34,6 @@ from .core import (
     SignalDataset,
     TransformConfig,
     float_matrix,
-    integer,
     interleave,
     split,
     window_columns,
@@ -116,16 +115,6 @@ class FittedTransform:
     def column_layout(self):
         """Merged-column metadata: list of (name, kind, level, position), 1-based."""
         return _layout(self.signal_length, self.config.levels)
-
-    def column_index(self, level: int, k: int) -> int:
-        """0-based merged column of detail coefficient (level, k): N/2^level + k - 1."""
-        M = self.config.levels
-        level, k = integer(level, "level", 1), integer(k, "k", 1)
-        if level > M:
-            raise ConfigError(f"level must lie in 1..{M}, got {level}")
-        if k > self.signal_length >> level:
-            raise ConfigError(f"position {k} out of range at level {level}")
-        return (self.signal_length >> level) + k - 1
 
 
 @dataclass(frozen=True)

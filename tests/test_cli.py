@@ -574,6 +574,8 @@ UNREADABLE = {  # an input that cannot be opened, decoded or parsed: (file, how 
     "missing model": ("model.json", "missing"),
     "invalid utf-8 in the model": ("model.json", lambda b: b"\xff" + b),
     "model nested past the recursion limit": ("model.json", lambda b: b"[" * 200_000),
+    "model integer past the digit limit": ("model.json", lambda b: b.replace(
+        b'"nu": 1.0', b'"nu": ' + b"1" * 5000, 1)),
 }
 READ_BY = {"train.csv": ("fit", "eval"), "model.json": ("eval", "basis")}
 

@@ -332,8 +332,9 @@ def test_make_rng_determinism_and_child_streams():
 # argument the package takes, so a bad one is a ConfigError that names it.
 
 NOT_INTEGERS = (True, np.True_, "1", 0.5, 2.0)
-NOT_BOUNDED_INTEGERS = NOT_INTEGERS + (-1,)  # for an integer with a lower bound
-NOT_REALS = (True, np.True_, "1", 10**400, float("nan"), -1)
+# for an integer with a lower bound; -10**5000 is too long for repr
+NOT_BOUNDED_INTEGERS = NOT_INTEGERS + (-1, -10**5000)
+NOT_REALS = (True, np.True_, "1", 10**400, 10**5000, -10**5000, float("nan"), -1)
 
 SCALAR_ARGUMENTS = {
     # id: (the name the message starts with, rejected values, call(fixtures, value))
@@ -384,8 +385,9 @@ SCALAR_ARGUMENTS = {
     "restrict_pair b": ("class id b", NOT_INTEGERS, lambda f, v: f.train.restrict_pair(1, v)),
     "window_columns half_length": ("half_length", NOT_INTEGERS, lambda f, v: window_columns(v, 2)),
     "window_columns window": ("window", NOT_BOUNDED_INTEGERS, lambda f, v: window_columns(8, v)),
-    "column_index level": ("level", NOT_BOUNDED_INTEGERS, lambda f, v: f.fitted.column_index(v, 1)),
-    "column_index k": ("k", NOT_BOUNDED_INTEGERS, lambda f, v: f.fitted.column_index(1, v)),
+    "IndexWindow index": (
+        "window index", NOT_BOUNDED_INTEGERS, lambda f, v: IndexWindow(k=1, indices=(v, 2)),
+    ),
     "solve_windows nu": (
         "nu", NOT_REALS,
         lambda f, v: solve_windows(np.ones((4, 4)), np.ones((4, 4)), window_columns(4, 2),

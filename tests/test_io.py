@@ -28,7 +28,8 @@ from discwave import io
 from discwave.core import DataError
 from discwave.datasets import WaveformSpec, generate_waveform, load_csv, save_csv
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "discwave"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "discwave"
 HEADER = "s1,s2,label\n"
 FILES = {
     "plain": HEADER + "1.0,2.0,1\n3.0,4.0,2\n",
@@ -178,6 +179,7 @@ JSON_REJECTED = {
     "utf8_bom": ('\ufeff{"a": 1}'.encode(), "Unexpected UTF-8 BOM"),
     "nested_past_the_recursion_limit": (b"[" * 200_000 + b"]" * 200_000,
                                         "maximum recursion depth exceeded"),
+    "integer_past_the_digit_limit": (b'{"a": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
 }
 
 
@@ -234,6 +236,33 @@ def test_only_the_scalar_rule_checks_a_scalar_type():
         stray += [f"{path.name}:{n.lineno}: {ast.unparse(n)}"
                   for n in checks(tree) if id(n) not in inside]
     assert not stray and owned == owners, (stray, owned)
+
+
+def test_every_public_name_in_src_is_named_outside_the_tests():
+    # A public function, class or method that only the tests use widens the
+    # API for nothing: it belongs in the tests. Being named anywhere in the
+    # code of src/, bench/ or demos/ counts as a use.
+    named = set()
+    for folder in ("src", "bench", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.rpartition(".")[2])
+
+    def public(body):
+        return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")]
+
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in public(ast.parse(path.read_text(encoding="utf-8")).body):
+            members = public(node.body) if isinstance(node, ast.ClassDef) else []
+            unused += [f"{path.stem}.{n.name}" for n in [node, *members] if n.name not in named]
+    assert not unused, unused
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -255,8 +255,8 @@ def test_analysis_support_bounds_and_growth():
     support = tf.support(tf.base_vectors(t).analysis)
     sizes = {m: [] for m in range(1, M + 1)}
     for m in range(1, M + 1):
-        for k in range(1, 32 // 2 ** m + 1):
-            sup = np.flatnonzero(support[t.column_index(m, k)]) + 1
+        for row in support[32 >> m : 32 >> (m - 1)]:  # level m's detail rows
+            sup = np.flatnonzero(row) + 1
             assert 1 <= len(sup) <= (L + 1) * 2 ** m
             assert 1 <= min(sup) and max(sup) <= 32
             sizes[m].append(len(sup))
@@ -271,8 +271,8 @@ def test_first_level_detail_depends_on_few_samples():
     cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="nonregularised")
     t, _ = tf.fit(ds, cfg)
     support = tf.support(tf.base_vectors(t).analysis)
-    for k in range(1, 17):
-        assert 1 <= support[t.column_index(1, k)].sum() <= 2 * 2 + 1
+    for row in support[16:]:  # the 16 level-1 detail rows
+        assert 1 <= row.sum() <= 2 * 2 + 1
 
 
 def test_merged_layout_and_column_names():
@@ -289,13 +289,9 @@ def test_merged_layout_and_column_names():
     assert merged.shape == (8, 16)
     for m in (1, 2):
         for k in range(1, 16 // 2 ** m + 1):
-            col = t.column_index(m, k)
-            assert names[col] == f"d{m}_{k}"
+            col = names.index(f"d{m}_{k}")
+            assert col == (16 >> m) + k - 1
             assert np.array_equal(merged[:, col], detail(merged, m)[:, k - 1])
-    with pytest.raises(ConfigError):
-        t.column_index(3, 1)
-    with pytest.raises(ConfigError):
-        t.column_index(1, 9)
 
 
 def test_model_json_round_trip_is_exact(tmp_path):
@@ -573,7 +569,7 @@ def test_fitted_transform_holds_exactly_config_levels():
     level1 = tf._level(np.zeros((4, 2)), np.zeros(4))
     level2 = tf._level(np.zeros((2, 2)), np.zeros(2))
     t = tf.FittedTransform(config=cfg, levels=(level1, level2))
-    assert t.signal_length == 8 and t.column_index(2, 1) == 2
+    assert t.signal_length == 8 and t.column_layout()[2] == ("d2_1", "detail", 2, 1)
     for levels in [(level1,), (level2,), (level1, level2, level2)]:
         with pytest.raises(ConfigError, match=f"need 2 levels, got {len(levels)}"):
             tf.FittedTransform(config=cfg, levels=levels)
