@@ -109,7 +109,7 @@ def cmd_fit(args):
     if residual is not None:
         print(f"constraint residual: {residual:.3e}")
     outputs = {"model": (Path(args.out_model), partial(tf.save_model, fitted))}
-    if args.out_features:
+    if args.out_features is not None:
         save = partial(tf.save_features, fitted, merged, train.class_ids)
         outputs["features"] = (Path(args.out_features), save)
     return {**asdict(config), "constraint_residual": residual}, {"train": args.train}, outputs
@@ -448,7 +448,7 @@ def _check_outputs(args) -> Path:
     flags = {}
     for name in ("out", "out_model", "out_features", "out_dir"):
         value = getattr(args, name, None)
-        if value is None or (value == "" and name == "out_features"):  # fit writes no features
+        if value is None:
             continue
         _check_output(Path(value), want_dir=name == "out_dir")
         if name != "out_dir":

@@ -5,8 +5,9 @@ types and conventions defined here. All public index contracts are 1-based;
 array internals are 0-based as usual.
 
 Argument rules, one per kind: every float matrix the package takes passes
-`float_matrix` (a DataError otherwise), and every integer or real scalar
-passes `integer` or `real` (a ConfigError otherwise). A bool is neither.
+`float_matrix`, every class-id vector `class_ids` and every +/-1 label vector
+`signed_labels` (a DataError otherwise), and every integer or real scalar
+`integer` or `real` (a ConfigError otherwise). A bool is none of these.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+CLASS_ID_BOUND = 2.0 ** 53  # |class id| < 2**53: a float64 holds each one exactly
 REGULARISED = "regularised"
 NONREGULARISED = "nonregularised"
 VARIANTS = (REGULARISED, NONREGULARISED)
@@ -57,7 +59,10 @@ def is_power_of_two(n: int) -> bool:
 
 def float_matrix(values, what: str, width: Optional[int] = None) -> np.ndarray:
     """A float l x `width` matrix (any width if None), l >= 1, all finite; else a DataError."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # a non-numeric entry, or ragged rows
+        raise DataError(f"{what} is not a matrix of numbers: {exc}") from exc
     expected = "a 2-D" if width is None else f"an l x {width}"
     if arr.ndim != 2 or width not in (None, arr.shape[1]):
         raise DataError(f"{what} must be {expected} matrix, got shape {arr.shape}")
@@ -104,14 +109,32 @@ def real(value, what: str, interval: str) -> float:
     return x
 
 
+def class_ids(values, what: str, n_rows: int) -> np.ndarray:
+    """`values` as int64 class ids, one per row: whole numbers of an integer
+    or float dtype (not bool, str or object) in (-2**53, 2**53), the ids a
+    CSV label holds exactly; else a DataError naming `what`."""
+    ids = np.asarray(values)
+    if ids.shape != (n_rows,):
+        raise DataError(f"{what} must have shape ({n_rows},), got {ids.shape}")
+    if ids.dtype.kind not in "iuf":
+        raise DataError(f"{what} must be integers, got dtype {ids.dtype}")
+    x = ids.astype(float)  # exact inside the bound; rounding keeps the rest outside
+    bad = ~((np.abs(x) < CLASS_ID_BOUND) & (x == np.trunc(x)))  # NaN is bad
+    if bad.any():
+        first = _shown(ids[bad][0].item())
+        raise DataError(f"{what} must be integers in (-2**53, 2**53), got {first}")
+    return x.astype(np.int64)  # cast only once every id fits
+
+
 def signed_labels(labels, n_rows: int) -> np.ndarray:
-    """Check a +/-1 label vector of n_rows entries; a class may be absent."""
-    y = np.asarray(labels, dtype=float)
+    """Check a +/-1 label vector of n_rows entries, of an integer or float
+    dtype (not bool, str or object); a class may be absent."""
+    y = np.asarray(labels)
     if y.shape != (n_rows,):
         raise DataError(f"labels must have shape ({n_rows},), got {y.shape}")
-    if not np.all(np.abs(y) == 1.0):
+    if y.dtype.kind not in "iuf" or not np.all(np.abs(y) == 1):
         raise DataError("labels must be -1 or +1")
-    return y
+    return y.astype(float, copy=False)
 
 
 def validate_labels(labels, n_rows: int) -> np.ndarray:
@@ -145,18 +168,8 @@ class SignalDataset:
             raise DataError(
                 f"signal length must be a power of two >= 2, got {sig.shape[1]}"
             )
-        ids = np.asarray(self.class_ids)
-        if ids.shape != (sig.shape[0],):
-            raise DataError(
-                f"class_ids must have shape ({sig.shape[0]},), got {ids.shape}"
-            )
-        if not np.issubdtype(ids.dtype, np.integer):
-            as_int = ids.astype(int)
-            if not np.array_equal(as_int, ids):
-                raise DataError("class_ids must be integers")
-            ids = as_int
         object.__setattr__(self, "signals", sig)
-        object.__setattr__(self, "class_ids", ids)
+        object.__setattr__(self, "class_ids", class_ids(self.class_ids, "class_ids", len(sig)))
 
     @property
     def n_examples(self) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, SignalDataset, integer, is_power_of_two, make_rng
+from .core import ConfigError, DataError, SignalDataset, integer, make_rng
 from .io import read_csv, write_table
 
 WAVEFORM_LENGTH = 32
@@ -86,6 +86,8 @@ def shape_envelope(kind: str, a: int, b: int, eta: float) -> np.ndarray:
     """Noise-free cylinder/bell/funnel shape active on samples a..b inclusive."""
     if kind not in SHAPE_KINDS:
         raise ConfigError(f"kind must be one of {SHAPE_KINDS}, got {kind!r}")
+    if not a < b:  # no active samples, and bell and funnel would divide by b - a
+        raise ConfigError(f"shape onset a must lie before its end b, got a={a}, b={b}")
     t = np.arange(1, SHAPE_LENGTH + 1, dtype=float)
     active = ((t >= a) & (t <= b)).astype(float)
     height = 6.0 + eta
@@ -134,13 +136,11 @@ def load_csv(path) -> SignalDataset:
 
     The first row is the header and the last column the integer class id.
     Raises DataError with 1-based row/column diagnostics on a missing
-    header, ragged rows, non-numeric cells, a missing label column, or a
-    non-power-of-two signal width.
+    header, ragged rows, non-numeric cells or a missing label column, and
+    with the path before SignalDataset's message on a table it rejects.
     """
     _, signals, ids = read_csv(path)
-    n_samples = signals.shape[1]
-    if not is_power_of_two(n_samples) or n_samples < 2:
-        raise DataError(
-            f"{path}: signal width {n_samples} is not a power of two >= 2"
-        )
-    return SignalDataset(signals=signals, class_ids=ids)
+    try:
+        return SignalDataset(signals=signals, class_ids=ids)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -406,7 +406,7 @@ def fit_raw_psvm(signals: np.ndarray, labels: np.ndarray, nu: float):
 
 
 def psvm_predict(w: np.ndarray, gamma: float, signals: np.ndarray) -> np.ndarray:
-    return np.where(np.asarray(signals, dtype=float) @ w - gamma >= 0, 1.0, -1.0)
+    return np.where(float_matrix(signals, "signals", len(w)) @ w - gamma >= 0, 1.0, -1.0)
 
 
 def one_against_one_raw_psvm(

@@ -7,8 +7,8 @@ Spelling rule, for every file the package writes:
 - CSV cells are joined by "," and every line, the last included, ends in "\\n";
 - JSON is json.dumps(indent=2) of a plain Python payload, then "\\n";
 - NaN and infinities are rejected: JSON writing raises NumericalError and
-  CSV reading raises DataError. write_table takes only finite matrices,
-  which its callers (save_csv, save_features) check with core.float_matrix.
+  CSV reading raises DataError. write_table takes only finite matrices
+  (core.float_matrix, in save_csv and save_features) and core.class_ids.
 
 Reading rule: every input is UTF-8 text opened here, JSON by read_json and
 CSV by read_csv. An input that cannot be opened, decoded or parsed (a CSV
@@ -42,7 +42,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .core import DataError, NumericalError
+from .core import CLASS_ID_BOUND, DataError, NumericalError, class_ids as check_class_ids
 
 # Fewest cells a forked block of write_table formats: measured break-even on
 # 2 CPUs, where two processes were slower at 32,768 cells and took 0.63x the
@@ -141,21 +141,17 @@ def _fork_block(matrix, ids, lo, hi):
 def write_table(path, names, matrix, class_ids) -> None:
     """Write `matrix` one row per line under the header line `names`.
 
-    Rows gain a trailing integer column named "label" holding `class_ids`;
-    a table without them, or with another number of them than rows, is a
-    DataError, raised before the file is opened, since no reader would
-    accept the file. The rows are split into contiguous blocks of
-    at least PARALLEL_MIN_CELLS cells, at most one per usable CPU. A forked
-    child formats each block after the first while this process formats the
-    first; their text is then copied into the file in block order. A block
-    whose fork fails or whose child exits nonzero is formatted here instead,
-    so the bytes are those of write_csv for any number of processes.
+    Rows gain a trailing integer column named "label" holding `class_ids`,
+    which must pass core.class_ids (the ids read_csv reads back exactly),
+    else a DataError is raised before the file is opened. The rows are split
+    into contiguous blocks of at least PARALLEL_MIN_CELLS cells, at most one
+    per usable CPU. A forked child formats each block after the first while
+    this process formats the first; their text is then copied into the file
+    in block order. A block whose fork fails or whose child exits nonzero is
+    formatted here instead, so the bytes are those of write_csv for any
+    number of processes.
     """
-    if class_ids is None:
-        raise DataError(f"{path}: a table needs class ids for its label column")
-    ids = np.asarray(class_ids).astype(np.int64)
-    if ids.shape != matrix.shape[:1]:
-        raise DataError(f"{path}: class ids of shape {ids.shape} for {matrix.shape[0]} rows")
+    ids = check_class_ids(class_ids, "class ids", len(matrix))
     n_rows, width = matrix.shape[0], matrix.shape[1] + 1
     min_rows = -(-PARALLEL_MIN_CELLS // max(1, width))
     n_blocks = max(1, min(_max_processes(), n_rows // min_rows))
@@ -226,7 +222,6 @@ def read_json(path):
 # numpy's number parser strips these ASCII separators as whitespace, float()
 # rejects them; a line holding one is left to the row reader.
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
-_LABEL_BOUND = 2.0 ** 53  # |label| < 2**53: a float64 holds each such integer exactly
 
 
 def _integral_text(cell: str) -> bool:
@@ -309,7 +304,7 @@ def _read_c(path):
     if data.shape[1] != len(names) or data.shape[1] < 2 or not np.isfinite(data).all():
         return None
     labels = data[:, -1]
-    if not np.all(np.abs(labels) < _LABEL_BOUND):
+    if not np.all(np.abs(labels) < CLASS_ID_BOUND):
         return None
     return names[:-1], np.ascontiguousarray(data[:, :-1]), labels.astype(np.int64)
 
@@ -348,7 +343,7 @@ def _read_rows(path):
                 raise DataError(
                     f"{path}: row {r}, column {width}: label {cells[-1]!r} is not an integer"
                 )
-            if not abs(label) < _LABEL_BOUND:
+            if not abs(label) < CLASS_ID_BOUND:
                 raise DataError(
                     f"{path}: row {r}, column {width}: label {cells[-1]!r} "
                     "is outside (-2**53, 2**53), where every integer reads exactly"

@@ -90,14 +90,10 @@ class PredictProblem:
         if self.B is not None:
             if self.variant != NONREGULARISED:
                 raise ConfigError("constraints require the nonregularised variant")
-            B = np.asarray(self.B, dtype=float)
             L = A.shape[1] - 1
-            if B.ndim != 2 or B.shape[1] != L:
-                raise ConfigError(f"B must be p x {L}, got shape {B.shape}")
-            if not 1 <= B.shape[0] <= L:  # extra rows are invisible to the singular values
-                raise ConfigError(f"constraint count {B.shape[0]} must lie in 1..{L}")
-            if not np.all(np.isfinite(B)):
-                raise DataError("B contains non-finite values")
+            B = float_matrix(self.B, "B", L)
+            if len(B) > L:  # extra rows are invisible to the singular values
+                raise ConfigError(f"constraint count {len(B)} must lie in 1..{L}")
             _null_space_split(B)  # the rank rule of `solve`
             object.__setattr__(self, "B", B)
 

@@ -748,6 +748,20 @@ def test_output_file_naming_a_directory_exits_2_before_any_work(tmp_path, capsys
     assert snapshot(tmp_path) == before
 
 
+def test_empty_out_features_names_the_working_directory(tmp_path, capsys, monkeypatch):
+    # "" used to switch features off (exit 0, no file); it is a path like any other.
+    train = write_pair_csv(tmp_path / "train.csv", 10, 11)
+    monkeypatch.chdir(tmp_path)
+    argv = ["fit", "--train", str(train), "--window", "4", "--nu", "1.0", "--levels", "2",
+            "--out-model", str(tmp_path / "model.json"), "--out-features", ""]
+    before = snapshot(tmp_path)
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write output: ") and err.endswith(": '.'\n")
+    assert snapshot(tmp_path) == before
+
+
 @pytest.mark.parametrize("features", ["model.json", "model.manifest.json"])
 def test_two_outputs_on_one_path_exit_2_before_any_work(tmp_path, capsys, features):
     # Either way the last file written would overwrite the one before it.

@@ -1,6 +1,7 @@
 """Core types: datasets, configs, split/interleave, window selection."""
 
 import re
+import warnings
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from discwave.core import (
     IndexWindow,
     SignalDataset,
     TransformConfig,
+    class_ids,
     float_matrix,
     index_window,
     integer,
@@ -25,7 +27,7 @@ from discwave.core import (
     validate_labels,
     window_columns,
 )
-from discwave import evaluation as ev, transform as tf
+from discwave import evaluation as ev, io, transform as tf
 from discwave.datasets import ShapeSpec, WaveformSpec, generate_waveform
 from discwave.solver import PredictProblem, solve_windows, vandermonde_constraints
 
@@ -62,6 +64,10 @@ def test_float_matrix_is_the_one_matrix_rule():
         "m must be an l x 2 matrix with at least one row, got shape (0, 2)": (np.zeros((0, 2)), 2),
         "m must be a 2-D matrix with at least one row, got shape (0, 0)": (np.zeros((0, 0)), None),
         "m contains non-finite values": (np.array([[0.0, np.inf]]), 2),
+        "m is not a matrix of numbers: could not convert string to float: 'x'":
+            ([[1.0, "x"]], None),
+        "m is not a matrix of numbers: setting an array element with a sequence":
+            ([[1.0], [1.0, 2.0]], None),  # ragged rows
     }
     for message, (values, width) in bad.items():
         with pytest.raises(DataError, match=re.escape(message)):
@@ -409,7 +415,7 @@ def scalar_fixtures():
     classifiers = ev.make_local_classifiers(merged, pair.labels, fitted)
     return SimpleNamespace(
         train=train, config=config, fitted=fitted, classifiers=classifiers,
-        values=merged[:, classifiers.columns], labels=pair.labels,
+        values=merged[:, classifiers.columns], labels=pair.labels, pair=pair, merged=merged,
     )
 
 
@@ -433,3 +439,49 @@ def test_the_scalar_rule_keeps_interval_ends_and_returns_python_scalars(scalar_f
     assert type(real(np.int64(2), "x", "(0, inf)")) is float
     with pytest.raises(ConfigError, match=r"^x must lie in \(0, inf\), got inf$"):
         real(float("inf"), "x", "(0, inf)")
+
+
+# The class-id rule: core.class_ids checks every class-id vector the package
+# takes or writes, so a bad one is a DataError that names it, raised with no
+# numpy warning and before any file is opened.
+
+NOT_CLASS_IDS = (np.nan, np.inf, -np.inf, 1.5, 1e30, True, "1", 2**53, -2**53, -2**63, 2**70)
+
+CLASS_ID_ENTRY_POINTS = {
+    # id: (the name the message starts with, call(fixtures, ids, path))
+    "SignalDataset": ("class_ids", lambda f, ids, path: SignalDataset(f.pair.signals, ids)),
+    "io.write_table": (
+        "class ids",
+        lambda f, ids, path: io.write_table(path, ["c"] * f.merged.shape[1], f.merged, ids),
+    ),
+    "save_features": (
+        "class ids", lambda f, ids, path: tf.save_features(f.fitted, f.merged, ids, path),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", CLASS_ID_ENTRY_POINTS)
+def test_every_class_id_vector_is_checked_by_the_class_id_rule(scalar_fixtures, tmp_path, entry):
+    what, call = CLASS_ID_ENTRY_POINTS[entry]
+    n = len(scalar_fixtures.merged)
+    path = tmp_path / "table.csv"
+    rejected = [[value] * n for value in NOT_CLASS_IDS] + [[1] * (n + 1), [1] * (n - 1), None]
+    for ids in rejected:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{re.escape(what)} must "):
+                call(scalar_fixtures, ids, path)
+        assert not path.exists()
+
+
+def test_the_class_id_rule_keeps_whole_numbers_inside_the_bound():
+    # Whole floats (a CSV label may read "1.0") and every integer dtype pass;
+    # the result is int64, and a rejected value is shown as it was given.
+    ids = class_ids([2.0 ** 53 - 1, -(2.0 ** 53 - 1), 0.0, 3.0], "ids", 4)
+    assert ids.dtype == np.int64 and ids.tolist() == [2 ** 53 - 1, -(2 ** 53 - 1), 0, 3]
+    assert class_ids(np.array([7, 200], dtype=np.uint8), "ids", 2).tolist() == [7, 200]
+    message = "ids must be integers in (-2**53, 2**53), got 1152921504606846976"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        class_ids([1, 2 ** 60], "ids", 2)
+    with pytest.raises(DataError, match=r"^ids must be integers, got dtype bool$"):
+        class_ids([True, False], "ids", 2)

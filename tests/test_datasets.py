@@ -7,9 +7,11 @@ loudly rather than just shifting numbers.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from discwave.core import ConfigError, DataError, SignalDataset, make_rng
 from discwave import datasets as dsm
@@ -145,6 +147,16 @@ def test_shape_envelope_geometry():
         shape_envelope("square", a, b, eta)
 
 
+@pytest.mark.parametrize("kind", dsm.SHAPE_KINDS)
+def test_shape_envelope_needs_an_onset_before_its_end(kind):
+    # b <= a gave 128 NaN samples (bell, funnel) and a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((20, 20), (30, 20)):
+            with pytest.raises(ConfigError, match=f"got a={a}, b={b}$"):
+                shape_envelope(kind, a, b, 0.0)
+
+
 def test_shape_draw_order_fixed():
     spec = ShapeSpec(per_class_count=2, seed=55)
     ds = generate_shape(spec)
@@ -185,6 +197,19 @@ def test_csv_round_trip(tmp_path):
     assert text[0].split(",")[:2] == ["s1", "s2"]
     assert text[0].split(",")[-1] == "label"
     assert len(text) == 10
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-(2 ** 53 - 1), 2 ** 53 - 1), min_size=1, max_size=6))
+@example([2 ** 53 - 1, -(2 ** 53 - 1), 0])
+def test_csv_round_trip_keeps_every_class_id(tmp_path_factory, ids):
+    # The writer holds class ids to the reader's rule, so every id a dataset
+    # takes reads back exactly; ids of 2**60 were saved and then refused.
+    ds = SignalDataset(np.arange(2.0 * len(ids)).reshape(len(ids), 2), ids)
+    path = tmp_path_factory.mktemp("ids") / "data.csv"
+    save_csv(ds, path)
+    back = load_csv(path).class_ids
+    assert back.dtype == np.int64 and back.tolist() == ids
 
 
 def test_csv_headerless_is_a_data_error(tmp_path):
@@ -278,7 +303,9 @@ def test_csv_labels_read_exactly_or_not_at_all(tmp_path):
 def test_csv_width_not_power_of_two(tmp_path):
     path = tmp_path / "width.csv"
     path.write_text("s1,s2,s3,label\n1.0,2.0,3.0,1\n")
-    with pytest.raises(DataError, match="width 3 is not a power of two"):
+    # SignalDataset's one width rule, prefixed by the path
+    message = f"{path}: signal length must be a power of two >= 2, got 3"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_csv(path)
 
 
@@ -315,6 +342,6 @@ def test_csv_save_unlabelled_dataset_is_a_data_error(tmp_path):
     signals = np.arange(8, dtype=float).reshape(2, 4)
     with pytest.raises(TypeError):
         SignalDataset(signals=signals)
-    with pytest.raises(DataError, match="needs class ids"):
+    with pytest.raises(DataError, match=re.escape("class ids must have shape (2,), got ()")):
         io.write_table(path, ["s1", "s2", "s3", "s4"], signals, None)
     assert not path.exists()

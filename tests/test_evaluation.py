@@ -146,7 +146,9 @@ def test_fit_thresholds_checks_x_and_labels():
     for labels in (np.ones(12), np.ones(8), np.ones((10, 1))):
         with pytest.raises(DataError, match="labels must have shape \\(10,\\)"):
             ev.fit_thresholds(X, labels)
-    for labels in (np.tile([0.0, 1.0], 5), np.tile([-2.0, 2.0], 5)):
+    # Strings, bools and objects are not numbers, even where they read as +/-1.
+    for labels in (np.tile([0.0, 1.0], 5), np.tile([-2.0, 2.0], 5), ["-1", "1"] * 5,
+                   [True] * 10, np.ones(10, dtype=object)):
         with pytest.raises(DataError, match="labels must be -1 or \\+1"):
             ev.fit_thresholds(X, labels)
     for bad in (X[:, 0], X[None], X[:0]):
@@ -733,6 +735,15 @@ def test_raw_psvm_separates_offset_clouds():
     labels = np.array([1.0] * 30 + [-1.0] * 30)
     w, gamma = ev.fit_raw_psvm(signals, labels, nu=1.0)
     assert np.array_equal(ev.psvm_predict(w, gamma, signals), labels)
+
+
+def test_psvm_predict_checks_its_signals():
+    # A NaN row used to be predicted -1, and a wrong width failed in matmul.
+    w, gamma = np.array([1.0, -1.0]), 0.0
+    with pytest.raises(DataError, match="^signals contains non-finite values$"):
+        ev.psvm_predict(w, gamma, np.array([[1.0, 0.0], [np.nan, 0.0]]))
+    with pytest.raises(DataError, match=r"^signals must be an l x 2 matrix, got shape \(2, 3\)$"):
+        ev.psvm_predict(w, gamma, np.ones((2, 3)))
 
 
 def test_raw_psvm_multiclass_baseline():

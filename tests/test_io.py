@@ -238,6 +238,34 @@ def test_only_the_scalar_rule_checks_a_scalar_type():
     assert not stray and owned == owners, (stray, owned)
 
 
+def test_only_the_array_rules_test_a_dtype():
+    # core.class_ids and core.signed_labels decide which dtypes a class-id or
+    # label vector may have (float_matrix converts); a dtype test anywhere
+    # else would be a second rule for one kind of array.
+    owners = {"core.class_ids", "core.signed_labels"}
+
+    def tests(tree):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "issubdtype"
+                or (node.attr == "kind" and getattr(node.value, "attr", None) == "dtype"))
+        ]
+
+    stray, owned = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        for func in ast.walk(tree):
+            name = f"{path.stem}.{getattr(func, 'name', '')}"
+            if isinstance(func, ast.FunctionDef) and name in owners and tests(func):
+                owned.add(name)
+                inside.update(map(id, tests(func)))
+        stray += [f"{path.name}:{n.lineno}: {ast.unparse(n)}"
+                  for n in tests(tree) if id(n) not in inside]
+    assert not stray and owned == owners, (stray, owned)
+
+
 def test_every_public_name_in_src_is_named_outside_the_tests():
     # A public function, class or method that only the tests use widens the
     # API for nothing: it belongs in the tests. Being named anywhere in the

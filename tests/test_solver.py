@@ -6,6 +6,8 @@ randomized problem. Derived closed-form fixtures below were computed by hand
 before the solver existed and are frozen here.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -286,14 +288,19 @@ def test_constraints_held_to_the_rank_rule_of_solve():
                        variant="nonregularised", B=B)
 
 
-@pytest.mark.parametrize("B, error", [
-    (np.zeros((0, 4)), ConfigError),  # no rows: nothing for B w = e1 to pin
-    (np.array([[1.0, np.inf, 0.0, 0.0]]), DataError),
-    (np.array([[1.0, np.nan, 0.0, 0.0]]), DataError),
-])
-def test_empty_or_non_finite_constraints_rejected(B, error):
+@pytest.mark.parametrize("B, message", [
+    # no rows: nothing for B w = e1 to pin
+    (np.zeros((0, 4)), "B must be an l x 4 matrix with at least one row, got shape (0, 4)"),
+    (np.array([[1.0, np.inf, 0.0, 0.0]]), "B contains non-finite values"),
+    (np.array([[1.0, np.nan, 0.0, 0.0]]), "B contains non-finite values"),
+    (np.ones((1, 3)), "B must be an l x 4 matrix, got shape (1, 3)"),
+    (np.ones(4), "B must be an l x 4 matrix, got shape (4,)"),
+    ([["x", 0.0, 0.0, 0.0]], "B is not a matrix of numbers"),
+], ids=["no rows", "inf", "nan", "wrong width", "one row as 1-D", "string"])
+def test_empty_or_non_finite_constraints_rejected(B, message):
+    # B passes the one float-matrix rule: a bad matrix is a DataError.
     A = np.random.default_rng(30).standard_normal((12, 5))
-    with pytest.raises(error):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}"):
         PredictProblem(A=A, labels=np.tile([1.0, -1.0], 6), nu=1.0,
                        variant="nonregularised", B=B)
 

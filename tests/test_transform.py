@@ -498,7 +498,8 @@ def test_features_csv_rejects_a_class_id_count_other_than_the_rows(tmp_path, n_i
     ds = random_dataset(rng, 6, 8)
     t, merged = tf.fit(ds, TransformConfig(levels=2, window=2, nu=1.0))
     path = tmp_path / "features.csv"
-    with pytest.raises(DataError, match=re.escape(f"class ids of shape ({n_ids},) for 6 rows")):
+    message = f"class ids must have shape (6,), got ({n_ids},)"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         tf.save_features(t, merged, np.ones(n_ids, int), path)
     assert not path.exists()
 
@@ -531,7 +532,7 @@ def test_features_csv_without_labels(tmp_path):
     t, _ = tf.fit(ds, cfg)
     merged = tf.apply(t, ds.signals)
     path = tmp_path / "plain.csv"
-    with pytest.raises(DataError, match="needs class ids"):
+    with pytest.raises(DataError, match=re.escape("class ids must have shape (6,), got ()")):
         tf.save_features(t, merged, None, path)
     assert not path.exists()
 
