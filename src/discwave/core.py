@@ -58,11 +58,17 @@ def is_power_of_two(n: int) -> bool:
 
 
 def float_matrix(values, what: str, width: Optional[int] = None) -> np.ndarray:
-    """A float l x `width` matrix (any width if None), l >= 1, all finite; else a DataError."""
+    """A float l x `width` matrix (any width if None), l >= 1, all finite, of
+    an integer or float dtype (not bool, str, bytes or object); else a
+    DataError. numpy itself makes [1.5, True] float64, so no dtype test can
+    see that bool."""
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:  # a non-numeric entry, or ragged rows
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged rows
         raise DataError(f"{what} is not a matrix of numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"{what} is not a matrix of numbers: got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     expected = "a 2-D" if width is None else f"an l x {width}"
     if arr.ndim != 2 or width not in (None, arr.shape[1]):
         raise DataError(f"{what} must be {expected} matrix, got shape {arr.shape}")

@@ -140,6 +140,21 @@ def _predict_level(C, level, columns, variant):
     return t, P
 
 
+def _even_and_coarse(A, m):
+    """(even half, coarse average) of level m's input A. An average beyond the
+    float range is a DataError that names the level and the largest |sample|;
+    only level 1's can be, as every coarse sample is within half that range."""
+    A_o, A_e = split(A)
+    with np.errstate(over="ignore"):
+        C = 0.5 * (A_o + A_e)
+    if not np.isfinite(C).all():
+        raise DataError(
+            f"level {m}: the coarse average overflows; the largest |sample| is "
+            f"{np.max(np.abs(A)):.3e}"
+        )
+    return A_e, C
+
+
 def fit(train: SignalDataset, config: TransformConfig, progress=None):
     """Train all window predictors; returns (FittedTransform, merged), where
     merged is apply(transform, train.signals), the l x N training coefficients.
@@ -149,7 +164,8 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
     labels were checked once, when the dataset was built. Fits exactly
     `config.levels` levels: a window wider than level M's coarse length
     N/2^M is a ConfigError raised before any solve, naming the deepest depth
-    the window fits. `progress`, if given, is called as
+    the window fits; signals whose coarse average overflows are a DataError,
+    raised before any solve. `progress`, if given, is called as
     progress(level, n_positions, seconds) after each level. Raises
     NumericalError when the fitted transform does not reconstruct its own
     training signals to ROUND_TRIP_RTOL of their largest magnitude.
@@ -166,8 +182,7 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
     for m in range(1, M + 1):
         half = A.shape[1] // 2
         t0 = time.perf_counter()
-        A_o, A_e = split(A)
-        C = 0.5 * (A_o + A_e)
+        A_e, C = _even_and_coarse(A, m)
         columns = window_columns(half, L)
         try:
             weights, gamma = solver.solve_windows(
@@ -208,8 +223,7 @@ def apply(transform: FittedTransform, signals: np.ndarray) -> np.ndarray:
     variant = transform.config.variant
     merged = np.empty((A.shape[0], N))
     for m, (level, columns) in enumerate(zip(transform.levels, transform.columns), start=1):
-        A_o, A_e = split(A)
-        C = 0.5 * (A_o + A_e)
+        A_e, C = _even_and_coarse(A, m)
         t, P = _predict_level(C, level, columns, variant)
         np.subtract(t * A_e, P, out=merged[:, N >> m : N >> (m - 1)])
         A = C
@@ -263,8 +277,8 @@ def constraint_residual(transform: FittedTransform) -> Optional[float]:
     e1[0] = 1.0
     worst = 0.0
     for level, columns in zip(transform.levels, transform.columns):
-        which, B, _, _ = solver.constraint_patterns(columns, p)
-        Bw = np.matmul(B[which], level.weights[:, :, None])[..., 0]
+        B, _, _ = solver.constraint_patterns(columns, p)
+        Bw = np.matmul(B, level.weights[:, :, None])[..., 0]
         worst = max(worst, float(np.max(np.abs(Bw - e1))))
     return worst
 

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,53 @@ def test_fit_deeper_than_the_window_allows_exits_2(tmp_path, capsys):
     )
     assert not model.exists()
     assert not model.with_suffix(".manifest.json").exists()
+
+
+def test_fit_of_rank_deficient_constraint_rows_exits_2(tmp_path, capsys):
+    # Degree 10 over window 10: the rows of every window are rank deficient,
+    # and the error names the first position.
+    train = write_pair_csv(tmp_path / "train.csv", 5, 9)
+    model = tmp_path / "model.json"
+    before = snapshot(tmp_path)
+    code, stdout, stderr = run(
+        ["fit", "--train", str(train), "--window", "10", "--constraint-degree", "10",
+         "--nu", "1.0", "--levels", "1", "--out-model", str(model)],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "error: level 1, position k=1: constraint matrix B is numerically rank deficient\n"
+    )
+    assert snapshot(tmp_path) == before
+
+
+def test_fit_of_samples_whose_average_overflows_exits_3(tmp_path, capsys):
+    # 1.7e308 + 1.7e308 is beyond the float range: a data error before any
+    # solve, with no numpy warning on the way.
+    train = tmp_path / "train.csv"
+    train.write_text(
+        "s1,s2,s3,s4,label\n"
+        "1.7e308,1.7e308,1.0,2.0,1\n"
+        "-1.7e308,-1.7e308,2.0,1.0,2\n"
+        "1.0,1.7e308,-1.0,0.5,1\n"
+        "0.0,-1.0,-1.7e308,-1.7e308,2\n"
+    )
+    model = tmp_path / "model.json"
+    before = snapshot(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(
+            ["fit", "--train", str(train), "--window", "2", "--nu", "1.0",
+             "--levels", "1", "--out-model", str(model)],
+            capsys,
+        )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == (
+        "error: level 1: the coarse average overflows; the largest |sample| is 1.700e+308\n"
+    )
+    assert snapshot(tmp_path) == before
 
 
 def eval_setup(tmp_path, capsys, per_class=15, seed_train=11, seed_test=12):
@@ -424,6 +472,7 @@ def test_eval_rejects_too_few_permutations_before_reading(tmp_path, capsys, clas
         (["eval", "--min-accuracy", "nan"], "--min-accuracy must lie in [0, 1], got nan"),
         (["eval", "--min-accuracy", "5"], "--min-accuracy must lie in [0, 1], got 5.0"),
         (["eval", "--min-accuracy", "-0.5"], "--min-accuracy must lie in [0, 1], got -0.5"),
+        (["eval", "--top-t", ","], "--top-t needs at least one entry, got ','"),
     ],
 )
 def test_bad_numbers_are_config_errors_before_reading(tmp_path, capsys, argv, message):
@@ -483,6 +532,26 @@ def test_eval_class_check_leaves_no_out_dir(tmp_path, capsys, case):
     code, _, err = run(argv, capsys)
     assert code == 3
     assert err == f"error: {message}\n"
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("flag", ["--train", "--test"])
+def test_eval_of_signals_of_another_length_leaves_no_out_dir(tmp_path, capsys, flag):
+    # The model is fitted to 32-sample signals; these have 64.
+    train, test, model = eval_setup(tmp_path, capsys, per_class=10)
+    longer = tmp_path / "longer.csv"
+    ds = load_csv(train)
+    save_csv(SignalDataset(np.hstack([ds.signals, ds.signals]), ds.class_ids), longer)
+    inputs = {"--train": train, "--test": test, flag: longer}
+    out = tmp_path / "report"
+    before = snapshot(tmp_path)
+    code, _, err = run(
+        ["eval", "--model", str(model), "--train", str(inputs["--train"]),
+         "--test", str(inputs["--test"]), "--permutations", "0", "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 3
+    assert err == f"error: {longer}: signals have length 64, model expects 32\n"
     assert snapshot(tmp_path) == before
 
 

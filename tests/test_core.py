@@ -64,16 +64,23 @@ def test_float_matrix_is_the_one_matrix_rule():
         "m must be an l x 2 matrix with at least one row, got shape (0, 2)": (np.zeros((0, 2)), 2),
         "m must be a 2-D matrix with at least one row, got shape (0, 0)": (np.zeros((0, 0)), None),
         "m contains non-finite values": (np.array([[0.0, np.inf]]), 2),
-        "m is not a matrix of numbers: could not convert string to float: 'x'":
-            ([[1.0, "x"]], None),
+        "m is not a matrix of numbers: got dtype <U32": ([[1.0, "x"]], None),
+        "m is not a matrix of numbers: got dtype <U5": ([["1.5", True]], None),
+        "m is not a matrix of numbers: got dtype bool": ([[True, False]], None),
+        "m is not a matrix of numbers: got dtype |S3": ([[b"1.5"]], None),
+        "m is not a matrix of numbers: got dtype object": ([[10 ** 400]], None),
+        "m is not a matrix of numbers: got dtype complex128": ([[1j]], None),
         "m is not a matrix of numbers: setting an array element with a sequence":
             ([[1.0], [1.0, 2.0]], None),  # ragged rows
     }
     for message, (values, width) in bad.items():
-        with pytest.raises(DataError, match=re.escape(message)):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             float_matrix(values, "m", width)
     with pytest.raises(DataError, match="m contains non-finite values"):
         float_matrix([[np.nan]], "m")
+    # Integer dtypes convert; numpy itself makes [1.5, True] float64.
+    for values in (np.array([[1, 2]], dtype=np.uint8), [[2 ** 63]], [[1.5, True]]):
+        assert float_matrix(values, "m").tolist() == np.asarray(values, dtype=float).tolist()
 
 
 def test_dataset_and_split_need_at_least_one_row():
@@ -90,6 +97,12 @@ def test_dataset_and_split_need_at_least_one_row():
 def test_split_rejects_odd_width():
     with pytest.raises(ConfigError):
         split(np.ones((2, 5)))
+
+
+def test_interleave_rejects_halves_of_two_shapes():
+    message = re.escape("halves must share a 2-D shape, got (2, 3) and (2, 2)")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        interleave(np.ones((2, 3)), np.ones((2, 2)))
 
 
 def test_index_window_left_boundary():
@@ -223,6 +236,8 @@ def test_restrict_pair_missing_class():
     ds = SignalDataset(signals=np.zeros((2, 4)), class_ids=np.array([1, 2]))
     with pytest.raises(DataError):
         ds.restrict_pair(1, 9)
+    with pytest.raises(ConfigError, match="^restrict_pair needs two distinct class ids$"):
+        ds.restrict_pair(1, 1)
 
 
 def test_require_labels_raises_without_labels():

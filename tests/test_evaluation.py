@@ -687,6 +687,8 @@ def test_ovo_validation_errors(monkeypatch):
     monkeypatch.setattr(ev, "fit_raw_psvm", lambda *args: fits.append(args))
     with pytest.raises(ConfigError):
         ev.one_against_one(train, test, cfg, top_t=[0])
+    with pytest.raises(ConfigError, match="^top_t needs at least one entry$"):
+        ev.one_against_one(train, test, cfg, top_t=[])
     one_class = SignalDataset(signals=train.signals, class_ids=np.ones(train.n_examples, int))
     with pytest.raises(DataError, match="at least two classes"):
         ev.one_against_one(one_class, test, cfg, top_t=[3])

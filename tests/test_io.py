@@ -239,10 +239,10 @@ def test_only_the_scalar_rule_checks_a_scalar_type():
 
 
 def test_only_the_array_rules_test_a_dtype():
-    # core.class_ids and core.signed_labels decide which dtypes a class-id or
-    # label vector may have (float_matrix converts); a dtype test anywhere
-    # else would be a second rule for one kind of array.
-    owners = {"core.class_ids", "core.signed_labels"}
+    # core.float_matrix, core.class_ids and core.signed_labels decide which
+    # dtypes a float matrix, a class-id or a label vector may have; a dtype
+    # test anywhere else would be a second rule for one kind of array.
+    owners = {"core.float_matrix", "core.class_ids", "core.signed_labels"}
 
     def tests(tree):
         return [

@@ -16,6 +16,8 @@ from discwave.core import (
     DataError,
     IndexWindow,
     NumericalError,
+    index_window,
+    window_columns,
 )
 from discwave import solver
 from discwave.solver import (
@@ -303,6 +305,57 @@ def test_empty_or_non_finite_constraints_rejected(B, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}"):
         PredictProblem(A=A, labels=np.tile([1.0, -1.0], 6), nu=1.0,
                        variant="nonregularised", B=B)
+
+
+def test_problem_of_no_columns_unknown_variant_or_regularised_constraints_rejected():
+    y = np.array([1.0, -1.0])
+    message = re.escape("A must be l x (L+1) with L >= 0, got shape (2, 0)")
+    with pytest.raises(DataError, match=f"^{message}$"):
+        PredictProblem(A=np.ones((2, 0)), labels=y, nu=1.0, variant="regularised")
+    with pytest.raises(ConfigError, match="^unknown variant 'lasso'$"):
+        PredictProblem(A=np.ones((2, 3)), labels=y, nu=1.0, variant="lasso")
+    with pytest.raises(ConfigError, match="^constraints require the nonregularised variant$"):
+        PredictProblem(A=np.ones((2, 3)), labels=y, nu=1.0, variant="regularised",
+                       B=np.ones((1, 3)))
+
+
+def test_vandermonde_degree_above_the_window_rejected():
+    with pytest.raises(ConfigError, match=r"^degree must lie in 1\.\.4, got 5$"):
+        vandermonde_constraints(IndexWindow(k=2, indices=(1, 2, 3, 4)), 5)
+
+
+def test_constraint_patterns_are_the_reference_rows_of_each_window():
+    # Row j of each returned stack is window k = j + 1's Vandermonde rows over
+    # its knots, built through IndexWindow, and their null-space split.
+    for half, L in ((8, 2), (8, 4), (16, 4), (16, 8), (32, 6)):
+        columns = window_columns(half, L)
+        for degree in range(1, min(L, 5) + 1):
+            B, w0, Vt = solver.constraint_patterns(columns, degree)
+            assert B.shape == (half, degree, L) and w0.shape == (half, L) == Vt.shape[:2]
+            for j in range(half):
+                rows = vandermonde_constraints(index_window(j + 1, half, L), degree)
+                assert B[j].tobytes() == rows.tobytes(), (half, L, degree, j)
+                Vt_j, w0_j = solver._null_space_split(rows)
+                assert w0[j].tobytes() == w0_j.tobytes() and Vt[j].tobytes() == Vt_j.tobytes()
+
+
+@pytest.mark.parametrize("half, window, degree, k", [(10, 10, 10, 1), (64, 14, 9, 64)])
+def test_constraint_patterns_name_the_first_rank_deficient_position(half, window, degree, k):
+    # Degree 10 over window 10 is rank deficient at every position, whose
+    # knots sort last-window first; degree 9 over window 14 only at the end.
+    # The error names the first failing position either way.
+    message = f"^position k={k}: constraint matrix B is numerically rank deficient$"
+    with pytest.raises(ConfigError, match=message):
+        solver.constraint_patterns(window_columns(half, window), degree)
+
+
+def test_windows_over_non_finite_coarse_values_rejected():
+    # Coarse column 7 (0-based) lies in the windows of positions 6, 7 and 8.
+    coarse = np.ones((4, 8))
+    coarse[2, 7] = np.nan
+    with pytest.raises(DataError, match="^position k=6: A contains non-finite values$"):
+        solver.solve_windows(np.ones((4, 8)), coarse, window_columns(8, 4),
+                             np.array([1.0, -1.0, 1.0, -1.0]), 1.0, "nonregularised")
 
 
 def test_too_many_constraints_rejected():

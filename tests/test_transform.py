@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from discwave.core import (
     ConfigError,
     DataError,
+    IndexWindow,
     NumericalError,
     SignalDataset,
     TransformConfig,
@@ -24,7 +25,7 @@ from discwave.core import (
     interleave,
     split,
 )
-from discwave import solver, transform as tf
+from discwave import evaluation as ev, solver, transform as tf
 from discwave.io import read_csv
 from discwave.datasets import WaveformSpec, generate_waveform
 from test_core import three_case_window_start
@@ -183,6 +184,26 @@ def test_fit_overflow_is_a_typed_error_without_runtime_warnings():
             tf.fit(ds, cfg)
 
 
+def test_overflowing_coarse_average_is_a_data_error_before_any_solve(monkeypatch):
+    # 1.5e308 + 1.5e308 overflows, so the level-1 average of such a pair is
+    # beyond the float range; fit and apply refuse it without a warning.
+    rng = np.random.default_rng(8)
+    ds = random_dataset(rng, 12, 8)
+    cfg = TransformConfig(levels=1, window=2, nu=1.0, variant="nonregularised")
+    t, _ = tf.fit(ds, cfg)
+    signals = 1.5e308 * np.sign(ds.signals)
+    signals[:, :2] = 1.5e308  # every row holds one overflowing pair
+    big = SignalDataset(signals=signals, class_ids=ds.class_ids)
+    monkeypatch.setattr(solver, "solve_windows", None)  # a solve would be a TypeError
+    message = re.escape("level 1: the coarse average overflows; the largest |sample| is 1.500e+308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            tf.fit(big, cfg)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            tf.apply(t, np.full((1, 8), 1.5e308))
+
+
 def test_round_trip_waveform():
     ds = generate_waveform(WaveformSpec(per_class_count=40, seed=11)).restrict_pair(1, 2)
     cfg = TransformConfig(levels=3, window=4, nu=1.0, variant="nonregularised")
@@ -221,6 +242,42 @@ def test_linear_ramps_vanish_with_degree_two_constraints():
         assert np.max(np.abs(detail(merged, m))) < 1e-8
     res = tf.constraint_residual(t)
     assert res is not None and res < 1e-10
+
+
+def test_runtime_constraint_rows_come_from_the_window_matrix_alone(monkeypatch):
+    # A constrained fit, its constraint residual and the pair fits of a
+    # one-against-one run give the same bits with the reference spelling of
+    # the rows (IndexWindow, vandermonde_constraints, window_knots) disabled.
+    data = generate_waveform(WaveformSpec(per_class_count=10, seed=212))
+    cfg = TransformConfig(levels=2, window=4, nu=1.0, variant="nonregularised",
+                          constraint_degree=2)
+    real_fit = tf.fit
+
+    def run():
+        fits = []
+
+        def recording_fit(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(tf, "fit", recording_fit)
+        fitted, merged = tf.fit(data.restrict_pair(1, 3), cfg)
+        reports = ev.one_against_one(data, data, cfg, top_t=[3])
+        levels = [level.tobytes() for each, _ in fits for level in each.levels]
+        return levels, merged.tobytes(), tf.constraint_residual(fitted), reports
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference spelling of the constraint rows ran")
+
+    monkeypatch.setattr(IndexWindow, "__post_init__", refuse)
+    monkeypatch.setattr(solver, "vandermonde_constraints", refuse)
+    monkeypatch.setattr(solver, "window_knots", refuse)
+    got = run()
+    assert len(got[0]) == 2 * 4  # the binary fit and three pair fits, two levels each
+    assert got[:3] == expected[:3]
+    assert repr(got[3]) == repr(expected[3])
 
 
 def test_constraint_residual_none_when_unconstrained():
