@@ -23,7 +23,7 @@ each stack is one stacked QR and one stacked triangular solve through the
 same core as `solve`, which is its one-window case and gives the same bits.
 A stack holds about STACK_BYTES of QR input, so its arrays stay in cache
 and memory stays flat at any example count, and the constraint bases (the
-SVD of B, w0 and Z) are computed once per knot pattern, not per window.
+SVD of B, w0 and Z) are computed once per (window, degree), not per level.
 `kkt_oracle` solves the identical problems by one dense factorization of the
 full stationarity+feasibility system and exists to arbitrate `solve` in
 tests; the two routes share no linear algebra.
@@ -32,6 +32,7 @@ tests; the two routes share no linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -83,13 +84,10 @@ class PredictProblem:
             raise DataError(f"A must be l x (L+1) with L >= 0, got shape {A.shape}")
         y = validate_labels(self.labels, A.shape[0])
         object.__setattr__(self, "nu", real(self.nu, "nu", "(0, inf)"))
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        _check_variant(self.variant, self.B is not None)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "labels", y)
         if self.B is not None:
-            if self.variant != NONREGULARISED:
-                raise ConfigError("constraints require the nonregularised variant")
             L = A.shape[1] - 1
             B = float_matrix(self.B, "B", L)
             if len(B) > L:  # extra rows are invisible to the singular values
@@ -107,6 +105,14 @@ class PredictSolution:
     w: np.ndarray
     gamma: float
     u: np.ndarray  # the duals, u = nu * xi
+
+
+def _check_variant(variant, constrained: bool) -> None:
+    """The variant rule of `PredictProblem` and `solve_windows`."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    if constrained and variant != NONREGULARISED:
+        raise ConfigError("constraints require the nonregularised variant")
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -242,11 +248,14 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
     degree > 0, and row j of the result is `solve` of that problem bit for
     bit. The problems share labels and nu, so they run through `_solve_stack`
     a stack at a time, each stack gathered straight from `coarse` and holding
-    about STACK_BYTES of QR input; constraint bases come once per knot
-    pattern. `labels` must be a valid +/-1 vector, which is not checked
-    again. Errors name the failing window: "position k=K: ...".
+    about STACK_BYTES of QR input; constraint bases come once per (window,
+    degree). `labels`, `nu` and `variant` are checked once a call, as
+    `PredictProblem` checks them. Errors name the failing window:
+    "position k=K: ...".
     """
+    labels = validate_labels(labels, len(targets))
     nu = real(nu, "nu", "(0, inf)")
+    _check_variant(variant, bool(degree))
     J, L = columns.shape
     ks = np.arange(1, J + 1)
     bad = ~np.isfinite(targets).all(axis=0)[:J]
@@ -337,29 +346,28 @@ def vandermonde_constraints(window: IndexWindow, degree: int) -> np.ndarray:
     return np.vstack([t ** r for r in range(p)])
 
 
-def constraint_patterns(columns, degree: int):
-    """Constraint rows of a level's windows and their null-space splits, per window.
+@lru_cache(maxsize=16)
+def _window_bases(window: int, degree: int):
+    """(B, w0, Vt) of the L = `window` knot patterns, at offset + L - 1: row j
+    of a window matrix starts at offset o = columns[j, 0] - j, in 1-L..0, and
+    has knots 2*(o + i) - 0.5, so every level shares these L patterns."""
+    if degree > window:
+        raise ConfigError(f"degree must lie in 1..{window}, got {degree}")
+    knots = 2.0 * (np.arange(1 - window, 1)[:, None] + np.arange(window)) - 0.5
+    B = np.array([np.vstack([t ** r for r in range(degree)]) for t in knots])
+    try:
+        Vt, w0 = map(np.array, zip(*map(_null_space_split, B)))
+    except ConfigError as exc:
+        raise ConfigError(f"window {window}, degree {degree}: {exc}") from exc
+    return B, w0, Vt
 
-    `columns` is the level's window matrix (`core.window_columns`): row j
-    holds the 0-based coarse columns c of position k = j + 1, at knots
-    2*(c - j) - 0.5, half-integers centred on the target (`window_knots`).
-    Returns (B, w0, Vt) stacked per window: B[j] holds the knots' first
-    `degree` powers, w0[j] and Vt[j] its `_null_space_split`, made once per
-    pattern of columns relative to j (at most L+1 a level); a rank-deficient
-    pattern names its first position. `vandermonde_constraints` of an
-    `IndexWindow` is the reference spelling of B[j], for the tests and bench.
-    """
-    p, L = integer(degree, "degree", 1), columns.shape[1]
-    if p > L:
-        raise ConfigError(f"degree must lie in 1..{L}, got {degree}")
-    relative = columns - np.arange(len(columns))[:, None]
-    patterns, firsts, which = np.unique(relative, axis=0, return_index=True, return_inverse=True)
-    B = np.array([np.vstack([t ** r for r in range(p)]) for t in 2.0 * patterns - 0.5])
-    splits = [None] * len(B)
-    for i in np.argsort(firsts):  # in position order, so an error names the first k
-        try:
-            splits[i] = _null_space_split(B[i])
-        except ConfigError as exc:
-            raise ConfigError(f"position k={firsts[i] + 1}: {exc}") from exc
-    Vt, w0 = map(np.array, zip(*splits))
-    return tuple(a[which.reshape(-1)] for a in (B, w0, Vt))  # NumPy 2.0.0's inverse is 2-D
+
+def constraint_patterns(columns, degree: int):
+    """(B, w0, Vt) per row of a level's window matrix `columns`
+    (`core.window_columns`): copies of its offset's `_window_bases` pattern.
+    `vandermonde_constraints` of an `IndexWindow` is the reference spelling
+    of B[j], for the tests and bench."""
+    J, L = columns.shape
+    bases = _window_bases(L, integer(degree, "degree", 1))  # a bool or list never keys the cache
+    # offset o sits at o + L - 1 = (o - 1) % L; a 1-wide window's o = 1 shares its one pattern
+    return tuple(a[(columns[:, 0] - np.arange(J) - 1) % L] for a in bases)

@@ -160,12 +160,11 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
     merged is apply(transform, train.signals), the l x N training coefficients.
 
     Levels run in order, each consuming the previous coarse signal, and the
-    positions of a level are solved in stacks by `solver.solve_windows`; the
-    labels were checked once, when the dataset was built. Fits exactly
-    `config.levels` levels: a window wider than level M's coarse length
-    N/2^M is a ConfigError raised before any solve, naming the deepest depth
-    the window fits; signals whose coarse average overflows are a DataError,
-    raised before any solve. `progress`, if given, is called as
+    positions of a level are solved in stacks by `solver.solve_windows`.
+    Fits exactly `config.levels` levels: a window wider than level M's
+    coarse length N/2^M is a ConfigError raised before any solve, naming the
+    deepest depth the window fits; signals whose coarse average overflows
+    are a DataError, raised before any solve. `progress`, if given, is called as
     progress(level, n_positions, seconds) after each level. Raises
     NumericalError when the fitted transform does not reconstruct its own
     training signals to ROUND_TRIP_RTOL of their largest magnitude.

@@ -175,7 +175,7 @@ def test_fit_deeper_than_the_window_allows_exits_2(tmp_path, capsys):
 
 def test_fit_of_rank_deficient_constraint_rows_exits_2(tmp_path, capsys):
     # Degree 10 over window 10: the rows of every window are rank deficient,
-    # and the error names the first position.
+    # and the error names the window and the degree.
     train = write_pair_csv(tmp_path / "train.csv", 5, 9)
     model = tmp_path / "model.json"
     before = snapshot(tmp_path)
@@ -187,7 +187,7 @@ def test_fit_of_rank_deficient_constraint_rows_exits_2(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == (
-        "error: level 1, position k=1: constraint matrix B is numerically rank deficient\n"
+        "error: level 1, window 10, degree 10: constraint matrix B is numerically rank deficient\n"
     )
     assert snapshot(tmp_path) == before
 

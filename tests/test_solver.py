@@ -339,14 +339,67 @@ def test_constraint_patterns_are_the_reference_rows_of_each_window():
                 assert w0[j].tobytes() == w0_j.tobytes() and Vt[j].tobytes() == Vt_j.tobytes()
 
 
-@pytest.mark.parametrize("half, window, degree, k", [(10, 10, 10, 1), (64, 14, 9, 64)])
-def test_constraint_patterns_name_the_first_rank_deficient_position(half, window, degree, k):
-    # Degree 10 over window 10 is rank deficient at every position, whose
-    # knots sort last-window first; degree 9 over window 14 only at the end.
-    # The error names the first failing position either way.
-    message = f"^position k={k}: constraint matrix B is numerically rank deficient$"
-    with pytest.raises(ConfigError, match=message):
-        solver.constraint_patterns(window_columns(half, window), degree)
+def test_every_level_has_the_offset_patterns_of_a_full_window():
+    # The premise of constraint_patterns' one build per (window, degree): row
+    # j of any level's window matrix, taken relative to j, is one of the L
+    # rows of window_columns(L, L), and each of them occurs. Only a 1-wide
+    # window, whose one pattern has no knot dependence, breaks the rule.
+    for L in range(2, 33):
+        full = window_columns(L, L) - np.arange(L)[:, None]
+        assert sorted(full[:, 0]) == list(range(1 - L, 1))
+        for half in range(L, 4 * L + 3):
+            relative = window_columns(half, L) - np.arange(half)[:, None]
+            assert np.array_equal(np.unique(relative, axis=0), np.unique(full, axis=0)), (L, half)
+
+
+def test_constraint_patterns_of_a_one_wide_window_are_its_reference_rows():
+    for half in (1, 2, 5):
+        B, w0, Vt = solver.constraint_patterns(window_columns(half, 1), 1)
+        for j in range(half):
+            rows = vandermonde_constraints(index_window(j + 1, half, 1), 1)
+            Vt_j, w0_j = solver._null_space_split(rows)
+            assert B[j].tobytes() == rows.tobytes()
+            assert w0[j].tobytes() == w0_j.tobytes() and Vt[j].tobytes() == Vt_j.tobytes()
+
+
+# The first degree whose constraint rows are numerically rank deficient, per
+# even window up to 64 (measured); below window 10 every degree 1..L builds.
+FIRST_RANK_DEFICIENT = {
+    **dict.fromkeys(range(10, 13, 2), 10),
+    **dict.fromkeys(range(14, 23, 2), 9),
+    **dict.fromkeys(range(24, 45, 2), 8),
+    **dict.fromkeys(range(46, 65, 2), 7),
+}
+
+
+def test_first_rank_deficient_degree_of_each_window():
+    for L in range(2, 65, 2):
+        first = FIRST_RANK_DEFICIENT.get(L)
+        columns = window_columns(2 * L, L)
+        for degree in range(1, first or L + 1):
+            solver.constraint_patterns(columns, degree)
+        if first is not None:
+            message = (f"^window {L}, degree {first}: "
+                       "constraint matrix B is numerically rank deficient$")
+            with pytest.raises(ConfigError, match=message):
+                solver.constraint_patterns(columns, first)
+
+
+def test_constraint_patterns_degree_above_the_window_rejected():
+    with pytest.raises(ConfigError, match=r"^degree must lie in 1\.\.4, got 5$"):
+        solver.constraint_patterns(window_columns(8, 4), 5)
+
+
+def test_constraint_patterns_hand_out_copies():
+    # The bases are cached per (window, degree); a caller's write must not
+    # reach the next level's rows.
+    columns = window_columns(8, 4)
+    first = solver.constraint_patterns(columns, 2)
+    reference = [a.copy() for a in first]
+    for a in first:
+        a[...] = np.nan
+    for a, b in zip(solver.constraint_patterns(columns, 2), reference):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_windows_over_non_finite_coarse_values_rejected():
@@ -356,6 +409,24 @@ def test_windows_over_non_finite_coarse_values_rejected():
     with pytest.raises(DataError, match="^position k=6: A contains non-finite values$"):
         solver.solve_windows(np.ones((4, 8)), coarse, window_columns(8, 4),
                              np.array([1.0, -1.0, 1.0, -1.0]), 1.0, "nonregularised")
+
+
+Y4 = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("labels, variant, degree, error, message", [
+    (Y4, "bogus", 0, ConfigError, "unknown variant 'bogus'"),
+    (Y4, "regularised", 2, ConfigError, "constraints require the nonregularised variant"),
+    (np.ones(4), "nonregularised", 0, DataError, "need at least one example of each label"),
+    (np.zeros(4), "nonregularised", 0, DataError, "labels must be -1 or +1"),
+    (Y4[:3], "nonregularised", 0, DataError, "labels must have shape (4,), got (3,)"),
+], ids=["unknown variant", "regularised constraints", "one class", "zero labels", "short labels"])
+def test_windows_held_to_the_rules_of_a_problem(labels, variant, degree, error, message):
+    # solve_windows applies PredictProblem's variant and label rules once a call.
+    rng = np.random.default_rng(31)
+    targets, coarse = rng.standard_normal((4, 8)), rng.standard_normal((4, 8))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        solver.solve_windows(targets, coarse, window_columns(8, 4), labels, 1.0, variant, degree)
 
 
 def test_too_many_constraints_rejected():
