@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--constraint-degree",
         type=int,
         default=0,
-        help="polynomial reproduction degree bound p (0 disables constraints)",
+        help="polynomial degree: 0 (none) or 1..min(window, 15), on knots scaled by 1/(2*window)",
     )
     f.add_argument("--out-model", required=True, help="output model JSON path")
     f.add_argument("--out-features", default=None, help="optional training-coefficient CSV")

@@ -45,8 +45,8 @@ from .core import (
     DataError,
     IndexWindow,
     NumericalError,
+    constraint_degree,
     float_matrix,
-    integer,
     real,
     validate_labels,
 )
@@ -206,8 +206,7 @@ def _null_space_split(B: np.ndarray):
     numerically rank deficient.
     """
     p = B.shape[0]
-    e1 = np.zeros(p)
-    e1[0] = 1.0
+    e1 = np.eye(p)[0]
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
     if s[-1] <= s[0] * 1e-12:
         raise ConfigError("constraint matrix B is numerically rank deficient")
@@ -322,13 +321,13 @@ def window_knots(window: IndexWindow) -> np.ndarray:
     """Knot positions of a window's coarse samples relative to its even target.
 
     On the current level's grid the coarse sample at window position i sits
-    half a fine step left of where even sample i was taken, and adjacent
-    coarse samples are two fine steps apart, so the relative positions are
-    2*(i - k) - 0.5: half-integers centred at the prediction target. Any
-    affine rescaling of these knots leaves the reproduction property intact.
-    """
+    half a fine step left of where even sample i was taken, and coarse samples
+    are two fine steps apart: the knots 2*(i - k) - 0.5, divided by 2L (into
+    (-1, 1) on the window rule's windows) to condition B. A scaling about the
+    target keeps row 0 of B all ones and scales row r, so {w : B w = e1} stays
+    the same; a shift would move exact reproduction off the target."""
     idx = np.asarray(window.indices, dtype=float)
-    return 2.0 * (idx - float(window.k)) - 0.5
+    return (2.0 * (idx - float(window.k)) - 0.5) / (2 * len(window))
 
 
 def vandermonde_constraints(window: IndexWindow, degree: int) -> np.ndarray:
@@ -338,27 +337,19 @@ def vandermonde_constraints(window: IndexWindow, degree: int) -> np.ndarray:
     higher knot moments of w to zero: the predictor then reproduces
     polynomials of degree < `degree` exactly and their details vanish.
     """
-    p = integer(degree, "degree", 1)
-    L = len(window)
-    if p > L:
-        raise ConfigError(f"degree must lie in 1..{L}, got {degree}")
     t = window_knots(window)
-    return np.vstack([t ** r for r in range(p)])
+    return np.vstack([t ** r for r in range(constraint_degree(degree, len(window)))])
 
 
 @lru_cache(maxsize=16)
 def _window_bases(window: int, degree: int):
     """(B, w0, Vt) of the L = `window` knot patterns, at offset + L - 1: row j
     of a window matrix starts at offset o = columns[j, 0] - j, in 1-L..0, and
-    has knots 2*(o + i) - 0.5, so every level shares these L patterns."""
-    if degree > window:
-        raise ConfigError(f"degree must lie in 1..{window}, got {degree}")
-    knots = 2.0 * (np.arange(1 - window, 1)[:, None] + np.arange(window)) - 0.5
+    has knots (2*(o + i) - 0.5) / (2L), so every level shares these L patterns,
+    full rank at each degree `core.constraint_degree` admits."""
+    knots = (2.0 * (np.arange(1 - window, 1)[:, None] + np.arange(window)) - 0.5) / (2 * window)
     B = np.array([np.vstack([t ** r for r in range(degree)]) for t in knots])
-    try:
-        Vt, w0 = map(np.array, zip(*map(_null_space_split, B)))
-    except ConfigError as exc:
-        raise ConfigError(f"window {window}, degree {degree}: {exc}") from exc
+    Vt, w0 = map(np.array, zip(*map(_null_space_split, B)))
     return B, w0, Vt
 
 
@@ -368,6 +359,6 @@ def constraint_patterns(columns, degree: int):
     `vandermonde_constraints` of an `IndexWindow` is the reference spelling
     of B[j], for the tests and bench."""
     J, L = columns.shape
-    bases = _window_bases(L, integer(degree, "degree", 1))  # a bool or list never keys the cache
+    bases = _window_bases(L, constraint_degree(degree, L))  # a bool or list never keys the cache
     # offset o sits at o + L - 1 = (o - 1) % L; a 1-wide window's o = 1 shares its one pattern
     return tuple(a[(columns[:, 0] - np.arange(J) - 1) % L] for a in bases)

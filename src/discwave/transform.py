@@ -268,12 +268,12 @@ def base_vectors(transform: FittedTransform) -> BaseVectors:
 
 
 def constraint_residual(transform: FittedTransform) -> Optional[float]:
-    """Max |B w - e1| over all predictors, or None when unconstrained."""
+    """Max |B w - e1| over all predictors, the manifest's `constraint_residual`
+    (None when unconstrained), on rows at knots scaled by 1/(2L): entries in [-1, 1]."""
     p = transform.config.constraint_degree
     if p < 1:
         return None
-    e1 = np.zeros(p)
-    e1[0] = 1.0
+    e1 = np.eye(p)[0]
     worst = 0.0
     for level, columns in zip(transform.levels, transform.columns):
         B, _, _ = solver.constraint_patterns(columns, p)

@@ -173,23 +173,36 @@ def test_fit_deeper_than_the_window_allows_exits_2(tmp_path, capsys):
     assert not model.with_suffix(".manifest.json").exists()
 
 
-def test_fit_of_rank_deficient_constraint_rows_exits_2(tmp_path, capsys):
-    # Degree 10 over window 10: the rows of every window are rank deficient,
-    # and the error names the window and the degree.
-    train = write_pair_csv(tmp_path / "train.csv", 5, 9)
+def test_fit_of_a_constraint_degree_above_the_bound_exits_2(tmp_path, capsys):
+    # Degree 16 over window 16 is past the one bound, min(window, 15): a usage
+    # error raised with the configuration, before --train is opened.
     model = tmp_path / "model.json"
     before = snapshot(tmp_path)
     code, stdout, stderr = run(
-        ["fit", "--train", str(train), "--window", "10", "--constraint-degree", "10",
-         "--nu", "1.0", "--levels", "1", "--out-model", str(model)],
+        ["fit", "--train", str(tmp_path / "missing.csv"), "--window", "16",
+         "--constraint-degree", "16", "--nu", "1.0", "--levels", "1",
+         "--out-model", str(model)],
         capsys,
     )
     assert code == 2
     assert stdout == ""
     assert stderr == (
-        "error: level 1, window 10, degree 10: constraint matrix B is numerically rank deficient\n"
+        "error: constraint_degree must lie in 1..min(window, 15) = 1..15, got 16\n"
     )
     assert snapshot(tmp_path) == before
+
+
+def test_fit_at_degree_10_over_window_10_exits_0(tmp_path, capsys):
+    # On unscaled knots these rows were rank deficient; scaled, they fit.
+    train = write_pair_csv(tmp_path / "train.csv", 5, 9)
+    model = tmp_path / "model.json"
+    code, stdout, _ = run(
+        ["fit", "--train", str(train), "--window", "10", "--constraint-degree", "10",
+         "--nu", "1.0", "--levels", "1", "--out-model", str(model)],
+        capsys,
+    )
+    assert code == 0 and model.exists()
+    assert stdout.splitlines()[-1].startswith("constraint residual: ")
 
 
 def test_fit_of_samples_whose_average_overflows_exits_3(tmp_path, capsys):

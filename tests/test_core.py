@@ -259,6 +259,11 @@ def test_config_validation():
         TransformConfig(levels=1, window=4, nu=1.0, variant="other")
     with pytest.raises(ConfigError):
         TransformConfig(levels=1, window=4, nu=1.0, constraint_degree=5)
+    # One degree bound, min(window, 15), for the config and the solver alike.
+    TransformConfig(levels=1, window=16, nu=1.0, constraint_degree=15)
+    message = re.escape("constraint_degree must lie in 1..min(window, 15) = 1..15, got 16")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        TransformConfig(levels=1, window=16, nu=1.0, constraint_degree=16)
     with pytest.raises(ConfigError):
         # constraints are only defined for the nonregularised predictor
         TransformConfig(

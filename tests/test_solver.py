@@ -319,8 +319,11 @@ def test_problem_of_no_columns_unknown_variant_or_regularised_constraints_reject
                        B=np.ones((1, 3)))
 
 
+DEGREE_5_OVER_WINDOW_4 = r"^degree must lie in 1\.\.min\(window, 15\) = 1\.\.4, got 5$"
+
+
 def test_vandermonde_degree_above_the_window_rejected():
-    with pytest.raises(ConfigError, match=r"^degree must lie in 1\.\.4, got 5$"):
+    with pytest.raises(ConfigError, match=DEGREE_5_OVER_WINDOW_4):
         vandermonde_constraints(IndexWindow(k=2, indices=(1, 2, 3, 4)), 5)
 
 
@@ -362,31 +365,34 @@ def test_constraint_patterns_of_a_one_wide_window_are_its_reference_rows():
             assert w0[j].tobytes() == w0_j.tobytes() and Vt[j].tobytes() == Vt_j.tobytes()
 
 
-# The first degree whose constraint rows are numerically rank deficient, per
-# even window up to 64 (measured); below window 10 every degree 1..L builds.
-FIRST_RANK_DEFICIENT = {
-    **dict.fromkeys(range(10, 13, 2), 10),
-    **dict.fromkeys(range(14, 23, 2), 9),
-    **dict.fromkeys(range(24, 45, 2), 8),
-    **dict.fromkeys(range(46, 65, 2), 7),
-}
+def smallest_singular_ratio(L, ks):
+    # s[-1] / s[0] of the degree-15 rows of the windows k in ks over coarse
+    # columns 1..L, which have the offsets 1 - k; 1e-12 is the rank rule.
+    win = tuple(range(1, L + 1))
+    ratios = [np.linalg.svd(vandermonde_constraints(IndexWindow(k=k, indices=win), 15),
+                            compute_uv=False) for k in ks]
+    return min(s[-1] / s[0] for s in ratios)
 
 
-def test_first_rank_deficient_degree_of_each_window():
-    for L in range(2, 65, 2):
-        first = FIRST_RANK_DEFICIENT.get(L)
-        columns = window_columns(2 * L, L)
-        for degree in range(1, first or L + 1):
-            solver.constraint_patterns(columns, degree)
-        if first is not None:
-            message = (f"^window {L}, degree {first}: "
-                       "constraint matrix B is numerically rank deficient$")
-            with pytest.raises(ConfigError, match=message):
-                solver.constraint_patterns(columns, first)
+def test_constraint_rows_are_full_rank_up_to_the_degree_bound():
+    # Every degree core.constraint_degree admits passes the rank rule at
+    # every window: on knots scaled by 1/(2L), degree min(L, 15) does, and
+    # by interlacing the ratio cannot fall when rows are dropped, so every
+    # lower degree does too. Each window matrix of width L has the L offset
+    # patterns of window_columns(L, L).
+    for L in range(2, 129, 2):
+        solver.constraint_patterns(window_columns(L, L), min(L, 15))
+        message = rf"^degree must lie in 1\.\.min\(window, 15\) = 1\.\.{min(L, 15)}, got "
+        with pytest.raises(ConfigError, match=message):
+            solver.constraint_patterns(window_columns(L, L), min(L, 15) + 1)
+    # wider windows by singular values only, since _window_bases holds L^3 floats
+    for L in (256, 512):
+        assert smallest_singular_ratio(L, range(1, L + 1)) > 1e-12
+    assert smallest_singular_ratio(4096, (1, 4096)) > 1e-12  # the extreme offsets
 
 
 def test_constraint_patterns_degree_above_the_window_rejected():
-    with pytest.raises(ConfigError, match=r"^degree must lie in 1\.\.4, got 5$"):
+    with pytest.raises(ConfigError, match=DEGREE_5_OVER_WINDOW_4):
         solver.constraint_patterns(window_columns(8, 4), 5)
 
 
@@ -468,9 +474,10 @@ def test_kkt_oracle_size_guard():
 
 
 def test_window_knots_centered_half_integers():
+    # half-integer fine steps, in units of 2L = 8
     win = IndexWindow(k=4, indices=(3, 4, 5, 6))
     knots = window_knots(win)
-    assert knots.tolist() == [-2.5, -0.5, 1.5, 3.5]
+    assert knots.tolist() == [-2.5 / 8, -0.5 / 8, 1.5 / 8, 3.5 / 8]
 
 
 def test_vandermonde_p1_all_ones():
@@ -485,7 +492,7 @@ def test_vandermonde_p2_second_row_is_knots():
     B = vandermonde_constraints(win, 2)
     assert B.shape == (2, 4)
     assert np.all(B[0] == 1.0)
-    assert B[1].tolist() == [-2.5, -0.5, 1.5, 3.5]
+    assert B[1].tolist() == [-2.5 / 8, -0.5 / 8, 1.5 / 8, 3.5 / 8]
 
 
 def test_constrained_weights_reproduce_linear_polynomials():

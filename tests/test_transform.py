@@ -814,6 +814,50 @@ def test_apply_is_row_independent(fit, levels, n, data, seed):
         assert np.all(np.abs(alone - beside) <= tol), subset
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    fit=st.sampled_from(
+        [("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)]
+    ),
+    levels=st.integers(1, 3),
+    n=st.integers(1, 450),
+    data=st.data(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_reconstruct_is_row_independent(fit, levels, n, data, seed):
+    # The same for reconstruct, whose levels feed each other. Level m, top
+    # first, predicts P = <C_window, w> from its coarse signal C, then forms
+    # even = (d + P) / t and odd = 2 C - even. Only the dot product's order
+    # depends on the rows beside; the elementwise steps round equal inputs
+    # equally. Per row let x = max|signal|, which bounds |C|, |even|, |odd|
+    # and |d + P| / T at every level, omega = max sum|w| and tau <= |t| <= T
+    # (tau = T = 1 when nonregularised). If the two C of level m differ by at
+    # most D_m (D_M = 0: the coarse block is given), the two P differ by at
+    # most omega D_m + 2 window eps omega x, each rounding of unequal inputs
+    # adds eps times both results, and, to first order in eps,
+    #   D_{m-1} <= rho D_m + (2 window omega + 2 T + 4 tau) eps x / tau,
+    # rho = 2 + omega / tau, so D_0 <= sum_{m < M} rho^m times that last term.
+    variant, degree = fit
+    rng = np.random.default_rng(seed)
+    cfg = TransformConfig(
+        levels=levels, window=4, nu=1.0, variant=variant, constraint_degree=degree
+    )
+    t, _ = tf.fit(random_dataset(rng, 24, 32), cfg)
+    Z = rng.normal(size=(n, 32))
+    signals = tf.reconstruct(t, Z)
+    W = np.vstack([level.weights for level in t.levels])
+    target, W = (np.abs(W[:, 0]), W[:, 1:]) if variant == "regularised" else (np.ones(1), W)
+    omega, tau, T = np.abs(W).sum(axis=1).max(), target.min(), target.max()
+    rho = 2 + omega / tau
+    step = (2 * cfg.window * omega + 2 * T + 4 * tau) * np.finfo(float).eps / tau
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    for subset in (rows, rows[:1]):
+        alone, beside = tf.reconstruct(t, Z[subset]), signals[subset]
+        x = np.abs(beside).max(axis=1, keepdims=True)
+        tol = sum(rho ** m for m in range(levels)) * step * x
+        assert np.all(np.abs(alone - beside) <= tol), subset
+
+
 def lifting_factors(level, half, window, variant):
     """One level's split/update/predict step as dense elementary matrices, in
     the order they act, built from the lifting equations and the three-case
