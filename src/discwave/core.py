@@ -289,18 +289,6 @@ def split(signals: np.ndarray) -> tuple:
     return a[:, 0::2], a[:, 1::2]
 
 
-def interleave(odd: np.ndarray, even: np.ndarray) -> np.ndarray:
-    """Inverse of split: weave two half-width matrices back together."""
-    odd = np.asarray(odd, dtype=float)
-    even = np.asarray(even, dtype=float)
-    if odd.shape != even.shape or odd.ndim != 2:
-        raise ConfigError(f"halves must share a 2-D shape, got {odd.shape} and {even.shape}")
-    out = np.empty((odd.shape[0], 2 * odd.shape[1]), dtype=float)
-    out[:, 0::2] = odd
-    out[:, 1::2] = even
-    return out
-
-
 def window_columns(half_length: int, window: int) -> np.ndarray:
     """The window rule of a level: row k-1 holds the 0-based coarse columns
     behind even position k, for k = 1..half_length.

@@ -88,11 +88,12 @@ def _max_processes() -> int:
 
 
 def _format_rows(matrix, ids, lo, hi) -> str:
-    """Rows lo..hi-1 of a table as CSV text, in the spelling of write_csv."""
-    rows = matrix[lo:hi].tolist()
-    for row, i in zip(rows, ids[lo:hi].tolist()):
-        row.append(i)
-    return "".join(map(_line, rows))
+    """Rows lo..hi-1 of a table as CSV text, in the spelling of write_csv:
+    after tolist() every cell is a float or an int, so `repr` is `_cell`."""
+    return "".join(
+        f"{','.join(map(repr, row))},{i}\n"
+        for row, i in zip(matrix[lo:hi].tolist(), ids[lo:hi].tolist())
+    )
 
 
 def _write_rows(fh, matrix, ids, lo, hi) -> None:

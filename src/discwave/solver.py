@@ -23,7 +23,9 @@ each stack is one stacked QR and one stacked triangular solve through the
 same core as `solve`, which is its one-window case and gives the same bits.
 A stack holds about STACK_BYTES of QR input, so its arrays stay in cache
 and memory stays flat at any example count, and the constraint bases (the
-SVD of B, w0 and Z) are computed once per (window, degree), not per level.
+SVD of B, w0 and Z) are computed once per (window, degree), not per level;
+each stack gathers its own windows' rows of them, so a level holds no
+J x L x L copy.
 `kkt_oracle` solves the identical problems by one dense factorization of the
 full stationarity+feasibility system and exists to arbitrate `solve` in
 tests; the two routes share no linear algebra.
@@ -248,7 +250,8 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
     bit. The problems share labels and nu, so they run through `_solve_stack`
     a stack at a time, each stack gathered straight from `coarse` and holding
     about STACK_BYTES of QR input; constraint bases come once per (window,
-    degree). `labels`, `nu` and `variant` are checked once a call, as
+    degree), and each stack gathers only its own windows' patterns.
+    `labels`, `nu` and `variant` are checked once a call, as
     `PredictProblem` checks them. Errors name the failing window:
     "position k=K: ...".
     """
@@ -261,7 +264,9 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
     bad |= ~np.isfinite(coarse).all(axis=0)[columns].all(axis=1)
     if bad.any():
         raise DataError(f"position k={np.argmax(bad) + 1}: A contains non-finite values")
-    patterns = constraint_patterns(columns, degree) if degree else None
+    if degree:
+        patterns = _window_bases(L, constraint_degree(degree, L))
+        pattern = _pattern_index(columns)
     l = len(labels)
     size = max(1, STACK_BYTES // (8 * (l + L + 2) * (L + 3)))  # QR input is at most this
     weights = np.empty((J, L + 1 if variant == REGULARISED else L))
@@ -273,7 +278,7 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
         A = np.empty((len(ks[rows]), L + 1, l))
         A[:, 0] = targets.T[rows]
         np.negative(coarse.T[columns[rows]], out=A[:, 1:])
-        bases = None if patterns is None else tuple(a[rows] for a in patterns)
+        bases = tuple(a[pattern[rows]] for a in patterns) if degree else None
         weights[rows], gamma[rows], _ = _solve_stack(
             A.transpose(0, 2, 1), labels, nu, variant, bases, ks[rows]
         )
@@ -353,12 +358,20 @@ def _window_bases(window: int, degree: int):
     return B, w0, Vt
 
 
+def _pattern_index(columns) -> np.ndarray:
+    """The `_window_bases` pattern of each row of a window matrix `columns`:
+    offset o sits at o + L - 1 = (o - 1) % L; a 1-wide window's o = 1 shares
+    its one pattern."""
+    J, L = columns.shape
+    return (columns[:, 0] - np.arange(J) - 1) % L
+
+
 def constraint_patterns(columns, degree: int):
     """(B, w0, Vt) per row of a level's window matrix `columns`
     (`core.window_columns`): copies of its offset's `_window_bases` pattern.
     `vandermonde_constraints` of an `IndexWindow` is the reference spelling
-    of B[j], for the tests and bench."""
-    J, L = columns.shape
+    of B[j], for the tests and bench. `solve_windows` gathers the same rows
+    a stack at a time instead, so a level never holds J copies of Vt."""
+    L = columns.shape[1]
     bases = _window_bases(L, constraint_degree(degree, L))  # a bool or list never keys the cache
-    # offset o sits at o + L - 1 = (o - 1) % L; a 1-wide window's o = 1 shares its one pattern
-    return tuple(a[(columns[:, 0] - np.arange(J) - 1) % L] for a in bases)
+    return tuple(a[_pattern_index(columns)] for a in bases)

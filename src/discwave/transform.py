@@ -12,6 +12,11 @@ window of coarse samples behind each weight row is row k-1 of
 `window_columns`; it is derived once per transform and not stored with the
 weights. Applying uses the frozen weights only, so train-set coefficients
 from fit and apply are bit-identical.
+`apply` and `reconstruct` (and fit's round-trip check) run over row blocks
+of about BLOCK_BYTES, each block sample-major, so they take O(l*N + block)
+memory. A prediction sums its window's taps one at a time in window order,
+so every coefficient is one fixed sequence of IEEE operations on its own
+row: a row gives the same bits alone, beside any other rows, in any block.
 For the nonregularised variant the map is invertible and `reconstruct` undoes
 it exactly; `base_vectors` materialises the analysis/synthesis vector pairs.
 """
@@ -34,8 +39,6 @@ from .core import (
     SignalDataset,
     TransformConfig,
     float_matrix,
-    interleave,
-    split,
     window_columns,
 )
 from . import solver
@@ -48,7 +51,9 @@ INVERTIBILITY_RTOL = 1e-12  # least |w0| / ||w|| of an invertible regularised pr
 # shape data with |w0|/||w|| = 1.9e-7), while a fit whose details lost the
 # signal is off by O(1).
 ROUND_TRIP_RTOL = 1e-3
-ROUND_TRIP_ROWS = 256
+# apply, reconstruct and fit's round trip run over row blocks of about this
+# many bytes of samples, so their temporaries stay a few blocks at any row count.
+BLOCK_BYTES = 1 << 18
 MODEL_KEYS = ("config", "levels")  # save_model order
 
 
@@ -125,34 +130,52 @@ class BaseVectors:
     synthesis: np.ndarray
 
 
-def _predict_level(C, level, columns, variant):
-    """Target weights t and predictions P of one level from its coarse signal C.
+def _row_blocks(n_rows: int, N: int):
+    """Consecutive row slices of an n_rows x N float table, each holding about
+    BLOCK_BYTES of it (at least one row)."""
+    step = max(1, BLOCK_BYTES // (8 * N))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
-    The details are t * even - P: regularised predictors weight the even
-    target by their first weight (t holds one per position), nonregularised
-    ones by exactly one (t = 1.0, which leaves every product exact).
-    """
+
+def _split_weights(level, variant):
+    """(t, W) of a level: the target weights, or None for nonregularised
+    predictors, whose target weight is exactly one, and the J x L window weights."""
     W = level.weights
-    t, W = (W[:, 0], W[:, 1:]) if variant == REGULARISED else (1.0, W)
-    P = np.empty((C.shape[0], len(columns)))
-    for j, cols in enumerate(columns):
-        P[:, j] = C[:, cols] @ W[j]
-    return t, P
+    return (W[:, 0, None], W[:, 1:]) if variant == REGULARISED else (None, W)
 
 
-def _even_and_coarse(A, m):
-    """(even half, coarse average) of level m's input A. An average beyond the
-    float range is a DataError that names the level and the largest |sample|;
-    only level 1's can be, as every coarse sample is within half that range."""
-    A_o, A_e = split(A)
-    with np.errstate(over="ignore"):
-        C = 0.5 * (A_o + A_e)
-    if not np.isfinite(C).all():
+def _coarse(X, m, signals):
+    """Level m's coarse average 0.5 * (odd + even) of the sample-major X
+    (samples x rows), as a new half x rows array. An average beyond the float
+    range is a DataError that names the largest |sample| of `signals`, the
+    whole input; only level 1's can be, as every coarse sample is within half
+    that range. Call under np.errstate(over="ignore")."""
+    C = np.add(X[0::2], X[1::2], out=np.empty((len(X) // 2, X.shape[1])))
+    C *= 0.5
+    if m == 1 and not np.isfinite(C).all():
         raise DataError(
             f"level {m}: the coarse average overflows; the largest |sample| is "
-            f"{np.max(np.abs(A)):.3e}"
+            f"{np.max(np.abs(signals)):.3e}"
         )
-    return A_e, C
+    return C
+
+
+def _predict_level(C, W, columns):
+    """Predictions P[j] = sum_i C[columns[j, i]] W[j, i] of one level's
+    positions j from its sample-major coarse block C (samples x rows), summed
+    one tap at a time in tap order: ((C_0 W_0 + C_1 W_1) + C_2 W_2) + ....
+
+    Every entry is then one fixed sequence of IEEE operations on its own
+    row's samples, so its bits do not depend on the rows beside it; a BLAS
+    product would be free to sum in another order for another batch.
+    """
+    P = C[columns[:, 0]]
+    P *= W[:, :1]
+    tap = np.empty_like(P)
+    for i in range(1, columns.shape[1]):
+        np.take(C, columns[:, i], axis=0, out=tap)
+        P += np.multiply(tap, W[:, i : i + 1], out=tap)
+    return P
 
 
 def fit(train: SignalDataset, config: TransformConfig, progress=None):
@@ -167,7 +190,9 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
     are a DataError, raised before any solve. `progress`, if given, is called as
     progress(level, n_positions, seconds) after each level. Raises
     NumericalError when the fitted transform does not reconstruct its own
-    training signals to ROUND_TRIP_RTOL of their largest magnitude.
+    training signals to ROUND_TRIP_RTOL of their largest magnitude; that
+    round trip runs in row blocks, so it holds one block beside the
+    coefficients.
     """
     y = train.require_labels()
     N, L, M = train.signal_length, config.window, config.levels
@@ -177,31 +202,30 @@ def fit(train: SignalDataset, config: TransformConfig, progress=None):
             f"length-{N} signals allow at most {(N // L).bit_length() - 1} levels"
         )
     levels = []
-    A = train.signals
+    X = train.signals.T
     for m in range(1, M + 1):
-        half = A.shape[1] // 2
+        half = len(X) // 2
         t0 = time.perf_counter()
-        A_e, C = _even_and_coarse(A, m)
-        columns = window_columns(half, L)
+        with np.errstate(over="ignore"):
+            C = _coarse(X, m, train.signals)
         try:
             weights, gamma = solver.solve_windows(
-                A_e, C, columns, y, config.nu, config.variant, config.constraint_degree
+                X[1::2].T, C.T, window_columns(half, L), y, config.nu, config.variant,
+                config.constraint_degree,
             )
         except (ConfigError, DataError, NumericalError) as exc:
             raise type(exc)(f"level {m}, {exc}") from exc
         levels.append(_level(weights, gamma))
-        A = C
+        X = C
         if progress is not None:
             progress(m, half, time.perf_counter() - t0)
     transform = FittedTransform(config=config, levels=tuple(levels))
     merged = apply(transform, train.signals)
     # Details can lose the signal without any solve failing: regularised
     # weights of tiny data times the data underflow to zero. Such a transform
-    # no longer inverts its own training signals. Checked in row blocks, so
-    # reconstruct's temporaries stay small next to the coefficients.
+    # no longer inverts its own training signals.
     scale = max(np.max(train.signals), -np.min(train.signals))
-    for i in range(0, train.n_examples, ROUND_TRIP_ROWS):
-        rows = slice(i, i + ROUND_TRIP_ROWS)
+    for rows in _row_blocks(train.n_examples, N):
         error = np.max(np.abs(reconstruct(transform, merged[rows]) - train.signals[rows]))
         if not error <= ROUND_TRIP_RTOL * scale:
             raise NumericalError(
@@ -215,18 +239,30 @@ def apply(transform: FittedTransform, signals: np.ndarray) -> np.ndarray:
     """Run the frozen transform over the l rows of `signals` (no re-fitting):
     the l x N merged coefficients, one row per signal.
 
-    Each level writes its details straight into its block of the matrix.
+    Rows run in blocks of about BLOCK_BYTES, each through every level
+    sample-major, and each level writes its details straight into its block
+    of the matrix. A detail is t * even - P with P summed tap by tap in tap
+    order (`_predict_level`), so a row's coefficients are the same bits
+    alone or beside any other rows, and memory is the l x N output plus
+    a few blocks.
     """
     N, M = transform.signal_length, transform.config.levels
     A = float_matrix(signals, "signals", N)
-    variant = transform.config.variant
-    merged = np.empty((A.shape[0], N))
-    for m, (level, columns) in enumerate(zip(transform.levels, transform.columns), start=1):
-        A_e, C = _even_and_coarse(A, m)
-        t, P = _predict_level(C, level, columns, variant)
-        np.subtract(t * A_e, P, out=merged[:, N >> m : N >> (m - 1)])
-        A = C
-    merged[:, : N >> M] = A
+    steps = [_split_weights(level, transform.config.variant) for level in transform.levels]
+    merged = np.empty((len(A), N))
+    with np.errstate(over="ignore"):  # an overflowing coarse average is a DataError
+        for rows in _row_blocks(len(A), N):
+            X, out = A[rows].T, merged[rows].T
+            for m, ((t, W), columns) in enumerate(zip(steps, transform.columns), start=1):
+                C = _coarse(X, m, A)
+                P = _predict_level(C, W, columns)
+                details = out[N >> m : N >> (m - 1)]
+                if t is None:  # a target weight of one: t * even is even itself
+                    np.subtract(X[1::2], P, out=details)
+                else:
+                    np.subtract(np.multiply(X[1::2], t, out=details), P, out=details)
+                X = C
+            out[: N >> M] = X
     return merged
 
 
@@ -237,12 +273,14 @@ def reconstruct(transform: FittedTransform, coefficients: np.ndarray) -> np.ndar
     Nonregularised predictors invert directly (even = detail + prediction);
     regularised ones divide by the target's own weight, which must be
     nonnegligible against the predictor's weight norm for the map to be
-    invertible.
+    invertible: every level is checked, top first, before any row is
+    rebuilt. Rows run in blocks as in `apply`, with the same tap-order
+    predictions, so a row's signal does not depend on the rows beside it and
+    memory is the l x N output plus a few blocks.
     """
     N, M = transform.signal_length, transform.config.levels
     merged = float_matrix(coefficients, "coefficients", N)
     variant = transform.config.variant
-    C = merged[:, : N >> M]
     for m in range(M, 0, -1):
         level = transform.levels[m - 1]
         if variant == REGULARISED:
@@ -254,11 +292,23 @@ def reconstruct(transform: FittedTransform, coefficients: np.ndarray) -> np.ndar
                     f"level {m}, position k={j + 1}: target weight "
                     f"{level.weights[j, 0]:.3e} is too small to invert (|w| = {norm[j]:.3e})"
                 )
-        t, P = _predict_level(C, level, transform.columns[m - 1], variant)
-        A_e = (merged[:, N >> m : N >> (m - 1)] + P) / t
-        A_o = 2.0 * C - A_e
-        C = interleave(A_o, A_e)
-    return C
+    steps = [_split_weights(level, variant) for level in transform.levels]
+    signals = np.empty((len(merged), N))
+    for rows in _row_blocks(len(merged), N):
+        D = merged[rows].T
+        C = D[: N >> M]
+        for m in range(M, 0, -1):
+            t, W = steps[m - 1]
+            even = _predict_level(C, W, transform.columns[m - 1])
+            even += D[N >> m : N >> (m - 1)]
+            if t is not None:
+                even /= t
+            X = np.empty((2 * len(C), C.shape[1]))
+            np.subtract(np.multiply(C, 2.0, out=X[0::2]), even, out=X[0::2])
+            X[1::2] = even
+            C = X
+        signals[rows] = C.T
+    return signals
 
 
 def base_vectors(transform: FittedTransform) -> BaseVectors:

@@ -1,4 +1,4 @@
-"""Core types: datasets, configs, split/interleave, window selection."""
+"""Core types: datasets, configs, split, window selection."""
 
 import re
 import warnings
@@ -19,7 +19,6 @@ from discwave.core import (
     float_matrix,
     index_window,
     integer,
-    interleave,
     make_rng,
     pair_labels,
     real,
@@ -42,14 +41,6 @@ def test_split_two_by_two():
     A_o, A_e = split(np.array([[10.0, 20.0], [30.0, 40.0]]))
     assert A_o.tolist() == [[10.0], [30.0]]
     assert A_e.tolist() == [[20.0], [40.0]]
-
-
-def test_split_interleave_round_trip():
-    rng = np.random.default_rng(0)
-    for cols in (2, 4, 16, 32):
-        A = rng.standard_normal((3, cols))
-        A_o, A_e = split(A)
-        assert np.array_equal(interleave(A_o, A_e), A)
 
 
 def test_float_matrix_is_the_one_matrix_rule():
@@ -97,12 +88,6 @@ def test_dataset_and_split_need_at_least_one_row():
 def test_split_rejects_odd_width():
     with pytest.raises(ConfigError):
         split(np.ones((2, 5)))
-
-
-def test_interleave_rejects_halves_of_two_shapes():
-    message = re.escape("halves must share a 2-D shape, got (2, 3) and (2, 2)")
-    with pytest.raises(ConfigError, match=f"^{message}$"):
-        interleave(np.ones((2, 3)), np.ones((2, 2)))
 
 
 def test_index_window_left_boundary():

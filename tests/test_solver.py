@@ -7,6 +7,7 @@ before the solver existed and are frozen here.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,25 @@ def test_constraint_patterns_hand_out_copies():
         a[...] = np.nan
     for a, b in zip(solver.constraint_patterns(columns, 2), reference):
         assert a.tobytes() == b.tobytes()
+
+
+def test_solve_windows_gathers_constraint_bases_a_stack_at_a_time():
+    # A level's J x L x L stack of Vt copies is 64 MiB at 512 positions of
+    # window 128; solve_windows gathers each stack's rows from the cached
+    # bases instead, so once the cache is built its peak is a few stacks.
+    rng = np.random.default_rng(0)
+    l, half, L, degree = 40, 512, 128, 3
+    targets, coarse = rng.normal(size=(l, half)), rng.normal(size=(l, half))
+    labels = np.repeat([1.0, -1.0], l // 2)
+    columns = window_columns(half, L)
+    solver._window_bases(L, degree)
+    tracemalloc.start()
+    try:
+        solver.solve_windows(targets, coarse, columns, labels, 1.0, "nonregularised", degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_windows_over_non_finite_coarse_values_rejected():

@@ -8,6 +8,7 @@ out as exact rationals with denominator 280, frozen below.
 
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,8 +23,8 @@ from discwave.core import (
     SignalDataset,
     TransformConfig,
     index_window,
-    interleave,
     split,
+    window_columns,
 )
 from discwave import evaluation as ev, solver, transform as tf
 from discwave.io import read_csv
@@ -48,12 +49,6 @@ def test_update_step_pair_average():
     assert np.array_equal(odd, [[1.0, 3.0]])
     assert np.array_equal(even, [[2.0, 4.0]])
     assert np.array_equal(0.5 * (odd + even), [[1.5, 3.5]])
-
-
-def test_interleave_inverts_split():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(3, 8))
-    assert np.array_equal(interleave(*split(x)), x)
 
 
 def detail(merged, m):
@@ -202,6 +197,12 @@ def test_overflowing_coarse_average_is_a_data_error_before_any_solve(monkeypatch
             tf.fit(big, cfg)
         with pytest.raises(DataError, match=f"^{message}$"):
             tf.apply(t, np.full((1, 8), 1.5e308))
+        # The message names the whole input's largest |sample|, here in the
+        # first row block, although the pair that overflows is in the last.
+        X = np.zeros((tf.BLOCK_BYTES // (8 * 8) + 1, 8))
+        X[0, 0], X[-1, :2] = 1.7e308, 1.5e308
+        with pytest.raises(DataError, match=re.escape("the largest |sample| is 1.700e+308")):
+            tf.apply(t, X)
 
 
 def test_round_trip_waveform():
@@ -776,25 +777,32 @@ def test_apply_undoes_reconstruct_on_arbitrary_tables(fit, levels, exponent, see
     assert error <= 16 * np.finfo(float).eps * cond * np.max(np.abs(C))
 
 
+BLOCK_ROWS_32 = tf.BLOCK_BYTES // (8 * 32)  # rows of one block of 32-sample signals
+
+
+def row_subsets(data, n):
+    """Row subsets of an n-row table: a random set, which may take rows of
+    several of the table's blocks into one, its first row, and the rows from
+    a random row on, whose blocks start where the table's do not."""
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    start = data.draw(st.integers(0, n - 1))
+    return rows, rows[:1], list(range(start, n))
+
+
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(
     fit=st.sampled_from(
         [("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)]
     ),
     levels=st.integers(1, 3),
-    n=st.integers(1, 450),
+    n=st.integers(2 * BLOCK_ROWS_32 + 1, 2 * BLOCK_ROWS_32 + 100),  # over two blocks
     data=st.data(),
     seed=st.integers(0, 2 ** 16),
 )
 def test_apply_is_row_independent(fit, levels, n, data, seed):
-    # A row's coefficients must not depend on the rows beside it beyond
-    # rounding. The coarse block is pair averages, exact in any company. A
-    # detail is t e - <C_window, w>, and BLAS may sum that dot product in
-    # another order for a row alone or at another position of a matrix
-    # (OpenBLAS 0.3 does, for single rows and for most random subsets). Any
-    # order is within window * eps * |C| . |w| of the exact sum, so two of
-    # them, each followed by one rounded subtraction, differ by at most
-    # (2 window + 2) eps (max|x| sum|w| + |d|).
+    # A row's coefficients are the same bits alone, beside any other rows and
+    # at any place in apply's row blocks: every coefficient is one fixed
+    # sequence of IEEE operations on its own row's samples.
     variant, degree = fit
     rng = np.random.default_rng(seed)
     cfg = TransformConfig(
@@ -803,15 +811,8 @@ def test_apply_is_row_independent(fit, levels, n, data, seed):
     t, _ = tf.fit(random_dataset(rng, 24, 32), cfg)
     X = rng.normal(size=(n, 32))
     merged = tf.apply(t, X)
-    weight = max(float(np.abs(level.weights).sum(axis=1).max()) for level in t.levels)
-    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    for subset in (rows, rows[:1]):
-        alone, beside = tf.apply(t, X[subset]), merged[subset]
-        coarse = 32 >> t.config.levels
-        assert alone[:, :coarse].tobytes() == beside[:, :coarse].tobytes()
-        scale = np.abs(X[subset]).max(axis=1, keepdims=True) * weight + np.abs(beside)
-        tol = (2 * cfg.window + 2) * np.finfo(float).eps * scale
-        assert np.all(np.abs(alone - beside) <= tol), subset
+    for subset in row_subsets(data, n):
+        assert tf.apply(t, X[subset]).tobytes() == merged[subset].tobytes(), subset
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -820,23 +821,13 @@ def test_apply_is_row_independent(fit, levels, n, data, seed):
         [("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)]
     ),
     levels=st.integers(1, 3),
-    n=st.integers(1, 450),
+    n=st.integers(2 * BLOCK_ROWS_32 + 1, 2 * BLOCK_ROWS_32 + 100),  # over two blocks
     data=st.data(),
     seed=st.integers(0, 2 ** 16),
 )
 def test_reconstruct_is_row_independent(fit, levels, n, data, seed):
-    # The same for reconstruct, whose levels feed each other. Level m, top
-    # first, predicts P = <C_window, w> from its coarse signal C, then forms
-    # even = (d + P) / t and odd = 2 C - even. Only the dot product's order
-    # depends on the rows beside; the elementwise steps round equal inputs
-    # equally. Per row let x = max|signal|, which bounds |C|, |even|, |odd|
-    # and |d + P| / T at every level, omega = max sum|w| and tau <= |t| <= T
-    # (tau = T = 1 when nonregularised). If the two C of level m differ by at
-    # most D_m (D_M = 0: the coarse block is given), the two P differ by at
-    # most omega D_m + 2 window eps omega x, each rounding of unequal inputs
-    # adds eps times both results, and, to first order in eps,
-    #   D_{m-1} <= rho D_m + (2 window omega + 2 T + 4 tau) eps x / tau,
-    # rho = 2 + omega / tau, so D_0 <= sum_{m < M} rho^m times that last term.
+    # The same for reconstruct, whose levels feed each other: a row's signal
+    # is the same bits alone and beside any other rows.
     variant, degree = fit
     rng = np.random.default_rng(seed)
     cfg = TransformConfig(
@@ -845,17 +836,131 @@ def test_reconstruct_is_row_independent(fit, levels, n, data, seed):
     t, _ = tf.fit(random_dataset(rng, 24, 32), cfg)
     Z = rng.normal(size=(n, 32))
     signals = tf.reconstruct(t, Z)
-    W = np.vstack([level.weights for level in t.levels])
-    target, W = (np.abs(W[:, 0]), W[:, 1:]) if variant == "regularised" else (np.ones(1), W)
-    omega, tau, T = np.abs(W).sum(axis=1).max(), target.min(), target.max()
-    rho = 2 + omega / tau
-    step = (2 * cfg.window * omega + 2 * T + 4 * tau) * np.finfo(float).eps / tau
-    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    for subset in (rows, rows[:1]):
-        alone, beside = tf.reconstruct(t, Z[subset]), signals[subset]
-        x = np.abs(beside).max(axis=1, keepdims=True)
-        tol = sum(rho ** m for m in range(levels)) * step * x
-        assert np.all(np.abs(alone - beside) <= tol), subset
+    for subset in row_subsets(data, n):
+        assert tf.reconstruct(t, Z[subset]).tobytes() == signals[subset].tobytes(), subset
+
+
+def reference_levels(t):
+    """Per level: (window matrix, target weights, window weights) from
+    window_columns and the model arrays; a nonregularised target weight is 1."""
+    out = []
+    for level in t.levels:
+        W = level.weights
+        half = len(W)
+        target, w = (W[:, 0], W[:, 1:]) if t.config.variant == "regularised" else (np.ones(half), W)
+        out.append((window_columns(half, t.config.window), target.tolist(), w.tolist()))
+    return out
+
+
+def tap_sum(c, cols, w):
+    """((c_0 w_0 + c_1 w_1) + c_2 w_2) + ... over the window's coarse samples."""
+    p = c[cols[0]] * w[0]
+    for i in range(1, len(cols)):
+        p = p + c[cols[i]] * w[i]
+    return p
+
+
+def reference_apply(t, X):
+    """apply, one coefficient at a time in Python floats: the level-m detail
+    of position k is t_k even_k - tap_sum over the coarse samples of window k."""
+    N = t.signal_length
+    merged = np.empty_like(X)
+    levels = reference_levels(t)
+    for r, row in enumerate(X.tolist()):
+        a = row
+        for m, (columns, target, w) in enumerate(levels, start=1):
+            c = [0.5 * (a[2 * k] + a[2 * k + 1]) for k in range(len(a) // 2)]
+            for k, cols in enumerate(columns.tolist()):
+                merged[r, (N >> m) + k] = target[k] * a[2 * k + 1] - tap_sum(c, cols, w[k])
+            a = c
+        merged[r, : len(a)] = a
+    return merged
+
+
+def reference_reconstruct(t, D):
+    """reconstruct, one sample at a time in Python floats: top level first,
+    even_k = (d_k + p_k) / t_k with p_k the tap_sum of window k, and
+    odd_k = 2 c_k - even_k."""
+    N, M = t.signal_length, t.config.levels
+    signals = np.empty_like(D)
+    levels = reference_levels(t)
+    for r, row in enumerate(D.tolist()):
+        c = row[: N >> M]
+        for m in range(M, 0, -1):
+            columns, target, w = levels[m - 1]
+            a = []
+            for k, cols in enumerate(columns.tolist()):
+                even = (row[(N >> m) + k] + tap_sum(c, cols, w[k])) / target[k]
+                a += [2.0 * c[k] - even, even]
+            c = a
+        signals[r] = c
+    return signals
+
+
+@pytest.mark.parametrize(
+    "variant, degree", [("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)]
+)
+def test_apply_and_reconstruct_sum_the_taps_in_window_order(variant, degree):
+    # The bits of apply and reconstruct are those of one fixed order of
+    # operations per coefficient, the taps of each window summed from its
+    # first column to its last. A BLAS product in their place may sum in
+    # another order and fails this for some entry.
+    rng = np.random.default_rng(11)
+    cfg = TransformConfig(levels=3, window=4, nu=1.0, variant=variant, constraint_degree=degree)
+    t, _ = tf.fit(random_dataset(rng, 24, 32), cfg)
+    X = rng.normal(size=(16, 32))
+    assert tf.apply(t, X).tobytes() == reference_apply(t, X).tobytes()
+    assert tf.reconstruct(t, X).tobytes() == reference_reconstruct(t, X).tobytes()
+
+
+def traced_peak(f, *args):
+    """Bytes f(*args) allocates at its peak, beyond what was held before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "variant, degree", [("regularised", 0), ("nonregularised", 0), ("nonregularised", 2)]
+)
+def test_apply_reconstruct_and_the_round_trip_hold_one_block_beside_the_output(
+    variant, degree, monkeypatch
+):
+    # Row blocks keep the temporaries of apply and reconstruct small: on a
+    # 2048 x 128 table (a 2 MiB output) each peaks within 1 MiB of its
+    # output, where whole-table temporaries took 3 to 4 MiB more. Fit's
+    # round trip runs in the same blocks, so it adds under 1 MiB to what fit
+    # holds once its coefficients exist; a whole-table round trip adds its
+    # 2 MiB output and more.
+    rng = np.random.default_rng(3)
+    ds = random_dataset(rng, 2048, 128)
+    cfg = TransformConfig(levels=3, window=4, nu=1.0, variant=variant, constraint_degree=degree)
+    t, merged = tf.fit(ds, cfg)
+    output = merged.nbytes
+    assert traced_peak(tf.apply, t, ds.signals) <= output + 2 ** 20
+    assert traced_peak(tf.reconstruct, t, merged) <= output + 2 ** 20
+
+    held = []
+    real_apply = tf.apply
+
+    def apply_then_mark(*args):
+        coefficients = real_apply(*args)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return coefficients
+
+    monkeypatch.setattr(tf, "apply", apply_then_mark)
+    tracemalloc.start()
+    try:
+        tf.fit(ds, cfg)
+        round_trip = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    assert round_trip <= 2 ** 20
 
 
 def lifting_factors(level, half, window, variant):
