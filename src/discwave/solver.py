@@ -22,10 +22,10 @@ A level's windows share y and nu, so `solve_windows` solves them in stacks:
 each stack is one stacked QR and one stacked triangular solve through the
 same core as `solve`, which is its one-window case and gives the same bits.
 A stack holds about STACK_BYTES of QR input, so its arrays stay in cache
-and memory stays flat at any example count, and the constraint bases (the
-SVD of B, w0 and Z) are computed once per (window, degree), not per level;
-each stack gathers its own windows' rows of them, so a level holds no
-J x L x L copy.
+and memory stays flat at any example count. Constraint bases are built once
+per (window, degree), one SVD of B per offset pattern, and cached read-only:
+B, w0 and the L - p null-space rows N of the L patterns, L*(L-p)*L + L^2 +
+p*L^2 floats. Each stack gathers its windows' rows (`constraint_bases`).
 `kkt_oracle` solves the identical problems by one dense factorization of the
 full stationarity+feasibility system and exists to arbitrate `solve` in
 tests; the two routes share no linear algebra.
@@ -176,15 +176,15 @@ def _solve_stack(A, y: np.ndarray, nu: float, variant: str, bases=None, position
     """(w, gamma, u) of K window problems that share labels y and nu.
 
     A is K x l x (L+1), each slice laid out as PredictProblem.A. `bases`,
-    for constrained problems, is (B, w0, Vt) stacked per window as
-    `constraint_patterns` builds them. Every check of `solve` runs per
-    window with its tolerance, and the first failing window raises.
+    for constrained problems, is (B, w0, N) stacked per window, each as
+    `_null_space_split` splits B, so Z = N^T. Every check of `solve` runs
+    per window with its tolerance, and the first failing window raises.
     """
     a0, At = (0.0, A) if variant == REGULARISED else (A[..., 0], A[..., 1:])
     F, offset = At, a0
     if bases is not None:
-        B, w0, Vt = bases
-        Z = Vt[:, B.shape[1]:].transpose(0, 2, 1)  # B @ Z = 0 slice by slice
+        B, w0, N = bases
+        Z = N.transpose(0, 2, 1)  # B @ Z = 0 slice by slice
         F, offset = At @ Z, a0 + _matvec(At, w0)
     z, u, worst = _least_squares(F, offset, y, nu)
     w, gamma = z[:, :-1], z[:, -1]
@@ -201,18 +201,18 @@ def _solve_stack(A, y: np.ndarray, nu: float, variant: str, bases=None, position
 
 
 def _null_space_split(B: np.ndarray):
-    """(Vt, w0) of the constraints B w = e1, from one SVD of B.
+    """(w0, N) of the p x L constraints B w = e1, from one SVD of B.
 
-    w0 = B^+ e1 is the minimum-norm solution and the rows of Vt past the
-    first p span the null space of B. Raises ConfigError when B is
-    numerically rank deficient.
+    w0 = B^+ e1 is the minimum-norm solution, and the L - p orthonormal rows
+    of N span the null space of B (none when p = L). Raises ConfigError when
+    B is numerically rank deficient.
     """
     p = B.shape[0]
     e1 = np.eye(p)[0]
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
     if s[-1] <= s[0] * 1e-12:
         raise ConfigError("constraint matrix B is numerically rank deficient")
-    return Vt, Vt[:p].T @ ((U.T @ e1) / s)
+    return Vt[:p].T @ ((U.T @ e1) / s), Vt[p:]
 
 
 def solve(problem: PredictProblem) -> PredictSolution:
@@ -232,8 +232,8 @@ def solve(problem: PredictProblem) -> PredictSolution:
     B = problem.B
     bases = None
     if B is not None:
-        Vt, w0 = _null_space_split(B)
-        bases = (B[None], w0[None], Vt[None])
+        w0, N = _null_space_split(B)
+        bases = (B[None], w0[None], N[None])
     w, gamma, u = _solve_stack(problem.A[None], problem.labels, problem.nu, problem.variant, bases)
     return PredictSolution(w=w[0], gamma=float(gamma[0]), u=u[0])
 
@@ -265,8 +265,7 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
     if bad.any():
         raise DataError(f"position k={np.argmax(bad) + 1}: A contains non-finite values")
     if degree:
-        patterns = _window_bases(L, constraint_degree(degree, L))
-        pattern = _pattern_index(columns)
+        patterns, pattern = constraint_bases(columns, degree)
     l = len(labels)
     size = max(1, STACK_BYTES // (8 * (l + L + 2) * (L + 3)))  # QR input is at most this
     weights = np.empty((J, L + 1 if variant == REGULARISED else L))
@@ -292,7 +291,9 @@ def kkt_oracle(problem: PredictProblem) -> PredictSolution:
     u/nu, and (when present) the constraint rows, then solves the whole
     (n_w + 1 + l [+ p]) system at once. A regularised window is the
     nonregularised form with every column free (a0 = 0, At = A), so one
-    assembly serves both. Test arbiter for the fast paths.
+    assembly serves both. Test arbiter for the fast paths up to constraint
+    degree 6: against a 60-digit solve (24 random rows, nu = 1, windows 4-32)
+    its weights erred by <= 2e-11 there, by 6e-7 at degree 8, by ~1 at 12-15.
     """
     l = problem.n_examples
     if l > 2000:
@@ -348,30 +349,25 @@ def vandermonde_constraints(window: IndexWindow, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _window_bases(window: int, degree: int):
-    """(B, w0, Vt) of the L = `window` knot patterns, at offset + L - 1: row j
-    of a window matrix starts at offset o = columns[j, 0] - j, in 1-L..0, and
-    has knots (2*(o + i) - 0.5) / (2L), so every level shares these L patterns,
-    full rank at each degree `core.constraint_degree` admits."""
+    """Read-only (B, w0, N) of the L = `window` knot patterns, at offset + L - 1:
+    row j of a window matrix starts at offset o = columns[j, 0] - j, in 1-L..0,
+    and has knots (2*(o + i) - 0.5) / (2L), so every level shares these L
+    patterns, full rank at each degree `core.constraint_degree` admits."""
     knots = (2.0 * (np.arange(1 - window, 1)[:, None] + np.arange(window)) - 0.5) / (2 * window)
     B = np.array([np.vstack([t ** r for r in range(degree)]) for t in knots])
-    Vt, w0 = map(np.array, zip(*map(_null_space_split, B)))
-    return B, w0, Vt
+    w0, N = np.empty((window, window)), np.empty((window, window - degree, window))
+    for i, rows in enumerate(B):
+        w0[i], N[i] = _null_space_split(rows)
+    B.flags.writeable = w0.flags.writeable = N.flags.writeable = False
+    return B, w0, N
 
 
-def _pattern_index(columns) -> np.ndarray:
-    """The `_window_bases` pattern of each row of a window matrix `columns`:
-    offset o sits at o + L - 1 = (o - 1) % L; a 1-wide window's o = 1 shares
-    its one pattern."""
+def constraint_bases(columns, degree: int):
+    """((B, w0, N), index): the cached, read-only `_window_bases` of a level's
+    window matrix `columns` (`core.window_columns`) and each row's pattern,
+    offset o at o + L - 1 = (o - 1) % L (a 1-wide window's o = 1 shares its
+    one). Row j's constraints are B[index[j]]; `vandermonde_constraints` of an
+    `IndexWindow` is their reference spelling, for the tests and bench."""
     J, L = columns.shape
-    return (columns[:, 0] - np.arange(J) - 1) % L
-
-
-def constraint_patterns(columns, degree: int):
-    """(B, w0, Vt) per row of a level's window matrix `columns`
-    (`core.window_columns`): copies of its offset's `_window_bases` pattern.
-    `vandermonde_constraints` of an `IndexWindow` is the reference spelling
-    of B[j], for the tests and bench. `solve_windows` gathers the same rows
-    a stack at a time instead, so a level never holds J copies of Vt."""
-    L = columns.shape[1]
     bases = _window_bases(L, constraint_degree(degree, L))  # a bool or list never keys the cache
-    return tuple(a[_pattern_index(columns)] for a in bases)
+    return bases, (columns[:, 0] - np.arange(J) - 1) % L

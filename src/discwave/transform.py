@@ -319,15 +319,16 @@ def base_vectors(transform: FittedTransform) -> BaseVectors:
 
 def constraint_residual(transform: FittedTransform) -> Optional[float]:
     """Max |B w - e1| over all predictors, the manifest's `constraint_residual`
-    (None when unconstrained), on rows at knots scaled by 1/(2L): entries in [-1, 1]."""
+    (None when unconstrained), on rows at knots scaled by 1/(2L): entries in [-1, 1].
+    Each level gathers its windows' B alone from `solver.constraint_bases`."""
     p = transform.config.constraint_degree
     if p < 1:
         return None
     e1 = np.eye(p)[0]
     worst = 0.0
     for level, columns in zip(transform.levels, transform.columns):
-        B, _, _ = solver.constraint_patterns(columns, p)
-        Bw = np.matmul(B, level.weights[:, :, None])[..., 0]
+        (B, _, _), index = solver.constraint_bases(columns, p)
+        Bw = np.matmul(B[index], level.weights[:, :, None])[..., 0]
         worst = max(worst, float(np.max(np.abs(Bw - e1))))
     return worst
 

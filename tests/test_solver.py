@@ -328,23 +328,24 @@ def test_vandermonde_degree_above_the_window_rejected():
         vandermonde_constraints(IndexWindow(k=2, indices=(1, 2, 3, 4)), 5)
 
 
-def test_constraint_patterns_are_the_reference_rows_of_each_window():
-    # Row j of each returned stack is window k = j + 1's Vandermonde rows over
-    # its knots, built through IndexWindow, and their null-space split.
+def test_constraint_bases_are_the_reference_rows_of_each_window():
+    # Row j's pattern holds window k = j + 1's Vandermonde rows over its
+    # knots, built through IndexWindow, and their null-space split.
     for half, L in ((8, 2), (8, 4), (16, 4), (16, 8), (32, 6)):
         columns = window_columns(half, L)
         for degree in range(1, min(L, 5) + 1):
-            B, w0, Vt = solver.constraint_patterns(columns, degree)
-            assert B.shape == (half, degree, L) and w0.shape == (half, L) == Vt.shape[:2]
-            for j in range(half):
+            (B, w0, N), index = solver.constraint_bases(columns, degree)
+            assert B.shape == (L, degree, L) and w0.shape == (L, L)
+            assert N.shape == (L, L - degree, L) and index.shape == (half,)
+            for j, i in enumerate(index):
                 rows = vandermonde_constraints(index_window(j + 1, half, L), degree)
-                assert B[j].tobytes() == rows.tobytes(), (half, L, degree, j)
-                Vt_j, w0_j = solver._null_space_split(rows)
-                assert w0[j].tobytes() == w0_j.tobytes() and Vt[j].tobytes() == Vt_j.tobytes()
+                assert B[i].tobytes() == rows.tobytes(), (half, L, degree, j)
+                w0_j, N_j = solver._null_space_split(rows)
+                assert w0[i].tobytes() == w0_j.tobytes() and N[i].tobytes() == N_j.tobytes()
 
 
 def test_every_level_has_the_offset_patterns_of_a_full_window():
-    # The premise of constraint_patterns' one build per (window, degree): row
+    # The premise of constraint_bases' one build per (window, degree): row
     # j of any level's window matrix, taken relative to j, is one of the L
     # rows of window_columns(L, L), and each of them occurs. Only a 1-wide
     # window, whose one pattern has no knot dependence, breaks the rule.
@@ -356,14 +357,15 @@ def test_every_level_has_the_offset_patterns_of_a_full_window():
             assert np.array_equal(np.unique(relative, axis=0), np.unique(full, axis=0)), (L, half)
 
 
-def test_constraint_patterns_of_a_one_wide_window_are_its_reference_rows():
+def test_constraint_bases_of_a_one_wide_window_are_its_reference_rows():
     for half in (1, 2, 5):
-        B, w0, Vt = solver.constraint_patterns(window_columns(half, 1), 1)
-        for j in range(half):
+        (B, w0, N), index = solver.constraint_bases(window_columns(half, 1), 1)
+        assert N.shape == (1, 0, 1) and index.shape == (half,)
+        for j, i in enumerate(index):
             rows = vandermonde_constraints(index_window(j + 1, half, 1), 1)
-            Vt_j, w0_j = solver._null_space_split(rows)
-            assert B[j].tobytes() == rows.tobytes()
-            assert w0[j].tobytes() == w0_j.tobytes() and Vt[j].tobytes() == Vt_j.tobytes()
+            w0_j, N_j = solver._null_space_split(rows)
+            assert B[i].tobytes() == rows.tobytes()
+            assert w0[i].tobytes() == w0_j.tobytes() and N[i].tobytes() == N_j.tobytes()
 
 
 def smallest_singular_ratio(L, ks):
@@ -382,37 +384,58 @@ def test_constraint_rows_are_full_rank_up_to_the_degree_bound():
     # lower degree does too. Each window matrix of width L has the L offset
     # patterns of window_columns(L, L).
     for L in range(2, 129, 2):
-        solver.constraint_patterns(window_columns(L, L), min(L, 15))
+        solver.constraint_bases(window_columns(L, L), min(L, 15))
         message = rf"^degree must lie in 1\.\.min\(window, 15\) = 1\.\.{min(L, 15)}, got "
         with pytest.raises(ConfigError, match=message):
-            solver.constraint_patterns(window_columns(L, L), min(L, 15) + 1)
-    # wider windows by singular values only, since _window_bases holds L^3 floats
+            solver.constraint_bases(window_columns(L, L), min(L, 15) + 1)
+    # wider windows by singular values only, since _window_bases holds ~L^3 floats
     for L in (256, 512):
         assert smallest_singular_ratio(L, range(1, L + 1)) > 1e-12
     assert smallest_singular_ratio(4096, (1, 4096)) > 1e-12  # the extreme offsets
 
 
-def test_constraint_patterns_degree_above_the_window_rejected():
+def test_constraint_bases_degree_above_the_window_rejected():
     with pytest.raises(ConfigError, match=DEGREE_5_OVER_WINDOW_4):
-        solver.constraint_patterns(window_columns(8, 4), 5)
+        solver.constraint_bases(window_columns(8, 4), 5)
 
 
-def test_constraint_patterns_hand_out_copies():
-    # The bases are cached per (window, degree); a caller's write must not
-    # reach the next level's rows.
+def test_cached_constraint_bases_are_read_only():
+    # The bases are cached per (window, degree) and handed out as they are;
+    # a caller's write must raise, not reach the next level's rows.
     columns = window_columns(8, 4)
-    first = solver.constraint_patterns(columns, 2)
+    first, index = solver.constraint_bases(columns, 2)
     reference = [a.copy() for a in first]
     for a in first:
-        a[...] = np.nan
-    for a, b in zip(solver.constraint_patterns(columns, 2), reference):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] += 1.0
+    second, again = solver.constraint_bases(columns, 2)
+    assert again.tobytes() == index.tobytes()
+    for a, b in zip(second, reference):
         assert a.tobytes() == b.tobytes()
 
 
+def test_cold_window_bases_build_holds_one_pattern_beside_the_cache():
+    # Filled a pattern at a time: a cold build of the L = 128, degree 3 bases
+    # (16.1 MiB) peaks less than 1 MiB above what it keeps, where stacking a
+    # list of per-pattern splits would hold the cache twice.
+    solver._window_bases.cache_clear()
+    tracemalloc.start()
+    try:
+        bases = solver._window_bases(128, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in bases)
+    assert held > 16 * 2 ** 20 and peak <= held + 2 ** 20
+
+
 def test_solve_windows_gathers_constraint_bases_a_stack_at_a_time():
-    # A level's J x L x L stack of Vt copies is 64 MiB at 512 positions of
-    # window 128; solve_windows gathers each stack's rows from the cached
-    # bases instead, so once the cache is built its peak is a few stacks.
+    # A level's J x L x (L - p) stack of null-space rows is 62 MiB at 512
+    # positions of window 128 and degree 3; solve_windows gathers each
+    # stack's rows from the cached bases instead, so once the cache is built
+    # its peak is a few stacks.
     rng = np.random.default_rng(0)
     l, half, L, degree = 40, 512, 128, 3
     targets, coarse = rng.normal(size=(l, half)), rng.normal(size=(l, half))

@@ -10,6 +10,7 @@ import json
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,6 +280,55 @@ def test_runtime_constraint_rows_come_from_the_window_matrix_alone(monkeypatch):
     assert len(got[0]) == 2 * 4  # the binary fit and three pair fits, two levels each
     assert got[:3] == expected[:3]
     assert repr(got[3]) == repr(expected[3])
+
+
+def test_constraint_residual_gathers_the_constraint_rows_alone():
+    # A 1-level, window-128, degree-3 fit has 512 windows: their B rows are a
+    # 1.5 MiB gather, where copies of every window's null-space split took 66 MiB.
+    ds = random_dataset(np.random.default_rng(33), 40, 1024)
+    t, _ = tf.fit(ds, TransformConfig(levels=1, window=128, nu=1.0, constraint_degree=3))
+    tracemalloc.start()
+    try:
+        res = tf.constraint_residual(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res < 1e-10 and peak <= 4 * 2 ** 20
+
+
+def lagrange_weights_at_the_target(knots):
+    # The exact solution of B w = e1 for p = L: w_i = prod_{m != i} t_m / (t_m - t_i)
+    # reproduces every polynomial of degree < L at t = 0.
+    w = []
+    for i, ti in enumerate(knots):
+        wi = Fraction(1)
+        for m, tm in enumerate(knots):
+            if m != i:
+                wi *= tm / (tm - ti)
+        w.append(wi)
+    for r in range(len(knots)):
+        assert sum(wi * ti ** r for wi, ti in zip(w, knots)) == (r == 0)
+    return w
+
+
+def test_square_constraints_fix_the_weights_at_every_offset():
+    # At p = L the null space of B is empty (N has no rows), so B w = e1
+    # alone fixes each window's weights, whatever the data: the stacked
+    # solve must return them at every offset o, on knots (2(o + i) - 1/2)/(2L).
+    rng = np.random.default_rng(34)
+    for L in range(2, 15, 2):
+        ds = random_dataset(rng, 12, 32)  # 16 windows: every offset of L <= 14
+        t, _ = tf.fit(ds, TransformConfig(levels=1, window=L, nu=1.0, constraint_degree=L))
+        columns, weights = t.columns[0], t.levels[0].weights
+        offsets = set()
+        for j, w in enumerate(weights):
+            o = int(columns[j, 0]) - j
+            offsets.add(o)
+            exact = lagrange_weights_at_the_target([Fraction(4 * (o + i) - 1, 4 * L)
+                                                    for i in range(L)])
+            for wi, ei in zip(w, exact):
+                assert abs(Fraction(float(wi)) - ei) <= Fraction(1, 10 ** 6) * abs(ei), (L, o)
+        assert offsets == set(range(1 - L, 1))
 
 
 def test_constraint_residual_none_when_unconstrained():
