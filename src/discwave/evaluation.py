@@ -46,6 +46,7 @@ MIN_PERMUTATIONS = 100  # fewer cannot give a p-value below 0.01
 ALPHA_INTERVAL = "(0, 1]"  # the p-value cut of select_significant
 ACCURACY_INTERVAL = "[0, 1]"  # its training-accuracy cut
 FIT_BLOCK_CELLS = 2**16  # values per column block of fit_thresholds
+NULL_BLOCK_CELLS = 2**19  # l + K walk cells a labelling, per null block: ~1 MiB of int16
 
 RED, BLUE, GREEN = "red", "blue", "green"  # +1 side, -1 side, unclassified
 
@@ -107,7 +108,10 @@ def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
     candidate splits (split 0, where W = 0, and the boundaries between
     distinct values); best = max(P + hi, l - P - lo). A tied column skips
     the splits inside a run of equal values. Time O(l K R), memory
-    O((l + K) R).
+    O((l + K) R), all of it in the walk's dtype: int16 below l = 2^15 and
+    int32 from there, since |W| <= l - 1 and every count lies in 0..l. The
+    counts are formed in place (hi += P, lo = (l - P) - lo, best into hi),
+    so the K x R result is int16 or int32 too.
     """
     l, K = X.shape
     R = plus_rows.shape[0]
@@ -131,17 +135,26 @@ def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
         np.minimum(lo, W, out=lo)
         if tied[c - 1]:
             hi[held], lo[held] = kept
-    P = plus_rows.sum(axis=1)  # a platform integer: P + hi cannot wrap
-    return np.maximum(P + hi, l - P - lo)
+    P = plus_rows.sum(axis=1, dtype=dtype)
+    hi += P  # each sum is a count in 0..l, so none wraps
+    np.subtract(l - P, lo, out=lo)
+    return np.maximum(hi, lo, out=hi)
 
 
 def _fixed_counts(X: np.ndarray, plus_rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     """K x R: the s = +1 correct count of column k of X at threshold b[k], per
     labelling. It is l - #above - #plus + 2 #(above and plus); the last count
-    is one float product of 0/1 matrices, exact while l < 2^53."""
+    is one product of 0/1 matrices, in float32 below l = 2^24 and in float64
+    from there, so every partial sum is an integer the dtype holds exactly,
+    whatever order BLAS sums in."""
+    l = X.shape[0]
     above = X >= b
-    both = (above.T.astype(float) @ plus_rows.T.astype(float)).astype(np.int64)
-    return X.shape[0] - above.sum(axis=0)[:, None] - plus_rows.sum(axis=1) + 2 * both
+    exact = np.float32 if l < 2**24 else float
+    count = (above.T.astype(exact) @ plus_rows.T.astype(exact)).astype(np.int64)
+    count *= 2
+    count += (l - above.sum(axis=0))[:, None]
+    count -= plus_rows.sum(axis=1)
+    return count
 
 
 def fit_thresholds(X: np.ndarray, labels: np.ndarray):
@@ -442,21 +455,34 @@ def permutation_test(
     scored against the same ones, so a classifier's p-value does not depend on
     which others share the call. optimal_threshold columns share one walk over the
     sorted values (_best_counts).
+
+    Labellings go in blocks of at most NULL_BLOCK_CELLS // (l + K) of them, K
+    = len(classifiers), in replicate order after the observed one; each block
+    is drawn, counted and reduced to its hits before the next, so memory is
+    O(l + K) cells per labelling of one block, whatever B is, and the p-values
+    do not depend on where the blocks split.
     """
     B = integer(B, "B", MIN_PERMUTATIONS)
     X = float_matrix(values, "values", len(classifiers))
     y = validate_labels(labels, X.shape[0])
-    l = y.size
-    plus_rows = np.empty((B + 1, l), dtype=bool)  # row 0 observed, row b+1 replicate b
-    plus_rows[0] = y > 0
-    for b in range(B):
-        plus_rows[b + 1] = plus_rows[0, make_rng(seed, b).permutation(l)]
-    if classifiers.mode == PSVM_BIAS:
-        plus = _fixed_counts(X, plus_rows, classifiers.b)
-        best = np.maximum(plus, l - plus)
-    else:
-        best = _best_counts(X, plus_rows)
-    return (1 + np.sum(best[:, 1:] >= best[:, :1], axis=1)) / (B + 1)
+    l, K = X.shape
+    observed = y > 0
+    size = max(1, NULL_BLOCK_CELLS // (l + K))
+    hits = np.zeros(K, dtype=np.int64)  # the observed labelling counts itself once
+    for start in range(0, B + 1, size):
+        rows = range(start, min(start + size, B + 1))  # labelling r > 0 is replicate r - 1
+        plus_rows = np.empty((len(rows), l), dtype=bool)
+        for i, r in enumerate(rows):
+            plus_rows[i] = observed[make_rng(seed, r - 1).permutation(l)] if r else observed
+        if classifiers.mode == PSVM_BIAS:
+            plus = _fixed_counts(X, plus_rows, classifiers.b)
+            best = np.maximum(plus, l - plus, out=plus)
+        else:
+            best = _best_counts(X, plus_rows)
+        if start == 0:
+            observed_best = best[:, :1].copy()
+        hits += np.sum(best >= observed_best, axis=1)
+    return hits / (B + 1)
 
 
 def select_significant(

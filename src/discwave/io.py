@@ -24,11 +24,14 @@ CPU, the blocks after the first in forked children (formatting holds the
 interpreter lock, so threads would not help). The spelling rule is the
 same, and the bytes do not depend on how many processes formatted them.
 
-Reading a CSV is one C-level parse of its body (numpy.loadtxt). The
-row-by-row csv reader runs only on inputs that parse declines: quoted cells,
-ragged, whitespace-only or comma-only rows, numbers that only float() reads
-(such as 1_000), labels that fail their checks, and so on. The row reader
-defines what is accepted and words every DataError, so both are unchanged.
+Reading a CSV is one C-level parse of its body (numpy.loadtxt) into one
+l x (N+1) buffer. The labels are copied out and the samples moved down
+inside it, so the matrix is a C-contiguous view of the buffer and the table
+is held once. The row-by-row csv reader runs only on inputs that parse
+declines: quoted cells, ragged, whitespace-only or comma-only rows, numbers
+that only float() reads (such as 1_000), labels that fail their checks, and
+so on. The row reader defines what is accepted and words every DataError,
+so both are unchanged.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .core import CLASS_ID_BOUND, DataError, NumericalError, class_ids as check_
 # 2 CPUs, where two processes were slower at 32,768 cells and took 0.63x the
 # one-process time at 65,536.
 PARALLEL_MIN_CELLS = 1 << 16
-CHUNK_CELLS = 1 << 12  # cells this process formats per write: ~0.1 MB of text
+CHUNK_CELLS = 1 << 12  # cells formatted per write (~0.1 MB of text) or moved per read block
 PIPE_CHUNK_BYTES = 1 << 16  # bytes copied per read of a child's pipe
 
 
@@ -258,7 +261,8 @@ def read_csv(path):
     The first non-blank row is the header and every other row has its width;
     the last column holds integer class ids and is left out of the names and
     the matrix. Blank rows are skipped. The matrix is a C-contiguous float64
-    array and the ids are int64. The body is parsed once in C; the row reader
+    array and the ids are int64. The body is parsed once in C into one
+    buffer, of which the matrix is a view (no second copy); the row reader
     runs only on inputs that parse declines, so what is accepted and every
     message are those of the row reader. Raises DataError with 1-based
     row/column diagnostics (rows counted from the header) on an empty file,
@@ -307,7 +311,17 @@ def _read_c(path):
     labels = data[:, -1]
     if not np.all(np.abs(labels) < CLASS_ID_BOUND):
         return None
-    return names[:-1], np.ascontiguousarray(data[:, :-1]), labels.astype(np.int64)
+    ids = labels.astype(np.int64)  # copied out before the samples move over it
+    # The samples move down inside the same buffer, CHUNK_CELLS cells at a
+    # time, so the table is held once: a block lands below every later
+    # block's source, and numpy buffers a block that overlaps its own.
+    l, n = data.shape[0], data.shape[1] - 1
+    flat = data.reshape(-1)
+    step = max(1, CHUNK_CELLS // n)
+    for start in range(0, l, step):
+        stop = min(start + step, l)
+        flat[start * n : stop * n].reshape(stop - start, n)[...] = data[start:stop, :n]
+    return names[:-1], flat[: l * n].reshape(l, n), ids
 
 
 def _read_rows(path):

@@ -294,6 +294,7 @@ def kkt_oracle(problem: PredictProblem) -> PredictSolution:
     assembly serves both. Test arbiter for the fast paths up to constraint
     degree 6: against a 60-digit solve (24 random rows, nu = 1, windows 4-32)
     its weights erred by <= 2e-11 there, by 6e-7 at degree 8, by ~1 at 12-15.
+    Above degree 6 the tests check `solve` against an exact rational solve.
     """
     l = problem.n_examples
     if l > 2000:

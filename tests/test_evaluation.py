@@ -9,6 +9,8 @@ makes the exact test conservative (measured 0.10-0.12 at the frozen seeds
 against the 0.10 nominal level).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -475,6 +477,59 @@ def test_permutation_test_walk_matches_reference_ties_and_mixed_modes():
     want = [reference_p_value(X[:, j], labels, m, b, 120, 12) for j, (m, b) in enumerate(spec)]
     assert got.tolist() == want
     assert got[6] == got[7] == 1.0  # one predicted side for every labelling
+
+
+def test_permutation_test_blocks_agree_with_one_block(monkeypatch):
+    # Labellings are drawn and counted in blocks of NULL_BLOCK_CELLS // (l + K)
+    # of them, observed first. Blocks of 1, 7 and all 121 labellings (121 is
+    # no multiple of 7) must give the one-block p-values bit for bit, from the
+    # same draws in the same order, in both modes.
+    rng = make_rng(309)
+    l, K, B = 31, 4, 120
+    labels = np.where(rng.random(l) < 0.5, 1.0, -1.0)
+    labels[:2] = (1.0, -1.0)
+    X = np.column_stack([
+        labels + 0.8 * rng.standard_normal(l),  # informative
+        rng.integers(-2, 3, size=l).astype(float),  # heavily tied
+        np.full(l, 0.7),  # constant
+        rng.standard_normal(l),  # noise
+    ])
+    assert ev.NULL_BLOCK_CELLS // (l + K) >= B + 1  # the default is one block
+    draws = []
+
+    def counting_make_rng(*args):
+        draws.append(args)
+        return make_rng(*args)
+
+    sets = [fake_set(np.arange(1, K + 1), b=[0.1, 0.5, 0.7, -10.0], mode=m) for m in ev.MODES]
+    whole = [ev.permutation_test(c, X, labels, B=B, seed=13) for c in sets]
+    monkeypatch.setattr(ev, "make_rng", counting_make_rng)
+    for cells in (l + K, 8 * (l + K) - 1, (B + 1) * (l + K)):  # 1, 7, all
+        monkeypatch.setattr(ev, "NULL_BLOCK_CELLS", cells)
+        for classifiers, want in zip(sets, whole):
+            draws.clear()
+            got = ev.permutation_test(classifiers, X, labels, B=B, seed=13)
+            assert got.tobytes() == want.tobytes(), (classifiers.mode, cells)
+            assert draws == [(13, r) for r in range(B)]
+
+
+@pytest.mark.parametrize("mode", ev.MODES)
+def test_permutation_test_memory_does_not_grow_with_the_permutations(mode):
+    # At l = 400, K = 112 and B = 9999 the null goes in blocks of 1024
+    # labellings, and peaks near 3 MiB in either mode; holding all B + 1
+    # labellings with their int64 counts took 43-46 MiB.
+    rng = make_rng(310)
+    l, K = 400, 112
+    X = rng.standard_normal((l, K))
+    labels = np.where(rng.random(l) < 0.5, 1.0, -1.0)
+    classifiers = fake_set(np.arange(1, K + 1), b=0.1, mode=mode)
+    tracemalloc.start()
+    try:
+        ev.permutation_test(classifiers, X, labels, B=9999, seed=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def check_best_counts(X, plus_rows):

@@ -8,6 +8,7 @@ before the solver existed and are frozen here.
 
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,64 @@ def test_oracle_agreement_grid():
                         )
                         cases += 1
     assert cases == 4 * 3 * 3 * 3 * 5
+
+
+def exact_constrained_solution(problem):
+    """(w, gamma) of a constrained problem, solved exactly in rationals.
+
+    Every float entry becomes a Fraction first. With H = Y [At, -e] and
+    b = e - y * a0, stationarity and B w = e1 give the reduced KKT system
+    (I + nu H^T H) z + [B, 0]^T v = nu H^T b, [B, 0] z = e1 in z = (w, gamma)
+    and the multipliers v, solved by Gauss-Jordan elimination. It shares no
+    arithmetic with `solve` or `kkt_oracle`.
+    """
+    A = [[Fraction(float(a)) for a in row] for row in problem.A]
+    y = [Fraction(float(v)) for v in problem.labels]
+    nu = Fraction(problem.nu)
+    B = [[Fraction(float(c)) for c in row] for row in problem.B]
+    n, p = len(A[0]), len(B)  # z = (w, gamma) has L + 1 = n entries
+    H = [[yi * a for a in row[1:]] + [-yi] for yi, row in zip(y, A)]
+    b = [1 - yi * row[0] for yi, row in zip(y, A)]
+    M = [[nu * sum(h[i] * h[j] for h in H) + (i == j) for j in range(n)]
+         + [B[r][i] if i < n - 1 else Fraction(0) for r in range(p)]
+         + [nu * sum(h[i] * bk for h, bk in zip(H, b))] for i in range(n)]
+    M += [B[r] + [Fraction(0)] * (p + 1) + [Fraction(r == 0)] for r in range(p)]
+    for c in range(n + p):
+        pivot = next(i for i in range(c, n + p) if M[i][c] != 0)
+        M[c], M[pivot] = M[pivot], M[c]
+        M[c] = [m / M[c][c] for m in M[c]]
+        for i in range(n + p):
+            if i != c and M[i][c] != 0:
+                M[i] = [mi - M[i][c] * mc for mi, mc in zip(M[i], M[c])]
+    z = [row[-1] for row in M[:n]]
+    assert all(sum(br * wi for br, wi in zip(row, z)) == (r == 0) for r, row in enumerate(B))
+    return np.array([float(zi) for zi in z[:-1]]), float(z[-1])
+
+
+def test_constrained_solve_matches_an_exact_solve_at_high_degree():
+    # kkt_oracle arbitrates only up to degree 6 (at window 16, degree 15 it
+    # errs by 5e-6 to 1, by offset), so above that `solve` is checked against the exact
+    # rational solution of its own problem, with B built here from the
+    # window's knots (2(o + i) - 1/2)/(2L), not from constraint_bases. At the
+    # centred offset o = -L/2 it holds 1e-8 at every degree. At the edge
+    # offset o = 1 - L, degree 15, cond(B) is 3.9e11 and no backward-stable
+    # solve can promise better than cond(B) * eps; `solve` errs by 3.6e-7
+    # there. Degree 3 checks the exact solve itself against the oracle.
+    rng = np.random.default_rng(35)
+    l, L = 24, 16
+    labels = np.repeat([1.0, -1.0], l // 2)
+    for degree, o in ((3, -L // 2), (7, -L // 2), (11, -L // 2), (15, -L // 2), (15, 1 - L)):
+        t = (2.0 * (o + np.arange(L)) - 0.5) / (2 * L)
+        B = np.vstack([t ** r for r in range(degree)])
+        prob = PredictProblem(A=rng.standard_normal((l, L + 1)), labels=labels, nu=1.0,
+                              variant="nonregularised", B=B)
+        w, gamma = exact_constrained_solution(prob)
+        scale = max(np.max(np.abs(w)), abs(gamma))
+        s = np.linalg.svd(B, compute_uv=False)
+        bound = 1e-8 if o == -L // 2 else 1e-16 * s[0] / s[-1]
+        for sol in [solve(prob)] + ([kkt_oracle(prob)] if degree <= 6 else []):
+            error = max(np.max(np.abs(sol.w - w)), abs(sol.gamma - gamma)) / scale
+            assert error <= bound, (degree, o, error)
 
 
 def test_small_scale_weights_match_oracle_entrywise():
