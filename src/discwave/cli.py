@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--permutations",
         type=int,
         default=999,
-        help="label permutations per coefficient (>= 100; 0 skips the tests; "
+        help="label permutations, shared by every coefficient (>= 100; 0 skips the tests; "
         "two-class eval only)",
     )
     e.add_argument("--alpha", type=float, default=0.1, help="p-value cut for selection")

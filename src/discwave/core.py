@@ -44,10 +44,12 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic child generator for (seed, *path).
 
     The splitting discipline used everywhere in this package: a stream is
-    identified by its integer path under the root seed, so replicate b of an
-    experiment seeded with s always draws from make_rng(s, b) no matter how
-    work is scheduled. The path goes into SeedSequence's spawn_key (appending
-    it to the entropy would alias: [7] and [7, 0] hash identically).
+    identified by its integer path under the root seed, so a stream under
+    make_rng(s, b) draws the same numbers no matter how work is scheduled.
+    A caller that draws its replicates one after another in a fixed order,
+    as permutation_test does, needs only the root make_rng(s). The path goes
+    into SeedSequence's spawn_key (appending it to the entropy would alias:
+    [7] and [7, 0] hash identically).
     The seed and each path entry must be an `integer` >= 0, else a ConfigError.
     """
     key = tuple(integer(p, f"path entry {i}", 0) for i, p in enumerate(path, start=1))

@@ -94,14 +94,14 @@ class ClassifierSet:
         return [f"d{m}_{k}" for m, k in zip(self.level.tolist(), self.k.tolist())]
 
 
-def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
+def _best_counts(X: np.ndarray, plus: np.ndarray) -> np.ndarray:
     """Best correct count over every threshold and both orientations.
 
-    `X` is l x K (one column per coefficient) and `plus_rows` an R x l
-    boolean stack of labellings (True where the label is +1); returns the
-    K x R counts, equal to fit_thresholds' count for every column and
-    labelling. With c values below a split, pos of them +1 out of P,
-    the s = +1 classifier gets P + W right and the s = -1 one l - P - W,
+    `X` is l x K (one column per coefficient) and `plus` an l x R boolean
+    block of labellings (column r is labelling r, True where the label is
+    +1); returns the K x R counts, equal to fit_thresholds' count for every
+    column and labelling. With c values below a split, pos of them +1 out of
+    P, the s = +1 classifier gets P + W right and the s = -1 one l - P - W,
     where W = c - 2 pos. One walk serves every column and labelling: it
     steps through the sorted positions, adding +1 for a -1 label and -1 for
     a +1 label to each column's W, and keeps W's extremes hi and lo over the
@@ -114,13 +114,13 @@ def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
     so the K x R result is int16 or int32 too.
     """
     l, K = X.shape
-    R = plus_rows.shape[0]
+    R = plus.shape[1]
     dtype = np.int16 if l < 2**15 else np.int32  # |W| <= l - 1
     order = np.argsort(X, axis=0, kind="stable")
     v = np.take_along_axis(X, order, axis=0)
     cut = v[1:] > v[:-1]  # cut[c - 1, k]: split c is a candidate of column k
     tied = ~cut.all(axis=1)
-    steps = plus_rows.T.astype(dtype, order="C")  # l x R: -1 for +1, +1 for -1
+    steps = plus.astype(dtype, order="C")  # l x R: -1 for +1, +1 for -1
     steps *= -2
     steps += 1
     W, hi, lo, step = (np.zeros((K, R), dtype) for _ in range(4))
@@ -135,25 +135,26 @@ def _best_counts(X: np.ndarray, plus_rows: np.ndarray) -> np.ndarray:
         np.minimum(lo, W, out=lo)
         if tied[c - 1]:
             hi[held], lo[held] = kept
-    P = plus_rows.sum(axis=1, dtype=dtype)
+    P = plus.sum(axis=0, dtype=dtype)
     hi += P  # each sum is a count in 0..l, so none wraps
     np.subtract(l - P, lo, out=lo)
     return np.maximum(hi, lo, out=hi)
 
 
-def _fixed_counts(X: np.ndarray, plus_rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _fixed_counts(X: np.ndarray, plus: np.ndarray, b: np.ndarray) -> np.ndarray:
     """K x R: the s = +1 correct count of column k of X at threshold b[k], per
-    labelling. It is l - #above - #plus + 2 #(above and plus); the last count
-    is one product of 0/1 matrices, in float32 below l = 2^24 and in float64
-    from there, so every partial sum is an integer the dtype holds exactly,
-    whatever order BLAS sums in."""
+    labelling (column r of the l x R block `plus`). It is
+    l - #above - #plus + 2 #(above and plus); the last count is one product
+    of 0/1 matrices, in float32 below l = 2^24 and in float64 from there, so
+    every partial sum is an integer the dtype holds exactly, whatever order
+    BLAS sums in."""
     l = X.shape[0]
     above = X >= b
     exact = np.float32 if l < 2**24 else float
-    count = (above.T.astype(exact) @ plus_rows.T.astype(exact)).astype(np.int64)
+    count = (above.T.astype(exact) @ plus.astype(exact)).astype(np.int64)
     count *= 2
     count += (l - above.sum(axis=0))[:, None]
-    count -= plus_rows.sum(axis=1)
+    count -= plus.sum(axis=0)
     return count
 
 
@@ -236,7 +237,7 @@ def make_local_classifiers(
     widths = N >> levels
     if mode == PSVM_BIAS:
         b = np.concatenate([fitted.levels[m - 1].gamma for m in levels])
-        plus = _fixed_counts(X, (y > 0)[None, :], b)[:, 0]
+        plus = _fixed_counts(X, (y > 0)[:, None], b)[:, 0]
         s, count = np.where(plus >= l - plus, 1, -1), np.maximum(plus, l - plus)
     else:
         b, s, count = fit_thresholds(X, y)
@@ -450,35 +451,38 @@ def permutation_test(
     null is too narrow (anti-conservative).
 
     `values` is the l x len(classifiers) matrix of coefficient values, column
-    j for classifier j. The B permutations are drawn once per call, each from
-    its own child stream make_rng(seed, replicate), and every classifier is
+    j for classifier j. The B permutations are drawn once per call, one after
+    another from the one stream make_rng(seed), and every classifier is
     scored against the same ones, so a classifier's p-value does not depend on
     which others share the call. optimal_threshold columns share one walk over the
     sorted values (_best_counts).
 
-    Labellings go in blocks of at most NULL_BLOCK_CELLS // (l + K) of them, K
-    = len(classifiers), in replicate order after the observed one; each block
-    is drawn, counted and reduced to its hits before the next, so memory is
-    O(l + K) cells per labelling of one block, whatever B is, and the p-values
-    do not depend on where the blocks split.
+    Labellings go in l x R blocks of at most NULL_BLOCK_CELLS // (l + K) of
+    them, K = len(classifiers), the observed labelling first; each block is
+    filled with copies of the observed labels, shuffled along the label axis
+    by one Generator.permuted call, counted and reduced to its hits before
+    the next. Memory is O(l + K) cells per labelling of one block, whatever B
+    is. The shuffles run in replicate order, so the draws, and with them the
+    p-values, do not depend on where the blocks split, and a smaller B takes
+    the first B labellings of a larger one.
     """
     B = integer(B, "B", MIN_PERMUTATIONS)
     X = float_matrix(values, "values", len(classifiers))
     y = validate_labels(labels, X.shape[0])
     l, K = X.shape
     observed = y > 0
+    rng = make_rng(seed)
     size = max(1, NULL_BLOCK_CELLS // (l + K))
     hits = np.zeros(K, dtype=np.int64)  # the observed labelling counts itself once
     for start in range(0, B + 1, size):
-        rows = range(start, min(start + size, B + 1))  # labelling r > 0 is replicate r - 1
-        plus_rows = np.empty((len(rows), l), dtype=bool)
-        for i, r in enumerate(rows):
-            plus_rows[i] = observed[make_rng(seed, r - 1).permutation(l)] if r else observed
+        plus = np.repeat(observed[:, None], min(size, B + 1 - start), axis=1)
+        drawn = plus[:, 1:] if start == 0 else plus  # column 0 of block 0 is observed
+        rng.permuted(drawn, axis=0, out=drawn)
         if classifiers.mode == PSVM_BIAS:
-            plus = _fixed_counts(X, plus_rows, classifiers.b)
-            best = np.maximum(plus, l - plus, out=plus)
+            counts = _fixed_counts(X, plus, classifiers.b)
+            best = np.maximum(counts, l - counts, out=counts)
         else:
-            best = _best_counts(X, plus_rows)
+            best = _best_counts(X, plus)
         if start == 0:
             observed_best = best[:, :1].copy()
         hits += np.sum(best >= observed_best, axis=1)
