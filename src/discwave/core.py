@@ -46,8 +46,9 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     The splitting discipline used everywhere in this package: a stream is
     identified by its integer path under the root seed, so a stream under
     make_rng(s, b) draws the same numbers no matter how work is scheduled.
-    A caller that draws its replicates one after another in a fixed order,
-    as permutation_test does, needs only the root make_rng(s). The path goes
+    A caller that draws its replicates one after another in a fixed order
+    needs one stream: the generators take the root make_rng(s) and
+    permutation_test the child make_rng(s, 0). The path goes
     into SeedSequence's spawn_key (appending it to the entropy would alias:
     [7] and [7, 0] hash identically).
     The seed and each path entry must be an `integer` >= 0, else a ConfigError.

@@ -53,8 +53,9 @@ def h3(i):
     return h1(np.asarray(i, dtype=float) - 4.0)
 
 
-def waveform_mixture(class_id: int, u: float) -> np.ndarray:
-    """Noise-free class mean for mixing weight u: convex mix of two bumps."""
+def waveform_mixture(class_id: int, u) -> np.ndarray:
+    """Noise-free class mean for mixing weight u: convex mix of two bumps.
+    A column of n weights gives n rows."""
     i = np.arange(1, WAVEFORM_LENGTH + 1, dtype=float)
     if class_id == 1:
         return u * h1(i) + (1.0 - u) * h2(i)
@@ -70,32 +71,35 @@ def generate_waveform(spec: WaveformSpec) -> SignalDataset:
 
     Per signal the draw order is: mixing weight u ~ Uniform(0,1), then the 32
     i.i.d. standard-normal noise samples. Rows are grouped by class (1, 2, 3).
+    The noise goes straight into each row; the class means are added after,
+    one `waveform_mixture` call per class.
     """
     rng = make_rng(spec.seed)
     n = spec.per_class_count
     signals = np.empty((3 * n, WAVEFORM_LENGTH))
-    class_ids = np.repeat([1, 2, 3], n)
-    for row, cid in enumerate(class_ids):
-        u = rng.uniform()
-        eps = rng.standard_normal(WAVEFORM_LENGTH)
-        signals[row] = waveform_mixture(int(cid), u) + eps
-    return SignalDataset(signals=signals, class_ids=class_ids)
+    u = np.empty((3 * n, 1))
+    for row in range(3 * n):
+        u[row] = rng.uniform()
+        rng.standard_normal(out=signals[row])
+    for cid in (1, 2, 3):
+        signals[(cid - 1) * n:cid * n] += waveform_mixture(cid, u[(cid - 1) * n:cid * n])
+    return SignalDataset(signals=signals, class_ids=np.repeat([1, 2, 3], n))
 
 
-def shape_envelope(kind: str, a: int, b: int, eta: float) -> np.ndarray:
-    """Noise-free cylinder/bell/funnel shape active on samples a..b inclusive."""
+def shape_envelope(kind: str, a, b, eta) -> np.ndarray:
+    """Noise-free cylinder/bell/funnel shape active on samples a..b inclusive.
+    Columns of n values of a, b and eta give n rows."""
     if kind not in SHAPE_KINDS:
         raise ConfigError(f"kind must be one of {SHAPE_KINDS}, got {kind!r}")
-    if not a < b:  # no active samples, and bell and funnel would divide by b - a
+    if not np.all(np.less(a, b)):  # no active samples; bell and funnel would divide by b - a
         raise ConfigError(f"shape onset a must lie before its end b, got a={a}, b={b}")
     t = np.arange(1, SHAPE_LENGTH + 1, dtype=float)
-    active = ((t >= a) & (t <= b)).astype(float)
-    height = 6.0 + eta
-    if kind == "cylinder":
-        return height * active
-    if kind == "bell":
-        return height * active * (t - a) / float(b - a)
-    return height * active * (b - t) / float(b - a)
+    shape = ((t >= a) & (t <= b)).astype(float)
+    shape *= 6.0 + eta  # in place: one array the size of the result, beside t - a or b - t
+    if kind != "cylinder":
+        shape *= t - a if kind == "bell" else b - t
+        shape /= b - a
+    return shape
 
 
 def generate_shape(spec: ShapeSpec) -> SignalDataset:
@@ -104,20 +108,20 @@ def generate_shape(spec: ShapeSpec) -> SignalDataset:
     Per signal the draw order is: onset a ~ Uniform{16..32}, width
     b - a ~ Uniform{32..96}, height perturbation eta ~ N(0,1), then the 128
     i.i.d. standard-normal noise samples. Rows are grouped by class
-    (1=cylinder, 2=bell, 3=funnel).
+    (1=cylinder, 2=bell, 3=funnel). The noise goes straight into each row;
+    the shapes are added after, one `shape_envelope` call per class.
     """
     rng = make_rng(spec.seed)
     n = spec.per_class_count
     signals = np.empty((3 * n, SHAPE_LENGTH))
-    class_ids = np.repeat([1, 2, 3], n)
-    for row, cid in enumerate(class_ids):
-        a = int(rng.integers(16, 33))
-        width = int(rng.integers(32, 97))
-        eta = float(rng.standard_normal())
-        eps = rng.standard_normal(SHAPE_LENGTH)
-        kind = SHAPE_KINDS[int(cid) - 1]
-        signals[row] = shape_envelope(kind, a, a + width, eta) + eps
-    return SignalDataset(signals=signals, class_ids=class_ids)
+    draws = np.empty((3, 3 * n, 1))  # onset a, width b - a and eta of each signal
+    for row in range(3 * n):
+        draws[:, row, 0] = rng.integers(16, 33), rng.integers(32, 97), rng.standard_normal()
+        rng.standard_normal(out=signals[row])
+    for c, kind in enumerate(SHAPE_KINDS):
+        a, width, eta = draws[:, c * n:(c + 1) * n]
+        signals[c * n:(c + 1) * n] += shape_envelope(kind, a, a + width, eta)
+    return SignalDataset(signals=signals, class_ids=np.repeat([1, 2, 3], n))
 
 
 def save_csv(dataset: SignalDataset, path) -> None:

@@ -452,10 +452,12 @@ def permutation_test(
 
     `values` is the l x len(classifiers) matrix of coefficient values, column
     j for classifier j. The B permutations are drawn once per call, one after
-    another from the one stream make_rng(seed), and every classifier is
+    another from the one stream make_rng(seed, 0), and every classifier is
     scored against the same ones, so a classifier's p-value does not depend on
-    which others share the call. optimal_threshold columns share one walk over the
-    sorted values (_best_counts).
+    which others share the call. The path entry 0 keeps the null apart from
+    the generators' root stream make_rng(seed), so data drawn with a seed are
+    never shuffled by the outputs that drew them. optimal_threshold columns
+    share one walk over the sorted values (_best_counts).
 
     Labellings go in l x R blocks of at most NULL_BLOCK_CELLS // (l + K) of
     them, K = len(classifiers), the observed labelling first; each block is
@@ -471,7 +473,7 @@ def permutation_test(
     y = validate_labels(labels, X.shape[0])
     l, K = X.shape
     observed = y > 0
-    rng = make_rng(seed)
+    rng = make_rng(seed, 0)
     size = max(1, NULL_BLOCK_CELLS // (l + K))
     hits = np.zeros(K, dtype=np.int64)  # the observed labelling counts itself once
     for start in range(0, B + 1, size):

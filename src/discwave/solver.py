@@ -20,12 +20,13 @@ equations H^T H + I/nu would square it.
 
 A level's windows share y and nu, so `solve_windows` solves them in stacks:
 each stack is one stacked QR and one stacked triangular solve through the
-same core as `solve`, which is its one-window case and gives the same bits.
-A stack holds about STACK_BYTES of QR input, so its arrays stay in cache
-and memory stays flat at any example count. Constraint bases are built once
-per (window, degree), one SVD of B per offset pattern, and cached read-only:
-B, w0 and the L - p null-space rows N of the L patterns, L*(L-p)*L + L^2 +
-p*L^2 floats. Each stack gathers its windows' rows (`constraint_bases`).
+same core as `solve`, which is its one-window case (the same bits when
+unconstrained). A stack holds about STACK_BYTES of QR input, so its arrays
+stay in cache and memory stays flat at any example count. Constraint bases
+are built once per (window, degree) and cached read-only: every offset
+pattern of B has the same null space, so one SVD gives the L - p
+null-space rows N they all share, beside each pattern's B and minimum-norm
+w0. Each stack gathers its windows' B and w0 (`constraint_bases`).
 `kkt_oracle` solves the identical problems by one dense factorization of the
 full stationarity+feasibility system and exists to arbitrate `solve` in
 tests; the two routes share no linear algebra.
@@ -176,21 +177,22 @@ def _solve_stack(A, y: np.ndarray, nu: float, variant: str, bases=None, position
     """(w, gamma, u) of K window problems that share labels y and nu.
 
     A is K x l x (L+1), each slice laid out as PredictProblem.A. `bases`,
-    for constrained problems, is (B, w0, N) stacked per window, each as
-    `_null_space_split` splits B, so Z = N^T. Every check of `solve` runs
-    per window with its tolerance, and the first failing window raises.
+    for constrained problems, is (B, w0, N): B (K x p x L) and w0 (K x L)
+    stacked per window, and the (L - p) x L null-space rows N that every
+    window's B shares, so Z = N^T for the whole stack. Every check of
+    `solve` runs per window with its tolerance, and the first failing
+    window raises.
     """
     a0, At = (0.0, A) if variant == REGULARISED else (A[..., 0], A[..., 1:])
     F, offset = At, a0
     if bases is not None:
         B, w0, N = bases
-        Z = N.transpose(0, 2, 1)  # B @ Z = 0 slice by slice
-        F, offset = At @ Z, a0 + _matvec(At, w0)
+        F, offset = At @ N.T, a0 + _matvec(At, w0)  # B @ N^T = 0 for every window
     z, u, worst = _least_squares(F, offset, y, nu)
     w, gamma = z[:, :-1], z[:, -1]
     checks = [("stationarity residual", worst, FEASIBILITY_RTOL)]
     if bases is not None:
-        w = w0 + _matvec(Z, w)
+        w = w0 + w @ N
         e1 = np.eye(B.shape[1])[0]
         with np.errstate(over="ignore", invalid="ignore"):  # a failed check may overflow
             bw = np.max(np.abs(_matvec(B, w) - e1), axis=1)
@@ -200,19 +202,23 @@ def _solve_stack(A, y: np.ndarray, nu: float, variant: str, bases=None, position
     return w, gamma, u
 
 
+def _check_rank(s: np.ndarray) -> None:
+    """The rank rule of constraint rows, on their singular values s (each
+    last axis in descending order): ConfigError unless s_min > 1e-12 s_max."""
+    if np.any(s[..., -1] <= s[..., 0] * 1e-12):
+        raise ConfigError("constraint matrix B is numerically rank deficient")
+
+
 def _null_space_split(B: np.ndarray):
     """(w0, N) of the p x L constraints B w = e1, from one SVD of B.
 
     w0 = B^+ e1 is the minimum-norm solution, and the L - p orthonormal rows
     of N span the null space of B (none when p = L). Raises ConfigError when
-    B is numerically rank deficient.
+    B is numerically rank deficient (`_check_rank`).
     """
-    p = B.shape[0]
-    e1 = np.eye(p)[0]
     U, s, Vt = np.linalg.svd(B, full_matrices=True)
-    if s[-1] <= s[0] * 1e-12:
-        raise ConfigError("constraint matrix B is numerically rank deficient")
-    return Vt[:p].T @ ((U.T @ e1) / s), Vt[p:]
+    _check_rank(s)
+    return Vt[:len(B)].T @ (U[0] / s), Vt[len(B):]  # U[0] = U^T e1
 
 
 def solve(problem: PredictProblem) -> PredictSolution:
@@ -227,13 +233,16 @@ def solve(problem: PredictProblem) -> PredictSolution:
     the cancellation in the stationarity identity w = At^T Y u - B^T v, whose
     two terms can dwarf w itself when nu is large and the constraint
     multipliers v blow up. This is the one-window case of the stacked solve
-    that `solve_windows` runs over a level.
+    that `solve_windows` runs over a level: an unconstrained window gives
+    the same bits either way. A constrained one takes w0 and Z from the SVD
+    of its own B here, and from the cached bases of its (window, degree)
+    there, so the two agree to rounding, not bit for bit.
     """
     B = problem.B
     bases = None
     if B is not None:
         w0, N = _null_space_split(B)
-        bases = (B[None], w0[None], N[None])
+        bases = (B[None], w0[None], N)
     w, gamma, u = _solve_stack(problem.A[None], problem.labels, problem.nu, problem.variant, bases)
     return PredictSolution(w=w[0], gamma=float(gamma[0]), u=u[0])
 
@@ -246,11 +255,12 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
     columns c = columns[j], whose problem is PredictProblem(
     A=np.column_stack([targets[:, k-1], -coarse[:, c]]), labels, nu, variant,
     B), with B = vandermonde_constraints(window, degree) of that window when
-    degree > 0, and row j of the result is `solve` of that problem bit for
-    bit. The problems share labels and nu, so they run through `_solve_stack`
-    a stack at a time, each stack gathered straight from `coarse` and holding
-    about STACK_BYTES of QR input; constraint bases come once per (window,
-    degree), and each stack gathers only its own windows' patterns.
+    degree > 0, and row j of the result is `solve` of that problem: bit for
+    bit when unconstrained, to rounding when constrained (see `solve`). The
+    problems share labels and nu, so they run through `_solve_stack` a stack
+    at a time, each stack gathered straight from `coarse` and holding about
+    STACK_BYTES of QR input; constraint bases come once per (window,
+    degree), and each stack gathers only its own windows' B and w0.
     `labels`, `nu` and `variant` are checked once a call, as
     `PredictProblem` checks them. Errors name the failing window:
     "position k=K: ...".
@@ -265,7 +275,7 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
     if bad.any():
         raise DataError(f"position k={np.argmax(bad) + 1}: A contains non-finite values")
     if degree:
-        patterns, pattern = constraint_bases(columns, degree)
+        (B, w0, N), pattern = constraint_bases(columns, degree)
     l = len(labels)
     size = max(1, STACK_BYTES // (8 * (l + L + 2) * (L + 3)))  # QR input is at most this
     weights = np.empty((J, L + 1 if variant == REGULARISED else L))
@@ -277,7 +287,7 @@ def solve_windows(targets, coarse, columns, labels, nu: float, variant: str, deg
         A = np.empty((len(ks[rows]), L + 1, l))
         A[:, 0] = targets.T[rows]
         np.negative(coarse.T[columns[rows]], out=A[:, 1:])
-        bases = tuple(a[pattern[rows]] for a in patterns) if degree else None
+        bases = (B[pattern[rows]], w0[pattern[rows]], N) if degree else None
         weights[rows], gamma[rows], _ = _solve_stack(
             A.transpose(0, 2, 1), labels, nu, variant, bases, ks[rows]
         )
@@ -353,12 +363,21 @@ def _window_bases(window: int, degree: int):
     """Read-only (B, w0, N) of the L = `window` knot patterns, at offset + L - 1:
     row j of a window matrix starts at offset o = columns[j, 0] - j, in 1-L..0,
     and has knots (2*(o + i) - 0.5) / (2L), so every level shares these L
-    patterns, full rank at each degree `core.constraint_degree` admits."""
+    patterns, full rank at each degree `core.constraint_degree` admits.
+
+    B_o = T_o B_c for an invertible binomial shift T_o of the knots, so every
+    pattern has the null space of the centred one (o = L//2 + 1 - L, the best
+    conditioned): one SVD of it gives the row-space basis Q and the L - p
+    null-space rows N that all L patterns share. Each pattern's minimum-norm
+    w0 = c Q, with (B Q^T) c = e1, is one stacked p x p solve, and one stacked
+    SVD without vectors holds every pattern to the rank rule of `solve`.
+    Cached: B (L x p x L), w0 (L x L) and the one N ((L - p) x L)."""
     knots = (2.0 * (np.arange(1 - window, 1)[:, None] + np.arange(window)) - 0.5) / (2 * window)
     B = np.array([np.vstack([t ** r for r in range(degree)]) for t in knots])
-    w0, N = np.empty((window, window)), np.empty((window, window - degree, window))
-    for i, rows in enumerate(B):
-        w0[i], N[i] = _null_space_split(rows)
+    _check_rank(np.linalg.svd(B, compute_uv=False))
+    Vt = np.linalg.svd(B[window // 2])[2]
+    Q, N = Vt[:degree], np.asfortranarray(Vt[degree:])  # so a stack's At @ N^T runs in BLAS
+    w0 = np.linalg.solve(B @ Q.T, np.eye(degree)[0]) @ Q
     B.flags.writeable = w0.flags.writeable = N.flags.writeable = False
     return B, w0, N
 
@@ -367,8 +386,9 @@ def constraint_bases(columns, degree: int):
     """((B, w0, N), index): the cached, read-only `_window_bases` of a level's
     window matrix `columns` (`core.window_columns`) and each row's pattern,
     offset o at o + L - 1 = (o - 1) % L (a 1-wide window's o = 1 shares its
-    one). Row j's constraints are B[index[j]]; `vandermonde_constraints` of an
-    `IndexWindow` is their reference spelling, for the tests and bench."""
+    one). Row j's constraints are B[index[j]] with minimum-norm solution
+    w0[index[j]]; the null-space rows N serve every row. `vandermonde_constraints`
+    of an `IndexWindow` is the reference spelling of B, for the tests and bench."""
     J, L = columns.shape
     bases = _window_bases(L, constraint_degree(degree, L))  # a bool or list never keys the cache
     return bases, (columns[:, 0] - np.arange(J) - 1) % L

@@ -1095,25 +1095,29 @@ def stack_budget(l, window, size):
     return 8 * (l + window + 2) * (window + 3) * size
 
 
-@settings(max_examples=25, derandomize=True, database=None, deadline=None)
-@given(
-    variant=st.sampled_from(["nonregularised", "regularised"]),
-    degree_share=st.sampled_from([0.0, 0.5, 1.0]),
-    window=st.sampled_from([2, 4, 8]),
-    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
-    nu=st.sampled_from([1e-2, 1.0, 1e2]),
-    n=st.integers(12, 60),
-    size=st.sampled_from([3, 5, 6]),
-    seed=st.integers(0, 2 ** 16),
-)
-def test_level_stacks_match_solve_bit_for_bit(
-    variant, degree_share, window, scale, nu, n, size, seed
-):
-    # Every window's (w, gamma) from the stacked level solve must be the
-    # one-window solve's, bit for bit, and agree with the dense KKT oracle.
-    # The budget is set so that each level runs several stacks of `size`
-    # windows and its last stack is partial (32, 16 and 8 positions).
-    degree = 0 if variant == "regularised" else int(degree_share * window // 2)
+# Bound on the `relative_difference` of a constrained window's (w, gamma)
+# from the stacked level solve against the lone solve of its problem: the
+# stack takes the null space from the cached bases' one N and w0 from a
+# p x p solve, the lone solve both from the SVD of its own B, so the two
+# agree to rounding only. Over 1000 random draws of the strategy below (1
+# BLAS thread) and 300 more (default threading) they differed by at most
+# 1.3e-12, largest at data scale 1e6. A w0 moved 1e-9 out of the row space
+# of B fails the bound.
+STACKED_CONSTRAINED_RTOL = 1e-10
+
+
+def relative_difference(w, gamma, ref):
+    """Largest difference of (w, gamma) from a solution, relative to max(1, |w|, |gamma|) of it."""
+    size = max(1.0, float(np.max(np.abs(ref.w))), abs(ref.gamma))
+    return max(float(np.max(np.abs(w - ref.w))), abs(gamma - ref.gamma)) / size
+
+
+def check_level_stacks(variant, degree, window, scale, nu, n, size, seed, rtol=None):
+    """Fit 3 levels in stacks of `size` windows and check every window's
+    (w, gamma) against the lone solve of its problem, bit for bit or, given
+    `rtol`, to that `relative_difference`, and to 1e-8 against the dense KKT
+    oracle. The budget is set so that each level runs several stacks and its
+    last stack is partial (32, 16 and 8 positions)."""
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, n, 64)
     ds = SignalDataset(signals=scale * ds.signals, class_ids=ds.class_ids)
@@ -1144,12 +1148,40 @@ def test_level_stacks_match_solve_bit_for_bit(
                 B=solver.vandermonde_constraints(window_k, degree) if degree else None,
             )
             one = solver.solve(problem)
-            assert one.w.tobytes() == w.tobytes() and one.gamma == gamma, (m, k)
-            ref = solver.kkt_oracle(problem)
-            size_ref = max(1.0, float(np.max(np.abs(ref.w))), abs(ref.gamma))
-            diff = max(float(np.max(np.abs(w - ref.w))), abs(gamma - ref.gamma))
-            assert diff <= 1e-8 * size_ref, (m, k, diff / size_ref)
+            if rtol is None:
+                assert one.w.tobytes() == w.tobytes() and one.gamma == gamma, (m, k)
+            else:
+                assert relative_difference(w, gamma, one) <= rtol, (m, k)
+            assert relative_difference(w, gamma, solver.kkt_oracle(problem)) <= 1e-8, (m, k)
         A = C
+
+
+LEVEL_STACK_DRAWS = dict(
+    window=st.sampled_from([2, 4, 8]),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    nu=st.sampled_from([1e-2, 1.0, 1e2]),
+    n=st.integers(12, 60),
+    size=st.sampled_from([3, 5, 6]),
+    seed=st.integers(0, 2 ** 16),
+)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(variant=st.sampled_from(["nonregularised", "regularised"]), **LEVEL_STACK_DRAWS)
+def test_level_stacks_match_solve_bit_for_bit(variant, window, scale, nu, n, size, seed):
+    # An unconstrained window's (w, gamma) from the stacked level solve is
+    # the one-window solve's, bit for bit.
+    check_level_stacks(variant, 0, window, scale, nu, n, size, seed)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(degree_share=st.sampled_from([0.5, 1.0]), **LEVEL_STACK_DRAWS)
+def test_constrained_level_stacks_agree_with_solve(degree_share, window, scale, nu, n, size, seed):
+    # A constrained window's (w, gamma) from the stacked level solve agrees
+    # with the one-window solve to STACKED_CONSTRAINED_RTOL: degrees 1 to 4.
+    degree = max(1, int(degree_share * window) // 2)
+    check_level_stacks("nonregularised", degree, window, scale, nu, n, size, seed,
+                       STACKED_CONSTRAINED_RTOL)
 
 
 @pytest.mark.parametrize(
